@@ -47,7 +47,8 @@ from .morphisms import (
     rich_invariant_key,
     search_monomorphisms,
 )
-from .perms import format_cycles
+from .numtheory import factorization, is_prime
+from .perms import compose, format_cycles
 
 AUT_MATERIALIZE_LIMIT = 1 << 20
 HARD_ORDER_LIMIT = 256
@@ -524,24 +525,10 @@ def _extension_candidates(base: TableGroup, p: int):
             yield TableGroup(_extension_table(base, amap, a, p), gens)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def cyclic_extensions(base: TableGroup, p: int) -> list[TableGroup]:
     """All groups of order |base|*p containing a normal copy of the base with
     quotient of order p, up to isomorphism."""
-    if p < 2 or _prime_factors(p) != [p]:
+    if not is_prime(p):
         raise OutOfRange(f"{p} is not prime")
     return [e.group for e in _dedupe(_extension_candidates(base, p))]
 
@@ -609,7 +596,7 @@ def _compute(n: int, tier: int) -> Catalog:
         return Catalog(1, [_canonical_entry(construct("C(1)"))], "cyclic-extension")
 
     def candidates():
-        for p in _prime_factors(n):
+        for p in factorization(n):
             for entry in _catalog(n // p, tier).entries:
                 yield from _extension_candidates(entry.group, p)
         yield from _seed_entries(n)
@@ -700,10 +687,6 @@ def _uniform_with_image(n: int, u: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _compose(p: tuple, g: tuple) -> tuple:
-    return tuple(g[i] for i in p)
-
-
 def _perm_closure_capped(gens: list[tuple], cap: int):
     ident = tuple(range(len(gens[0])))
     elems = {ident}
@@ -712,7 +695,7 @@ def _perm_closure_capped(gens: list[tuple], cap: int):
         nxt = []
         for e in frontier:
             for g in gens:
-                c = _compose(e, g)
+                c = compose(e, g)
                 if c not in elems:
                     if len(elems) >= cap:
                         return None
@@ -740,7 +723,7 @@ def regular_oracle(n: int) -> Catalog:
     if n == 1:
         return Catalog(1, [_canonical_entry(construct("C(1)"))], "oracle")
 
-    p = _prime_factors(n)[0]
+    p = min(factorization(n))
     # canonical element of order p: every class has a regular copy through it
     c0 = tuple(i + 1 if i % p < p - 1 else i - (p - 1) for i in range(n))
     buckets: dict[int, list[tuple]] = {}

@@ -28,17 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .numtheory import is_prime
 
 
 class GroupExpr:
@@ -69,7 +59,7 @@ class ElemAbelian(GroupExpr):
     k: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"EA(p,k) needs prime p, got {self.p}")
         if self.k < 1:
             raise ValueError(f"EA(p,k) needs k >= 1, got {self.k}")

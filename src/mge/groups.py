@@ -18,6 +18,7 @@ no clause for some acting generator are fixed by it.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -27,6 +28,7 @@ import numpy as np
 from . import perms
 from .errors import (
     CentralIdentificationError,
+    EngineError,
     InvalidAction,
     NotNormal,
     OrderLimitExceeded,
@@ -133,9 +135,9 @@ class TableGroup:
         table: np.ndarray,
         gens: dict[str, int],
         *,
-        labels: list[str] | None = None,
+        labels: Sequence[str] | None = None,
         expr_text: str | None = None,
-        perm_elems: list[perms.Perm] | None = None,
+        perm_elems: PermElements | None = None,
         components: list[_Component] | None = None,
     ):
         table = np.ascontiguousarray(table, dtype=np.int32)
@@ -155,9 +157,6 @@ class TableGroup:
         self._labels = labels
         self.expr_text = expr_text
         self.perm_elems = perm_elems
-        self._perm_index = (
-            {p: i for i, p in enumerate(perm_elems)} if perm_elems is not None else None
-        )
         self.components = components
         self._bfs_cache: dict[tuple[int, ...], list] = {}
 
@@ -309,12 +308,13 @@ class TableGroup:
     def _resolve_cycles(self, token: str) -> int | None:
         if not perms.looks_like_cycles(token):
             return None
-        if self._perm_index is not None:
+        if self.perm_elems is not None:
             try:
-                p = perms.parse_cycles(token, degree=len(self.perm_elems[0]))
+                p = perms.parse_cycles(token, degree=self.perm_elems.degree)
             except ParseError:
                 return None
-            return self._perm_index.get(p)
+            i = int(self.perm_elems.index_of(np.asarray(p, dtype=np.int32)))
+            return i if i >= 0 else None
         if self.components:
             hits = []
             for comp in self.components:
@@ -329,21 +329,11 @@ class TableGroup:
 
     @cached_property
     def labels(self) -> list[str]:
-        if self._labels is not None:
-            return self._labels
-        if self.perm_elems is not None:
-            return [perms.format_cycles(p) for p in self.perm_elems]
-        if self.components:
-            out = []
-            for x in range(self.n):
-                parts = []
-                for comp in self.components:
-                    d = comp.digit(x)
-                    if d != 0:
-                        parts.append(_remap_word(comp.group.label_of(d), comp.rename))
-                out.append("*".join(parts) if parts else "1")
-            return out
-        return self._bfs_labels()
+        """Every element's label.  Only groups labelled by generator words
+        need this whole list; label_of formats single elements of the rest."""
+        if self._labels is None and self.perm_elems is None and not self.components:
+            return self._bfs_labels()
+        return [self.label_of(x) for x in range(self.n)]
 
     def _bfs_labels(self) -> list[str]:
         names = list(self.gens)
@@ -358,6 +348,17 @@ class TableGroup:
         return [_compress_word(words[i]) for i in range(self.n)]
 
     def label_of(self, x: int) -> str:
+        if self._labels is not None:
+            return self._labels[x]
+        if self.perm_elems is not None:
+            return perms.format_cycles(self.perm_elems.mat[x].tolist())
+        if self.components:
+            parts = []
+            for comp in self.components:
+                d = comp.digit(x)
+                if d != 0:
+                    parts.append(_remap_word(comp.group.label_of(d), comp.rename))
+            return "*".join(parts) if parts else "1"
         return self.labels[x]
 
     # -- generating sequences --
@@ -476,6 +477,20 @@ def _remap_word(word: str, rename: dict[str, str]) -> str:
     return "*".join(parts)
 
 
+class _AmbientLabels(Sequence):
+    """A subgroup's element labels, formatted by the ambient group on demand."""
+
+    def __init__(self, ambient, elements: list):
+        self._ambient = ambient
+        self._elements = elements
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __getitem__(self, i):
+        return self._ambient.label_of(self._elements[i])
+
+
 @dataclass
 class Subgroup:
     """A subgroup captured as sorted ambient elements plus its own table."""
@@ -501,8 +516,7 @@ class Subgroup:
                 for j, b in enumerate(elements):
                     tab[i, j] = index[ambient.mul(a, b)]
         gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
-        labels = [ambient.label_of(e) for e in elements]
-        grp = TableGroup(tab.astype(np.int32), gens, labels=labels)
+        grp = TableGroup(tab.astype(np.int32), gens, labels=_AmbientLabels(ambient, elements))
         return Subgroup(ambient, elements, gen_elems, grp, list(elements))
 
     @property
@@ -586,21 +600,114 @@ def build_dicyclic(n: int) -> TableGroup:
     return TableGroup(table.astype(np.int32), {"a": 1, "b": tn})
 
 
+def _row_order(mat: np.ndarray) -> np.ndarray:
+    """Stable argsort of the rows of a non-negative int32 matrix in
+    lexicographic order.  Each row is sorted as one opaque bytes value; the
+    big-endian layout makes byte order agree with numeric order."""
+    rows = np.ascontiguousarray(mat, dtype=">i4")
+    return np.argsort(rows.view(np.dtype((np.void, 4 * mat.shape[1]))).ravel(), kind="stable")
+
+
+def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
+    """Every element generated by the rows of ``gens``, as rows in
+    lexicographic order.  The closure grows level by level: a level is the
+    previous one times each generator (``x * g == g[x]``), deduplicated by
+    whole rows against everything found so far."""
+    found = np.arange(degree, dtype=np.int32)[None, :]
+    frontier = found
+    while len(frontier):
+        both = np.concatenate([found, gens[:, frontier].reshape(-1, degree)])
+        order = _row_order(both)
+        rows = both[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        idx = order[first]  # the earliest copy of each distinct row
+        frontier = both[idx[idx >= len(found)]]
+        found = np.concatenate([found, frontier])
+        if len(found) > SUBGROUP_LIMIT:
+            raise SubgroupLimitExceeded(f"closure exceeded {SUBGROUP_LIMIT} elements")
+    return found[_row_order(found)]
+
+
+class PermElements:
+    """The elements of a permutation group as rows of images, located by
+    their images of a base.
+
+    A base is a list of points whose images tell all elements apart (the
+    base of Schreier-Sims; Seress, *Permutation Group Algorithms*, 2003).  It
+    is chosen greedily: a point is kept when its column splits the elements
+    further.  For a regular group point 0 alone is a base.  The images of the
+    base points fold into one key per element, re-ranked after each point so
+    that every key stays below the group order and nothing can overflow.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        n, degree = mat.shape
+        self.mat = mat
+        self.degree = degree
+        self.base: list[int] = []
+        self._levels: list[np.ndarray] = []  # sorted partial keys, one array per base point
+        key = np.zeros(n, dtype=np.int64)
+        classes = 1
+        for b in range(degree):
+            if classes == n:
+                break
+            vals, ranks = np.unique(key * degree + mat[:, b], return_inverse=True)
+            if len(vals) > classes:
+                self.base.append(b)
+                self._levels.append(vals)
+                key, classes = ranks.reshape(n), len(vals)
+        self._elem_of_key = np.empty(n, dtype=np.int64)
+        self._elem_of_key[key] = np.arange(n)
+
+    def locate(self, images: np.ndarray) -> np.ndarray:
+        """Element index for each stack of base images (the last axis runs
+        over ``base``); -1 where no element has those images.  A hit is
+        the group's only candidate, not yet proof of membership."""
+        key = np.zeros(images.shape[:-1], dtype=np.int64)
+        hit = np.ones(images.shape[:-1], dtype=bool)
+        for k, vals in enumerate(self._levels):
+            want = key * self.degree + images[..., k]
+            key = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
+            hit &= vals[key] == want
+        return np.where(hit, self._elem_of_key[key], -1)
+
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each permutation row; -1 for non-members."""
+        idx = self.locate(rows[..., self.base])
+        return np.where((idx >= 0) & (self.mat[idx] == rows).all(axis=-1), idx, -1)
+
+
+_BLOCK_CELLS = 1 << 18  # table cells per block of rows in build_perm_group
+
+
 def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
-    ident = perms.identity_perm(degree)
-    closure, _ = bfs_closure(ident, list(gen_perms), perms.compose)
-    n = len(closure)
+    """Tabulate the group generated by ``gen_perms``.
+
+    Elements are numbered in lexicographic order of their image tuples, which
+    puts the identity at index 0.  The table is built without per-cell work,
+    by the base-key method of PermElements: the product ``x * y`` is located
+    by its base images ``(x * y)[b] == y[x[b]]``, taken for a block of rows
+    ``x`` against every ``y`` at once.
+    """
+    gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
+    mat = _perm_closure(degree, gens)
+    n = len(mat)
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"permutation closure has {n} elements")
-    elems = [ident] + sorted(e for e in closure if e != ident)
-    mat = np.asarray(elems, dtype=np.int32)
-    index = {mat[i].tobytes(): i for i in range(n)}
-    table = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        prods = np.ascontiguousarray(mat[:, mat[i]])  # row j: elems[i] * elems[j]
-        table[i] = [index[prods[j].tobytes()] for j in range(n)]
-    gens = {perms.format_cycles(p): index[np.asarray(p, dtype=np.int32).tobytes()] for p in gen_perms}
-    return TableGroup(table, gens, perm_elems=elems)
+    elems = PermElements(mat)
+    base = elems.base
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        # mat[:, rows[:, base]][y, x, k] == (x * y)[base[k]]
+        prods = elems.locate(mat[:, mat[r0:r0 + step, base]].transpose(1, 0, 2))
+        if (prods < 0).any():
+            raise EngineError("a product of permutations fell outside their closure")
+        table[r0:r0 + step] = prods
+    gen_idx = elems.locate(gens[:, base])
+    names = {perms.format_cycles(p): int(i) for p, i in zip(gen_perms, gen_idx)}
+    return TableGroup(table, names, perm_elems=elems)
 
 
 def build_symmetric(n: int) -> TableGroup:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import AutBudgetExceeded, SearchBudgetExceeded
 from .groups import Subgroup, TableGroup, TwistedGroup
+from .numtheory import is_prime
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
 AUT_BUDGET = 1 << 25
@@ -371,17 +372,6 @@ def automorphism_count(g: TableGroup, *, budget: int = AUT_BUDGET) -> int:
     return sum(1 for _ in automorphisms(g, budget=budget))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -393,7 +383,7 @@ def elem_abelian_prime(g: TableGroup) -> int | None:
     if not g.is_abelian:
         return None
     e = g.exponent
-    if _is_prime(e) and _is_power_of(g.order, e):
+    if is_prime(e) and _is_power_of(g.order, e):
         return e
     return None
 

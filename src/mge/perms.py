@@ -29,13 +29,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(q[i] for i in p)
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def perm_order(p: Perm) -> int:
     seen = [False] * len(p)
     order = 1

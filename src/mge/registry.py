@@ -23,6 +23,7 @@ from . import perms
 from .errors import InvalidAction, OutOfRange, UnknownLabel
 from .expressions import GroupExpr, parse_expr
 from .groups import TableGroup, TwistedGroup, _DGen, bfs_closure, construct
+from .numtheory import factorization, is_prime
 
 _DATA_PATH = Path(__file__).parent / "data" / "registry.json"
 
@@ -122,13 +123,12 @@ def _conj_map(g: TableGroup, cycles: str) -> np.ndarray:
     permutation of the same degree (written in cycle notation)."""
     if g.perm_elems is None:
         raise InvalidAction("conjugation twists need a permutation group")
-    degree = len(g.perm_elems[0])
-    t = perms.parse_cycles(cycles, degree=degree)
-    t_inv = perms.inverse(t)
-    out = np.empty(g.n, dtype=np.int32)
-    for i, p in enumerate(g.perm_elems):
-        out[i] = g._perm_index[perms.compose(perms.compose(t_inv, p), t)]
-    return out
+    t = np.asarray(perms.parse_cycles(cycles, degree=g.perm_elems.degree), dtype=np.int32)
+    mat = g.perm_elems.mat
+    out = g.perm_elems.index_of(t[mat[:, np.argsort(t)]])  # rows t^-1 * p * t
+    if (out < 0).any():
+        raise InvalidAction(f"conjugation by {cycles} does not normalize the group")
+    return out.astype(np.int32)
 
 
 def _theta_action(theta: dict, comp: TableGroup) -> np.ndarray:
@@ -242,34 +242,10 @@ def table5_row(n: int) -> tuple[str, ...]:
 # --- bounds ---------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def pbound(p: int, k: int) -> int:
     """Least possible order, p^(2k-1), of a group containing every group of
     order p^k."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise OutOfRange(f"pbound needs a prime, got {p}")
     if k < 1:
         raise OutOfRange(f"pbound needs k >= 1, got {k}")
@@ -282,7 +258,7 @@ def collection_bound(n: int) -> int:
     if n < 1:
         raise OutOfRange(f"collection_bound needs n >= 1, got {n}")
     out = 1
-    for p, a in _factorization(n).items():
+    for p, a in factorization(n).items():
         out *= p ** (2 * a - 1)
     return out
 
@@ -295,7 +271,7 @@ def nbound(n: int) -> int:
         raise OutOfRange(f"nbound needs n >= 1, got {n}")
     out = 1
     for p in range(2, n + 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         k = 1
         while p ** (k + 1) <= n:

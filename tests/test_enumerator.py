@@ -96,6 +96,15 @@ def test_recompute_matches_bundled_bytes():
     assert fresh.dumps() == (_BUNDLED_DIR / "order24.json").read_text().strip()
 
 
+@pytest.mark.parametrize("n", [*range(1, 65), 72, 96, 120, 144])
+def test_bundled_catalog_loads(n):
+    # from_json rebuilds every recipe and checks its table hash and fingerprint
+    doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
+    cat = Catalog.from_json(doc)
+    assert cat.order == n
+    assert [e.to_json() for e in cat.entries] == doc["entries"]
+
+
 def test_tier_gates():
     assert order_allowed(64, 1) and not order_allowed(72, 1)
     assert order_allowed(72, 2) and not order_allowed(81, 2)

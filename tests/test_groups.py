@@ -4,12 +4,23 @@ evaluation for every constructor, checked against hand-computed values."""
 import numpy as np
 import pytest
 
-from mge import Subgroup, TableGroup, TwistedGroup, check_table, construct, expr_order, quotient_group
+from mge import (
+    Subgroup,
+    TableGroup,
+    TwistedGroup,
+    check_table,
+    construct,
+    expr_order,
+    find_embedding,
+    perms,
+    quotient_group,
+)
 from mge.errors import (
     CentralIdentificationError,
     InvalidAction,
     NotNormal,
     OrderLimitExceeded,
+    SubgroupLimitExceeded,
     UnknownGenerator,
 )
 from mge.groups import bfs_closure
@@ -214,3 +225,54 @@ def test_check_table_rejects_non_group():
     bad = np.zeros((3, 3), dtype=np.int64)
     assert not check_table(bad)
     assert check_table(construct("C(7)").table)
+
+
+def _brute_force_perm_table(degree, cycles):
+    """Reference table: closure by perms.compose, elements in lexicographic
+    order (the identity is the least tuple), one compose call per cell."""
+    gens = [perms.parse_cycles(c, degree=degree) for c in cycles]
+    closure, _ = bfs_closure(perms.identity_perm(degree), gens, perms.compose)
+    elems = sorted(closure)
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[perms.compose(a, b)] for b in elems] for a in elems]
+    names = {perms.format_cycles(p): index[p] for p in gens}
+    return elems, table, names
+
+
+# text, degree and generators it is built from, length of its base
+PERM_BUILDS = [
+    ("S(5)", 5, ["(1 2 3 4 5)", "(1 2)"], 4),
+    ("A(5)", 5, ["(1 2 3)", "(1 2 3 4 5)"], 3),
+    ("perm(10; (1 2 3 4), (1 2), (5 6 7)(9 10))", 10, ["(1 2 3 4)", "(1 2)", "(5 6 7)(9 10)"], 5),
+    ("A(2)", 2, ["()"], 0),
+    ("perm(1; ())", 1, ["()"], 0),
+    ("perm(4; (1 2 3 4), (1 2 3 4), (1 3))", 4, ["(1 2 3 4)", "(1 2 3 4)", "(1 3)"], 2),
+]
+
+
+@pytest.mark.parametrize("text, degree, cycles, base_len", PERM_BUILDS)
+def test_perm_table_matches_brute_force(text, degree, cycles, base_len):
+    g = construct(text)
+    elems, table, names = _brute_force_perm_table(degree, cycles)
+    assert len(g.perm_elems.base) == base_len
+    assert g.perm_elems.mat.tolist() == [list(p) for p in elems]
+    assert g.table.tolist() == table
+    assert g.gens == names
+
+
+def test_perm_closure_limit():
+    with pytest.raises(SubgroupLimitExceeded):
+        construct("perm(8; (1 2 3 4 5 6 7 8), (1 2))")
+
+
+def test_labels_are_formatted_on_demand():
+    for g in (
+        construct("perm(5; (1 2 3 4 5), (2 5)(3 4))"),
+        construct("gens(C(2) x S(3) x D(4), u, v, w, x, y)"),
+        construct("quo(Q(2), a^2)"),
+    ):
+        assert [g.label_of(x) for x in g.elements()] == g.labels
+    ambient = construct("perm(7; (1 2 3), (4 5 6 7), (4 5))")
+    m = find_embedding(construct("C(12)"), ambient)
+    assert m is not None and m.witness_words()
+    assert "labels" not in ambient.__dict__
