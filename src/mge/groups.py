@@ -102,6 +102,19 @@ def bfs_closure(identity, gens, mul, limit=SUBGROUP_LIMIT):
     return elems, deriv
 
 
+def _power(g, x, k: int):
+    """``x**k`` by square-and-multiply; shared by both group classes."""
+    if k < 0:
+        x, k = g.inv_of(x), -k
+    out, base = g.identity, x
+    while k:
+        if k & 1:
+            out = g.mul(out, base)
+        base = g.mul(base, base)
+        k >>= 1
+    return out
+
+
 # --- dense groups --------------------------------------------------------------
 
 
@@ -148,6 +161,7 @@ class TableGroup:
             raise OrderLimitExceeded(f"order {n} exceeds table limit {TABLE_LIMIT}")
         if not (table[0] == np.arange(n)).all() or not (table[:, 0] == np.arange(n)).all():
             raise ValueError("index 0 must be the identity")
+        table.flags.writeable = False  # table_hash is computed once
         self.table = table
         self.n = n
         self.inv = np.ascontiguousarray(np.argmin(table, axis=1).astype(np.int32))
@@ -179,16 +193,7 @@ class TableGroup:
     def inv_of(self, a: int) -> int:
         return int(self.inv[a])
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv_of(x), -k
-        out, base = 0, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+    power = _power
 
     def element_order(self, x: int) -> int:
         return int(self.element_orders[x])
@@ -444,9 +449,10 @@ class TableGroup:
                 out.append(g)
         return out
 
-    @property
+    @cached_property
     def table_hash(self) -> str:
-        return hashlib.sha256(self.table.astype(np.int32).tobytes()).hexdigest()
+        """sha256 of the int32 table bytes, row-major."""
+        return hashlib.sha256(self.table).hexdigest()
 
     def __repr__(self) -> str:
         src = self.expr_text or "table"
@@ -752,6 +758,10 @@ def _renamed_bindings(groups: list[TableGroup]) -> list[dict[str, str]]:
 
 
 def build_product(factors: list[TableGroup]) -> TableGroup:
+    """Direct product in mixed radix: the first factor's digit is the most
+    significant.  The table grows one factor at a time by broadcasting,
+    ``t[(x1, y1), (x2, y2)] = t[x1, x2] * b + f[y1, y2]`` for a factor of
+    order ``b``."""
     for f in factors:
         if not isinstance(f, TableGroup):
             raise OrderLimitExceeded("direct-product factors must fit the dense-table limit")
@@ -760,24 +770,21 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
         n *= f.n
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"direct product of order {n} exceeds table limit")
-    strides = []
-    rest = n
+    table = np.zeros((1, 1), dtype=np.int32)
     for f in factors:
-        rest //= f.n
-        strides.append(rest)
-    idx = np.arange(n, dtype=np.int64)
-    table = np.zeros((n, n), dtype=np.int64)
-    for f, r in zip(factors, strides):
-        d = (idx // r) % f.n
-        table += f.table.astype(np.int64)[d[:, None], d[None, :]] * r
+        a, b = len(table), f.n
+        grid = table[:, None, :, None] * np.int32(b) + f.table[None, :, None, :]
+        table = grid.reshape(a * b, a * b)
     renames = _renamed_bindings(factors)
     gens: dict[str, int] = {}
     comps: list[_Component] = []
-    for f, r, ren in zip(factors, strides, renames):
+    rest = n
+    for f, ren in zip(factors, renames):
+        rest //= f.n
         for name, e in f.gens.items():
-            gens[ren[name]] = int(e) * r
-        comps.append(_Component(f, r, ren))
-    return TableGroup(table.astype(np.int32), gens, components=comps)
+            gens[ren[name]] = int(e) * rest
+        comps.append(_Component(f, rest, ren))
+    return TableGroup(table, gens, components=comps)
 
 
 def build_semidirect(
@@ -1040,16 +1047,7 @@ class TwistedGroup:
             moved.append(e if act is None else int(act[e]))
         return (tuple(moved), d)
 
-    def power(self, x, k: int):
-        if k < 0:
-            x, k = self.inv_of(x), -k
-        out, base = self.identity, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+    power = _power
 
     def element_order(self, x) -> int:
         k = 1

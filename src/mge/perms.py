@@ -29,29 +29,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(q[i] for i in p)
 
 
-def perm_order(p: Perm) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        if length > 1:
-            order = order * length // _gcd(order, length)
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def looks_like_cycles(text: str) -> bool:
     """True when the string is entirely parenthesised cycles, e.g. "(12)(34)"."""
     text = text.strip()

@@ -13,8 +13,6 @@ machine-readable reports.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -32,8 +30,6 @@ from .errors import (
 from .expressions import parse_expr
 from .groups import Subgroup, TableGroup, bfs_closure, construct
 from .morphisms import find_embedding, is_isomorphic
-
-_MAX_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 _CERT_DIR = Path(__file__).resolve().parent / "data" / "certs"
 
@@ -227,7 +223,7 @@ def verify_certificate(cert: Certificate | str | Path) -> Report:
     if not isinstance(cert, Certificate):
         cert = Certificate.load(cert)
     g = construct(parse_expr(cert.ambient))
-    items = _pmap(lambda c: verify_claim(g, c, ambient_text=cert.ambient), cert.claims)
+    items = [verify_claim(g, c, ambient_text=cert.ambient) for c in cert.claims]
     for i, it in enumerate(items):
         it.item_id = f"claim {i + 1}: {it.item_id}"
     return Report("verify-certificate", items)
@@ -247,7 +243,8 @@ def _targets_of_order(n: int, tier: int) -> tuple[tuple[str, TableGroup], ...]:
 
 
 # per-(ambient table, target) embedding results, keyed by the ambient's table
-# hash so repeated sweeps over the same catalogs reuse the work
+# hash (computed once per group) so that equal tables built in different
+# sweeps share the work
 _EMBED_MEMO: dict[tuple[str, str], tuple[bool, list[str] | None]] = {}
 
 
@@ -434,7 +431,7 @@ def minimal_embedding_search(
             )
             return entry.recipe_text if rep.passed else None
 
-        results = _pmap(_try, cat.entries)
+        results = [_try(e) for e in cat.entries]
         passing = [r for r in results if r is not None]
         if passing:
             outcome = SearchOutcome(
@@ -530,14 +527,6 @@ def reproduce(sid: str, *, tier: int | None = None) -> Report:
         raise UnknownLabel(f"unknown scenario {sid!r}; have {', '.join(_SCENARIOS)}")
     tier = enumerator.default_tier() if tier is None else tier
     return Report(sid, _SCENARIOS[sid](tier))
-
-
-def _pmap(fn, items):
-    items = list(items)
-    if len(items) <= 1 or _MAX_WORKERS == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as ex:
-        return list(ex.map(fn, items))
 
 
 def _class_names(texts: list[str], labels: list[str]) -> tuple[bool, str]:
@@ -835,7 +824,7 @@ def _run_habex4(tier: int) -> list[ReportItem]:
             "hosts all groups of order 8 despite an abelian half of exponent <= 4",
         )
 
-    items = _pmap(_check, with_hyp)
+    items = [_check(e) for e in with_hyp]
     items.append(
         ReportItem(
             "hypothesis coverage", "pass",
@@ -871,7 +860,7 @@ def _run_order96(tier: int) -> list[ReportItem]:
             entry.recipe_text, "fail", "hosts A4 and every group of order 8"
         )
 
-    items = [it for it in _pmap(_check, cat.entries) if it is not None]
+    items = [it for it in map(_check, cat.entries) if it is not None]
     items.append(
         ReportItem(
             "hypothesis coverage", "pass",
@@ -906,7 +895,7 @@ def _run_p3(tier: int) -> list[ReportItem]:
             )
         return ReportItem(entry.recipe_text, "fail", "hosts every group of order 27")
 
-    return _pmap(_check, cat.entries)
+    return [_check(e) for e in cat.entries]
 
 
 @_scenario("example-p6")

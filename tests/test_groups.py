@@ -1,6 +1,8 @@
 """Construction oracles: orders, exponents, centres, classes, and word
 evaluation for every constructor, checked against hand-computed values."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from mge.errors import (
     SubgroupLimitExceeded,
     UnknownGenerator,
 )
-from mge.groups import bfs_closure
+from mge.groups import _remap_word, bfs_closure, build_product
 
 # constructor text, order, abelian, exponent, centre size
 BASIC_FACTS = [
@@ -181,6 +183,80 @@ def test_table_hash_is_stable_and_structural():
     b = construct("D(4)")
     assert a.table_hash == b.table_hash
     assert a.table_hash != construct("Q(2)").table_hash
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C(12)",
+        "D(3) x Q(2)",
+        "sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)",
+        "perm(5; (1 2 3 4 5), (2 5)(3 4))",
+    ],
+)
+def test_table_hash_is_the_int32_table_digest(text):
+    g = construct(text)
+    want = hashlib.sha256(g.table.astype(np.int32).tobytes()).hexdigest()
+    assert g.table_hash == want
+
+
+def test_group_table_is_read_only():
+    g = construct("S(3)")
+    before = g.table.copy()
+    with pytest.raises(ValueError):
+        g.table[1, 2] = 5
+    with pytest.raises(ValueError):
+        g.table.fill(0)
+    assert (g.table == before).all()
+
+
+# factors, then each factor's generator renaming inside the product
+PRODUCT_BUILDS = [
+    (
+        ["D(3)", "Q(2)", "C(1)"],
+        [{"a": "a_1", "b": "b_1"}, {"a": "a_2", "b": "b_2"}, {"a": "a_3"}],
+    ),
+    (["C(2)", "C(2)", "C(2)"], [{"a": "a_1"}, {"a": "a_2"}, {"a": "a_3"}]),
+    (
+        ["S(3)", "A(4)"],
+        [{"(123)": "(123)_1", "(12)": "(12)"}, {"(123)": "(123)_2", "(234)": "(234)"}],
+    ),
+]
+
+
+@pytest.mark.parametrize("texts, renames", PRODUCT_BUILDS)
+def test_product_table_matches_brute_force(texts, renames):
+    factors = [construct(t) for t in texts]
+    g = build_product(factors)
+    n = g.n
+    strides = []
+    rest = n
+    for f in factors:
+        rest //= f.n
+        strides.append(rest)
+    assert rest == 1 and [c.stride for c in g.components] == strides
+
+    def digits(x):
+        return [(x // r) % f.n for f, r in zip(factors, strides)]
+
+    def product(x, y):
+        cells = zip(factors, strides, digits(x), digits(y))
+        return sum(int(f.table[dx, dy]) * r for f, r, dx, dy in cells)
+
+    table = [[product(x, y) for y in range(n)] for x in range(n)]
+    assert g.table.tolist() == table
+    assert g.gens == {
+        ren[name]: int(e) * r
+        for f, r, ren in zip(factors, strides, renames)
+        for name, e in f.gens.items()
+    }
+    for x in range(n):
+        parts = [
+            _remap_word(f.label_of(d), ren)
+            for f, ren, d in zip(factors, renames, digits(x))
+            if d != 0
+        ]
+        assert g.label_of(x) == ("*".join(parts) or "1")
 
 
 def test_twisted_product_basics():

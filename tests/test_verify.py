@@ -1,11 +1,13 @@
 """Certificates, containment reports, the minimal-order search, witness
 replay, and the reproducible scenarios."""
 
+import hashlib
 import json
+import types
 
 import pytest
 
-from mge import construct
+from mge import construct, groups
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
     Certificate,
@@ -140,6 +142,20 @@ def test_upto_containment_small():
     rep = contains_all_upto(construct("C(6)"), 3, ambient_text="C(6)")
     assert rep.passed
     assert rep.counts()["pass"] == 3  # one target per order 1, 2, 3
+
+
+def test_upto_sweep_hashes_the_ambient_once(monkeypatch):
+    g = construct("S(4)")
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(groups, "hashlib", types.SimpleNamespace(sha256=sha256))
+    rep = contains_all_upto(g, 4)
+    assert len(rep.items) == 5  # C1, C2, C3, C4, EA(2,2)
+    assert sum(data is g.table for data in hashed) == 1
 
 
 def test_minimal_search_order_collection():
