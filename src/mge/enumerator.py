@@ -38,7 +38,7 @@ from .errors import (
     TierLimitExceeded,
 )
 from .expressions import GroupExpr, parse_expr
-from .groups import TableGroup, construct
+from .groups import TableGroup, bfs_closure, construct
 from .morphisms import (
     Fingerprint,
     ea_basis_and_coords,
@@ -362,11 +362,8 @@ def _ea_alpha_matrices(q: int, k: int, p: int) -> list[np.ndarray]:
 
 def _ea_alpha_pairs(base: TableGroup, q: int, p: int):
     """(alpha map, valid a list) pairs for an elementary abelian base."""
-    k = 0
-    while q**k < base.n:
-        k += 1
     _, elem_of, vec_of = ea_basis_and_coords(base, q)
-    for mat in _ea_alpha_matrices(q, k, p):
+    for mat in _ea_alpha_matrices(q, factorization(base.n)[q], p):
         amap = np.empty(base.n, dtype=np.int64)
         for e in range(base.n):
             v = np.asarray(vec_of[e], dtype=np.int64)
@@ -395,26 +392,18 @@ def _materialized_automorphisms(base: TableGroup) -> list[np.ndarray]:
 
 def _aut_generators(auts: list[np.ndarray], n: int) -> list[np.ndarray]:
     """A greedy generating subset, taken in stream order."""
-    ident = np.arange(n)
-    have = {ident.tobytes()}
+    ident = tuple(range(n))
+    have = {ident}
     gens: list[np.ndarray] = []
+    keys: list[tuple[int, ...]] = []
     for cand in auts:
-        if cand.tobytes() in have:
+        key = tuple(cand.tolist())
+        if key in have:
             continue
         gens.append(cand)
-        closure = {ident.tobytes(): ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    c = g[f]
-                    kb = c.tobytes()
-                    if kb not in closure:
-                        closure[kb] = c
-                        nxt.append(c)
-            frontier = nxt
-        have = set(closure)
+        keys.append(key)
+        # x * g == g[x]: the product the maps compose by
+        have = set(bfs_closure(ident, keys, compose, limit=len(auts))[0])
         if len(have) == len(auts):
             break
     return gens

@@ -21,7 +21,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import factorial, lcm
 
 import numpy as np
 
@@ -59,17 +59,6 @@ from .expressions import (
 TABLE_LIMIT = 5000
 SUBGROUP_LIMIT = 5000
 CHECK_TABLE_LIMIT = 512
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # --- shared closure helper ---------------------------------------------------
@@ -113,6 +102,69 @@ def _power(g, x, k: int):
         base = g.mul(base, base)
         k >>= 1
     return out
+
+
+# --- the element interface of both group classes --------------------------------
+#
+# A product-like group (a TableGroup with components, or a TwistedGroup) lists
+# its factors as (group, generator renaming) pairs in ``_factors()`` and places
+# a factor's element in the product with ``_inject(position, element)``.
+
+
+def _evaluate_word(g, word: str):
+    out = g.identity
+    for name, exp in tokenize_word(word):
+        out = g.mul(out, g.power(_resolve_factor(g, name), exp))
+    return out
+
+
+def _resolve_factor(g, name: str):
+    if name == "1":
+        return g.identity
+    if name in g.gens:
+        return g.gens[name]
+    got = g._resolve_cycles(name) if perms.looks_like_cycles(name) else None
+    if got is None:
+        raise UnknownGenerator(f"no generator or element named {name!r}")
+    return got
+
+
+def _resolve_in_factors(g, token: str):
+    """The element a cycle string names in the one factor that has it; None
+    when no factor has it."""
+    hits = []
+    for pos, (f, _) in enumerate(g._factors()):
+        e = f._resolve_cycles(token)
+        if e is not None:
+            hits.append(g._inject(pos, e))
+    if len(hits) > 1:
+        raise UnknownGenerator(f"cycle element {token!r} is ambiguous here")
+    return hits[0] if hits else None
+
+
+def _factor_words(g, digits) -> list[str]:
+    """One word per non-identity factor digit of an element, in the product's
+    generator names.  A factor keeps its own label when that label names the
+    same element of the product; otherwise (a cycle string that another
+    factor also parses, or that is a generator name of another factor) the
+    label is a word in the factor's renamed generators."""
+    words = []
+    for pos, ((f, rename), d) in enumerate(zip(g._factors(), digits)):
+        if d == 0:
+            continue
+        word = _remap_word(f.label_of(d), rename)
+        try:
+            same = g.evaluate_word(word) == g._inject(pos, d)
+        except EngineError:
+            same = False
+        words.append(word if same else _remap_word(f._bfs_labels()[d], rename))
+    return words
+
+
+def _subgroup(g, generators, limit: int = SUBGROUP_LIMIT) -> "Subgroup":
+    gen_elems = [g.evaluate_word(w) if isinstance(w, str) else w for w in generators]
+    elems, _ = bfs_closure(g.identity, gen_elems, g.mul, limit=limit)
+    return Subgroup.from_elements(g, sorted(elems), gen_elems)
 
 
 # --- dense groups --------------------------------------------------------------
@@ -218,10 +270,7 @@ class TableGroup:
 
     @cached_property
     def exponent(self) -> int:
-        out = 1
-        for d in np.unique(self.element_orders):
-            out = _lcm(out, int(d))
-        return out
+        return lcm(*(int(d) for d in np.unique(self.element_orders)))
 
     # -- conjugacy --
 
@@ -294,43 +343,24 @@ class TableGroup:
 
     # -- words and labels --
 
-    def evaluate_word(self, word: str) -> int:
-        out = 0
-        for name, exp in tokenize_word(word):
-            out = self.mul(out, self.power(self._resolve_factor(name), exp))
-        return out
+    evaluate_word = _evaluate_word
+    subgroup = _subgroup
 
-    def _resolve_factor(self, name: str) -> int:
-        if name == "1":
-            return 0
-        if name in self.gens:
-            return self.gens[name]
-        got = self._resolve_cycles(name)
-        if got is None:
-            raise UnknownGenerator(f"no generator or element named {name!r}")
-        return got
+    def _factors(self) -> list[tuple["TableGroup", dict[str, str]]]:
+        return [(c.group, c.rename) for c in self.components or ()]
+
+    def _inject(self, pos: int, e: int) -> int:
+        return self.components[pos].inject(e)
 
     def _resolve_cycles(self, token: str) -> int | None:
-        if not perms.looks_like_cycles(token):
+        if self.perm_elems is None:
+            return _resolve_in_factors(self, token)
+        try:
+            p = perms.parse_cycles(token, degree=self.perm_elems.degree)
+        except ParseError:
             return None
-        if self.perm_elems is not None:
-            try:
-                p = perms.parse_cycles(token, degree=self.perm_elems.degree)
-            except ParseError:
-                return None
-            i = int(self.perm_elems.index_of(np.asarray(p, dtype=np.int32)))
-            return i if i >= 0 else None
-        if self.components:
-            hits = []
-            for comp in self.components:
-                sub = comp.group._resolve_cycles(token)
-                if sub is not None:
-                    hits.append(comp.inject(sub))
-            if len(hits) > 1:
-                raise UnknownGenerator(f"cycle element {token!r} is ambiguous here")
-            if hits:
-                return hits[0]
-        return None
+        i = int(self.perm_elems.index_of(np.asarray(p, dtype=np.int32)))
+        return i if i >= 0 else None
 
     @cached_property
     def labels(self) -> list[str]:
@@ -358,12 +388,7 @@ class TableGroup:
         if self.perm_elems is not None:
             return perms.format_cycles(self.perm_elems.mat[x].tolist())
         if self.components:
-            parts = []
-            for comp in self.components:
-                d = comp.digit(x)
-                if d != 0:
-                    parts.append(_remap_word(comp.group.label_of(d), comp.rename))
-            return "*".join(parts) if parts else "1"
+            return "*".join(_factor_words(self, [c.digit(x) for c in self.components])) or "1"
         return self.labels[x]
 
     # -- generating sequences --
@@ -401,13 +426,6 @@ class TableGroup:
         return self._bfs_cache[gens]
 
     # -- subgroups --
-
-    def subgroup(self, generators, limit: int = SUBGROUP_LIMIT) -> "Subgroup":
-        gen_elems = [
-            self.evaluate_word(g) if isinstance(g, str) else int(g) for g in generators
-        ]
-        elems, _ = bfs_closure(0, gen_elems, self.mul, limit=limit)
-        return Subgroup.from_elements(self, sorted(elems), gen_elems)
 
     def sylow(self, p: int) -> "Subgroup":
         """A Sylow p-subgroup, grown through normalizers; deterministic."""
@@ -717,7 +735,7 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
 
 
 def build_symmetric(n: int) -> TableGroup:
-    if _factorial(n) > TABLE_LIMIT:
+    if factorial(n) > TABLE_LIMIT:
         raise OrderLimitExceeded(f"S({n}) exceeds table limit")
     if n == 1:
         return build_perm_group(1, [(0,)])
@@ -730,7 +748,7 @@ def build_alternating(n: int) -> TableGroup:
     if n <= 2:
         d = max(n, 1)
         return build_perm_group(d, [perms.identity_perm(d)])
-    if _factorial(n) // 2 > TABLE_LIMIT:
+    if factorial(n) // 2 > TABLE_LIMIT:
         raise OrderLimitExceeded(f"A({n}) exceeds table limit")
     three = tuple([1, 2, 0] + list(range(3, n)))
     if n == 3:
@@ -787,6 +805,26 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
     return TableGroup(table, gens, components=comps)
 
 
+def gen_image_map(g: TableGroup, images: dict[str, str]) -> np.ndarray:
+    """The map of ``g`` pinned by generator-image words; generators without a
+    listed image are fixed.  The map extends over a breadth-first closure, so
+    it is total; whether it is an automorphism is for the caller to check."""
+    gen_names = list(g.gens)
+    img_elems = [
+        g.gens[nm] if images.get(nm) is None else g.evaluate_word(images[nm])
+        for nm in gen_names
+    ]
+    elems, deriv = bfs_closure(0, [g.gens[nm] for nm in gen_names], g.mul)
+    if len(elems) != g.n:
+        raise InvalidAction("generator images must cover a generating set")
+    out = np.full(g.n, -1, dtype=np.int32)
+    out[0] = 0
+    for e in elems[1:]:
+        parent, pos = deriv[e]
+        out[e] = g.table[out[parent], img_elems[pos]]
+    return out
+
+
 def build_semidirect(
     base: TableGroup, actor: TableGroup, clauses: tuple[ActionClause, ...]
 ) -> TableGroup:
@@ -815,21 +853,10 @@ def build_semidirect(
         if cl.base_gen in per_gen[t]:
             raise InvalidAction(f"duplicate clause for {t}.{cl.base_gen}")
         per_gen[t][cl.base_gen] = cl.word
-    base_names = list(base.gens)
-    belems, bderiv = bfs_closure(0, [base.gens[s] for s in base_names], base.mul)
-    if len(belems) != m:
-        raise InvalidAction("base generators do not generate the base group")
     # conj_of_gen[t][x] = t^-1 x t, extended multiplicatively from the clauses
     conj_of_gen: dict[str, np.ndarray] = {}
     for t in actor.gens:
-        images = {
-            pos: base.gens[s] if per_gen[t].get(s) is None else base.evaluate_word(per_gen[t][s])
-            for pos, s in enumerate(base_names)
-        }
-        amap = np.zeros(m, dtype=np.int64)
-        for e in belems[1:]:
-            parent, pos = bderiv[e]
-            amap[e] = base.table[amap[parent], images[pos]]
+        amap = gen_image_map(base, per_gen[t])
         _require_automorphism(base, amap, f"action of {t!r}")
         conj_of_gen[t] = amap
     actor_names = list(actor.gens)
@@ -1096,46 +1123,18 @@ class TwistedGroup:
             out.add(i)
         return sorted(out)
 
-    def evaluate_word(self, word: str):
-        out = self.identity
-        for name, exp in tokenize_word(word):
-            out = self.mul(out, self.power(self._resolve_factor(name), exp))
-        return out
+    evaluate_word = _evaluate_word
+    subgroup = _subgroup
+    _resolve_cycles = _resolve_in_factors
 
-    def _resolve_factor(self, name: str):
-        if name == "1":
-            return self.identity
-        if name in self.gens:
-            return self.gens[name]
-        if perms.looks_like_cycles(name):
-            hits = []
-            for ci, g in enumerate(self.components):
-                got = g._resolve_cycles(name)
-                if got is not None:
-                    hits.append((ci, got))
-            if len(hits) > 1:
-                raise UnknownGenerator(f"cycle element {name!r} is ambiguous here")
-            if hits:
-                return self._inject(*hits[0])
-        raise UnknownGenerator(f"no generator or element named {name!r}")
+    def _factors(self) -> list[tuple[TableGroup, dict[str, str]]]:
+        return list(zip(self.components, self.renames))
 
     def label_of(self, x) -> str:
         b, d = x
-        parts = []
-        for ci, (g, ren) in enumerate(zip(self.components, self.renames)):
-            if b[ci] != 0:
-                parts.append(_remap_word(g.label_of(b[ci]), ren))
-        for bit, dg in enumerate(self.dgens):
-            if d & (1 << bit):
-                parts.append(dg.name)
-        return "*".join(parts) if parts else "1"
-
-    def subgroup(self, generators, limit: int = SUBGROUP_LIMIT) -> Subgroup:
-        gen_elems = [
-            self.evaluate_word(g) if isinstance(g, str) else g for g in generators
-        ]
-        elems, _ = bfs_closure(self.identity, gen_elems, self.mul, limit=limit)
-        return Subgroup.from_elements(self, sorted(elems), gen_elems)
+        parts = _factor_words(self, b)
+        parts += [dg.name for bit, dg in enumerate(self.dgens) if d >> bit & 1]
+        return "*".join(parts) or "1"
 
     def __repr__(self) -> str:
         src = self.expr_text or "twisted"
@@ -1204,9 +1203,9 @@ def expr_order(expr: GroupExpr | str, resolver=None) -> int:
     if isinstance(expr, Dicyclic):
         return 4 * expr.n
     if isinstance(expr, Symmetric):
-        return _factorial(expr.n)
+        return factorial(expr.n)
     if isinstance(expr, Alternating):
-        return max(1, _factorial(expr.n) // 2)
+        return max(1, factorial(expr.n) // 2)
     if isinstance(expr, DirectProduct):
         out = 1
         for f in expr.factors:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AutBudgetExceeded, SearchBudgetExceeded
-from .groups import Subgroup, TableGroup, TwistedGroup
-from .numtheory import is_prime
+from .groups import Subgroup, TableGroup, TwistedGroup, bfs_closure
+from .numtheory import factorization, is_prime
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
 AUT_BUDGET = 1 << 25
@@ -372,40 +372,26 @@ def automorphism_count(g: TableGroup, *, budget: int = AUT_BUDGET) -> int:
     return sum(1 for _ in automorphisms(g, budget=budget))
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def elem_abelian_prime(g: TableGroup) -> int | None:
     """The prime p when g is elementary abelian of exponent p, else None."""
     if not g.is_abelian:
         return None
     e = g.exponent
-    if is_prime(e) and _is_power_of(g.order, e):
+    if is_prime(e) and list(factorization(g.order)) == [e]:
         return e
     return None
 
 
 def ea_basis_and_coords(g: TableGroup, p: int):
     """A basis of an elementary abelian group plus both coordinate maps."""
-    k = 0
-    while p**k < g.order:
-        k += 1
+    k = factorization(g.order)[p]
     basis: list[int] = []
     span = {0}
     for x in range(g.order):
         if x in span:
             continue
         basis.append(x)
-        grown = set(span)
-        for s in span:
-            cur = s
-            for _ in range(1, p):
-                cur = g.mul(cur, x)
-                grown.add(cur)
-        span = grown
+        span = set(bfs_closure(0, basis, g.mul)[0])
         if len(basis) == k:
             break
     elem_of: dict[tuple[int, ...], int] = {}
@@ -421,9 +407,7 @@ def ea_basis_and_coords(g: TableGroup, p: int):
 
 def _linear_automorphisms(g: TableGroup, p: int, budget: int):
     n = g.order
-    k = 0
-    while p**k < n:
-        k += 1
+    k = factorization(n)[p]
     total = 1
     for i in range(k):
         total *= p**k - p**i
@@ -452,12 +436,6 @@ def _linear_automorphisms(g: TableGroup, p: int, budget: int):
         for cand in vectors:
             if cand in covered:
                 continue
-            grown = set(covered)
-            for s in covered:
-                cur = s
-                for _ in range(1, p):
-                    cur = add(cur, cand)
-                    grown.add(cur)
-            yield from emit(rows + [cand], grown)
+            yield from emit(rows + [cand], set(bfs_closure(zero, rows + [cand], add)[0]))
 
     yield from emit([], {zero})

@@ -22,7 +22,7 @@ import numpy as np
 from . import perms
 from .errors import InvalidAction, OutOfRange, UnknownLabel
 from .expressions import GroupExpr, parse_expr
-from .groups import TableGroup, TwistedGroup, _DGen, bfs_closure, construct
+from .groups import TableGroup, TwistedGroup, _DGen, construct, gen_image_map
 from .numtheory import factorization, is_prime
 
 _DATA_PATH = Path(__file__).parent / "data" / "registry.json"
@@ -97,25 +97,6 @@ def anchor_of(label: str) -> str:
 
 
 # --- twist machinery -----------------------------------------------------------
-
-
-def gen_image_map(g: TableGroup, images: dict[str, str]) -> np.ndarray:
-    """Automorphism of ``g`` pinned by generator-image words; generators
-    without a listed image are fixed.  The map extends over a breadth-first
-    closure, so it is total; whether it is a homomorphism is checked by the
-    consumer (TwistedGroup validation)."""
-    gen_names = list(g.gens)
-    gen_elems = [int(g.gens[nm]) for nm in gen_names]
-    img_elems = [g.evaluate_word(images.get(nm, nm)) for nm in gen_names]
-    elems, deriv = bfs_closure(0, gen_elems, g.mul)
-    if len(elems) != g.n:
-        raise InvalidAction("generator images must cover a generating set")
-    out = np.full(g.n, -1, dtype=np.int32)
-    out[0] = 0
-    for e in elems[1:]:
-        parent, pos = deriv[e]
-        out[e] = g.table[out[parent], img_elems[pos]]
-    return out
 
 
 def _conj_map(g: TableGroup, cycles: str) -> np.ndarray:

@@ -142,7 +142,10 @@ class Report:
     @property
     def passed(self) -> bool:
         # skips carry tier reasons and do not fail a run
-        return all(it.status != "fail" for it in self.items)
+        return not self.failed_ids()
+
+    def failed_ids(self) -> list[str]:
+        return [it.item_id for it in self.items if it.status == "fail"]
 
     def counts(self) -> dict[str, int]:
         out = {"pass": 0, "fail": 0, "skip": 0}
@@ -182,8 +185,7 @@ class Report:
 def generated_subgroup(g, words) -> Subgroup:
     """Close the word images into a subgroup of g."""
     gens = [g.evaluate_word(w) for w in words]
-    identity = 0 if isinstance(g, TableGroup) else g.identity
-    elems, _ = bfs_closure(identity, gens, g.mul)
+    elems, _ = bfs_closure(g.identity, gens, g.mul)
     return Subgroup.from_elements(g, elems, gens)
 
 
@@ -244,22 +246,17 @@ def _targets_of_order(n: int, tier: int) -> tuple[tuple[str, TableGroup], ...]:
 
 # per-(ambient table, target) embedding results, keyed by the ambient's table
 # hash (computed once per group) so that equal tables built in different
-# sweeps share the work
-_EMBED_MEMO: dict[tuple[str, str], tuple[bool, list[str] | None]] = {}
+# sweeps share the work.  A hit holds the generator images as element
+# indices, None an absence; each group words the indices in its own names.
+_EMBED_MEMO: dict[tuple[str, str], tuple[int, ...] | None] = {}
 
 
-def _dense_embeds(g: TableGroup, text: str, target: TableGroup):
+def _dense_embedding(g: TableGroup, text: str, target: TableGroup) -> tuple[int, ...] | None:
     key = (g.table_hash, text)
-    hit = _EMBED_MEMO.get(key)
-    if hit is not None:
-        return hit
-    m = find_embedding(target, g)
-    if m is None:
-        res = (False, None)
-    else:
-        res = (True, [img for _, img in m.witness_words()])
-    _EMBED_MEMO[key] = res
-    return res
+    if key not in _EMBED_MEMO:
+        m = find_embedding(target, g)
+        _EMBED_MEMO[key] = None if m is None else tuple(img for _, img in m.gen_images)
+    return _EMBED_MEMO[key]
 
 
 def _match_claims(certificates, target: TableGroup) -> list[Claim]:
@@ -287,12 +284,12 @@ def _check_target(g, text: str, target: TableGroup, certificates, ambient_text):
             f"no verified claim covers target {text!r} in non-dense ambient "
             f"{ambient_text or type(g).__name__}"
         )
-    ok, images = _dense_embeds(g, text, target)
-    if ok:
+    images = _dense_embedding(g, text, target)
+    if images is not None:
         witness = {
             "kind": "embedding",
             "target": text,
-            "generators": images,
+            "generators": [g.label_of(x) for x in images],
             "source": "derived",
         }
         if ambient_text is not None:
@@ -307,6 +304,19 @@ def _check_target(g, text: str, target: TableGroup, certificates, ambient_text):
     return ReportItem(text, "fail", detail, witness)
 
 
+def _contains_all(g, orders, scenario, certificates, ambient_text, stop_on_fail, tier) -> Report:
+    """One item per isomorphism class of each order, in order."""
+    certificates = _as_cert_list(certificates)
+    tier = enumerator.default_tier() if tier is None else tier
+    items = []
+    for n in orders:
+        for text, target in _targets_of_order(n, tier):
+            items.append(_check_target(g, text, target, certificates, ambient_text))
+            if stop_on_fail and items[-1].status == "fail":
+                return Report(scenario, items)
+    return Report(scenario, items)
+
+
 def contains_all_of_order(
     g,
     n: int,
@@ -317,15 +327,9 @@ def contains_all_of_order(
     tier: int | None = None,
 ) -> Report:
     """Does every group of order n embed in g?  One item per target."""
-    certificates = _as_cert_list(certificates)
-    tier = enumerator.default_tier() if tier is None else tier
-    items = []
-    for text, target in _targets_of_order(n, tier):
-        item = _check_target(g, text, target, certificates, ambient_text)
-        items.append(item)
-        if stop_on_fail and item.status == "fail":
-            break
-    return Report(f"contains-all-of-order-{n}", items)
+    return _contains_all(
+        g, [n], f"contains-all-of-order-{n}", certificates, ambient_text, stop_on_fail, tier
+    )
 
 
 def contains_all_upto(
@@ -338,16 +342,10 @@ def contains_all_upto(
     tier: int | None = None,
 ) -> Report:
     """Does every group of order at most n embed in g?"""
-    certificates = _as_cert_list(certificates)
-    tier = enumerator.default_tier() if tier is None else tier
-    items = []
-    for k in range(1, n + 1):
-        for text, target in _targets_of_order(k, tier):
-            item = _check_target(g, text, target, certificates, ambient_text)
-            items.append(item)
-            if stop_on_fail and item.status == "fail":
-                return Report(f"contains-all-upto-{n}", items)
-    return Report(f"contains-all-upto-{n}", items)
+    return _contains_all(
+        g, range(1, n + 1), f"contains-all-upto-{n}", certificates, ambient_text,
+        stop_on_fail, tier,
+    )
 
 
 def _as_cert_list(certificates) -> list[Certificate]:
@@ -648,8 +646,9 @@ def _run_table4(tier: int) -> list[ReportItem]:
             stop_on_fail=True, tier=tier,
         )
         if not rep.passed:
-            missing = [it.item_id for it in rep.items if it.status == "fail"]
-            items.append(ReportItem(f"n={n}", "fail", f"{label} does not host {missing}"))
+            items.append(
+                ReportItem(f"n={n}", "fail", f"{label} does not host {rep.failed_ids()}")
+            )
             continue
         minimality = (
             "minimal: equals the collection lower bound"
@@ -693,9 +692,8 @@ def _run_table5(tier: int) -> list[ReportItem]:
                     )
                 )
             else:
-                missing = [it.item_id for it in rep.items if it.status == "fail"]
                 items.append(
-                    ReportItem(f"n={n}: {label}", "fail", f"does not host {missing}")
+                    ReportItem(f"n={n}: {label}", "fail", f"does not host {rep.failed_ids()}")
                 )
     return items
 
@@ -804,27 +802,32 @@ def _has_abelian_exp4_half(g: TableGroup) -> bool:
     return False
 
 
+def _absence_item(entry, n: int, tier: int, stop_on_fail: bool, note: str, hosts_all: str):
+    """Pass when some group of order n does not embed in a catalog group; the
+    first missing target is the witness."""
+    rep = contains_all_of_order(
+        entry.group, n, ambient_text=entry.recipe_text, stop_on_fail=stop_on_fail, tier=tier
+    )
+    missing = rep.failed_ids()
+    if not missing:
+        return ReportItem(entry.recipe_text, "fail", hosts_all)
+    return ReportItem(
+        entry.recipe_text, "pass", f"{note}missing {', '.join(missing)}",
+        {"kind": "absence", "ambient": entry.recipe_text, "target": missing[0]},
+    )
+
+
 @_scenario("lemma-habex4")
 def _run_habex4(tier: int) -> list[ReportItem]:
     cat = enumerator.enumerate_groups(32, tier=tier)
     with_hyp = [e for e in cat.entries if _has_abelian_exp4_half(e.group)]
-
-    def _check(entry):
-        rep = contains_all_of_order(
-            entry.group, 8, ambient_text=entry.recipe_text, tier=tier
-        )
-        missing = [it.item_id for it in rep.items if it.status == "fail"]
-        if missing:
-            return ReportItem(
-                entry.recipe_text, "pass", f"missing {', '.join(missing)}",
-                {"kind": "absence", "ambient": entry.recipe_text, "target": missing[0]},
-            )
-        return ReportItem(
-            entry.recipe_text, "fail",
+    items = [
+        _absence_item(
+            e, 8, tier, False, "",
             "hosts all groups of order 8 despite an abelian half of exponent <= 4",
         )
-
-    items = [_check(e) for e in with_hyp]
+        for e in with_hyp
+    ]
     items.append(
         ReportItem(
             "hypothesis coverage", "pass",
@@ -843,24 +846,11 @@ def _run_order96(tier: int) -> list[ReportItem]:
     cat = enumerator.enumerate_groups(96, tier=tier)
     a4 = _target_group("A(4)")
 
-    def _check(entry):
-        hosts_a4, _ = _dense_embeds(entry.group, "A(4)", a4)
-        if not hosts_a4:
-            return None
-        rep = contains_all_of_order(
-            entry.group, 8, ambient_text=entry.recipe_text, tier=tier
-        )
-        missing = [it.item_id for it in rep.items if it.status == "fail"]
-        if missing:
-            return ReportItem(
-                entry.recipe_text, "pass", f"hosts A4; missing {', '.join(missing)}",
-                {"kind": "absence", "ambient": entry.recipe_text, "target": missing[0]},
-            )
-        return ReportItem(
-            entry.recipe_text, "fail", "hosts A4 and every group of order 8"
-        )
-
-    items = [it for it in map(_check, cat.entries) if it is not None]
+    items = [
+        _absence_item(e, 8, tier, False, "hosts A4; ", "hosts A4 and every group of order 8")
+        for e in cat.entries
+        if _dense_embedding(e.group, "A(4)", a4) is not None
+    ]
     items.append(
         ReportItem(
             "hypothesis coverage", "pass",
@@ -881,21 +871,11 @@ def _run_p3(tier: int) -> list[ReportItem]:
             )
         ]
     cat = enumerator.enumerate_groups(243, tier=tier)
-
-    def _check(entry):
-        rep = contains_all_of_order(
-            entry.group, 27, ambient_text=entry.recipe_text,
-            stop_on_fail=True, tier=tier,
-        )
-        missing = [it.item_id for it in rep.items if it.status == "fail"]
-        if missing:
-            return ReportItem(
-                entry.recipe_text, "pass", f"missing {missing[0]}",
-                {"kind": "absence", "ambient": entry.recipe_text, "target": missing[0]},
-            )
-        return ReportItem(entry.recipe_text, "fail", "hosts every group of order 27")
-
-    return [_check(e) for e in cat.entries]
+    # stopping at the first miss leaves exactly one missing target
+    return [
+        _absence_item(e, 27, tier, True, "", "hosts every group of order 27")
+        for e in cat.entries
+    ]
 
 
 @_scenario("example-p6")
@@ -914,13 +894,12 @@ def _run_p6(tier: int) -> list[ReportItem]:
         )
         items.extend(rep.items)
     else:
-        missing = [it.item_id for it in rep.items if it.status == "fail"]
         items.append(
-            ReportItem("GP6_3 hosts all of order 27", "fail", f"missing {missing}")
+            ReportItem("GP6_3 hosts all of order 27", "fail", f"missing {rep.failed_ids()}")
         )
     w = construct(registry.named_group("W3"))
     wrep = contains_all_of_order(w, 27, ambient_text="named(W3)", tier=tier)
-    missing = [it.item_id for it in wrep.items if it.status == "fail"]
+    missing = wrep.failed_ids()
     ea = _target_group("EA(3, 3)")
     ok = (
         len(missing) == 1

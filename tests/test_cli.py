@@ -2,8 +2,10 @@
 subprocess check of the installed entry point."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +167,18 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4324320"
+
+
+def test_trace_hooks_install_in_a_fresh_interpreter():
+    # perfbench/spans.py wraps engine functions, methods and cached
+    # properties by name and raises when one is gone or has changed kind.
+    # It runs in a subprocess: installed here, it would wrap the engine for
+    # every later test.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install()"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from mge import construct, groups
+from mge import construct, groups, verify
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
     Certificate,
@@ -207,13 +207,43 @@ def test_scenarios_registered():
         reproduce("nope")
 
 
-def test_scenario_reports_are_deterministic():
-    a = reproduce("table1")
-    b = reproduce("table1")
-    assert a.passed and b.passed
-    assert a.dumps() == b.dumps()
-    doc = json.loads(a.dumps())
-    assert doc["scenario"] == "table1" and doc["passed"] is True
+# sha256 of each scenario's tier-2 report bytes, recorded in a fresh process
+# with empty memos; a report must not depend on what ran before it
+REPORT_DIGESTS = {
+    "table1": "6844e64fb5240b7dba7742162fafb28a12617907a25aaf003baf9f44f419ec86",
+    "table2": "9f6d9ae180f823c3d91255f96eb6b30e09ff93e2f36c24f513482d2cdd48b0a4",
+    "table4": "d519ef33fac27dc782afeb4da2cb0f2cddb3cf2052334bf74eccf496b21277b9",
+    "table5": "f413813ca8ecdb61c6284646812fd246326b3c23cd7238350b226b1ec7496639",
+    "thm-order32": "9f4abdf59a03c182731df90c4115907cb9ec453f71c0f82f957c4b11f5b4e81d",
+    "thm-order144": "3f239415fa783c7f85dc6cab90f644338992b1b504ceb33f1b2f299cc715cfbe",
+    "lemma-habex4": "b8ebb39cba08dad88843b7e6f9831b675f795e0641bf1fff291078650be54a6a",
+    "lemma-order96": "d0f1f9debad37b8084687156611fc7dfa434f39da8e229d5c5d8bc7e1f90a7fb",
+    "lemma-p3": "ccd81e03876e3bc1fc7f6a66eef3bdd2e5e5226f84a5c399e6dae2412cb42330",
+    "example-p6": "6514c8e939bb38ce642f0c1cba107637cc7fd75727df839231a6c7c4ae95850b",
+}
+
+
+@pytest.mark.parametrize("sid", sorted(REPORT_DIGESTS))
+def test_scenario_reports_are_deterministic(sid):
+    text = reproduce(sid, tier=2).dumps()
+    doc = json.loads(text)
+    assert doc["scenario"] == sid and doc["passed"] is True
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[sid]
+
+
+def test_embedding_memo_keeps_each_groups_generator_names(monkeypatch):
+    # C(2) x C(2) and EA(2,2) have one table but other generator names
+    monkeypatch.setattr(verify, "_EMBED_MEMO", {})
+    first = contains_all_of_order(construct("C(2) x C(2)"), 4, ambient_text="C(2) x C(2)")
+    rep = contains_all_of_order(construct("EA(2,2)"), 4, ambient_text="EA(2, 2)")
+    assert len(verify._EMBED_MEMO) == 2
+    for r in (first, rep):
+        witnesses = [it.witness for it in r.items if it.status == "pass"]
+        assert witnesses and all(replay_witness(w) for w in witnesses)
+    assert rep.items[1].witness["generators"] == ["a1", "a2"]
+    monkeypatch.setattr(verify, "_EMBED_MEMO", {})
+    fresh = contains_all_of_order(construct("EA(2,2)"), 4, ambient_text="EA(2, 2)")
+    assert fresh.dumps() == rep.dumps()
 
 
 def test_thm_order32_scenario_and_replay():
