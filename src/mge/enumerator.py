@@ -390,20 +390,24 @@ def _materialized_automorphisms(base: TableGroup) -> list[np.ndarray]:
     return out
 
 
+def _compose_bytes(x: bytes, g: bytes) -> bytes:
+    """``x * g == g[x]`` on int64 maps keyed by their bytes."""
+    return np.frombuffer(g, np.int64)[np.frombuffer(x, np.int64)].tobytes()
+
+
 def _aut_generators(auts: list[np.ndarray], n: int) -> list[np.ndarray]:
     """A greedy generating subset, taken in stream order."""
-    ident = tuple(range(n))
+    ident = np.arange(n, dtype=np.int64).tobytes()
     have = {ident}
     gens: list[np.ndarray] = []
-    keys: list[tuple[int, ...]] = []
+    keys: list[bytes] = []
     for cand in auts:
-        key = tuple(cand.tolist())
+        key = cand.tobytes()
         if key in have:
             continue
         gens.append(cand)
         keys.append(key)
-        # x * g == g[x]: the product the maps compose by
-        have = set(bfs_closure(ident, keys, compose, limit=len(auts))[0])
+        have = set(bfs_closure(ident, keys, _compose_bytes, limit=len(auts))[0])
         if len(have) == len(auts):
             break
     return gens

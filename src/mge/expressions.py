@@ -25,7 +25,7 @@ of which may carry an integer exponent like ``a^-2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .numtheory import is_prime

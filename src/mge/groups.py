@@ -397,7 +397,15 @@ class TableGroup:
     def greedy_gens(self) -> tuple[int, ...]:
         """A short generating sequence: the highest-order element first, then
         repeatedly whichever element grows the closure most; ties break to the
-        lowest index.  Deterministic."""
+        lowest index.  Deterministic.
+
+        A round closes only the candidates that could still win.  ``covered``
+        holds every closure tried so far in the round.  If ``y > x`` lies in
+        ``K = <chosen, x>``, then ``<chosen, y>`` is inside ``K``, so it is no
+        larger than the best so far, and only a strictly larger closure
+        replaces the best: ``y`` is skipped without changing the answer.  A
+        closure that is the whole group ends the round, and the winner's
+        closure is the next round's ``have``."""
         if self.n == 1:
             return ()
         orders = self.element_orders
@@ -405,15 +413,19 @@ class TableGroup:
         chosen = [first]
         have = set(bfs_closure(0, chosen, self.mul)[0])
         while len(have) < self.n:
-            best, best_size = -1, -1
+            best, best_closure = -1, have
+            covered = set(have)
             for x in range(self.n):
-                if x in have:
+                if x in covered:
                     continue
-                size = len(bfs_closure(0, chosen + [x], self.mul)[0])
-                if size > best_size:
-                    best, best_size = x, size
+                closure = bfs_closure(0, chosen + [x], self.mul)[0]
+                covered.update(closure)
+                if len(closure) > len(best_closure):
+                    best, best_closure = x, closure
+                    if len(closure) == self.n:
+                        break
             chosen.append(best)
-            have = set(bfs_closure(0, chosen, self.mul)[0])
+            have = set(best_closure)
         return tuple(chosen)
 
     def bfs_levels(self, gens: tuple[int, ...]) -> list:

@@ -96,6 +96,21 @@ def test_recompute_matches_bundled_bytes():
     assert fresh.dumps() == (_BUNDLED_DIR / "order24.json").read_text().strip()
 
 
+def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch):
+    # orders 1-32 re-derived with no bundled file and no cache to load from
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "bundled").mkdir()
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
+    clear_memory_cache()
+    try:
+        for n in range(1, 33):
+            bundled = (_BUNDLED_DIR / f"order{n}.json").read_text().strip()
+            assert enumerate_groups(n).dumps() == bundled, n
+    finally:
+        clear_memory_cache()
+
+
 @pytest.mark.parametrize("n", [*range(1, 65), 72, 96, 120, 144])
 def test_bundled_catalog_loads(n):
     # from_json rebuilds every recipe and checks its table hash and fingerprint

@@ -2,6 +2,7 @@
 evaluation for every constructor, checked against hand-computed values."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mge.errors import (
     SubgroupLimitExceeded,
     UnknownGenerator,
 )
+from mge.enumerator import _BUNDLED_DIR
 from mge.groups import _remap_word, bfs_closure, build_product
 
 # constructor text, order, abelian, exponent, centre size
@@ -373,3 +375,49 @@ def test_labels_are_formatted_on_demand():
     m = find_embedding(construct("C(12)"), ambient)
     assert m is not None and m.witness_words()
     assert "labels" not in ambient.__dict__
+
+
+def _exhaustive_greedy_gens(g):
+    """The greedy generating sequence found by closing every candidate in
+    every round: the reference that the pruned ``greedy_gens`` must match."""
+    if g.n == 1:
+        return ()
+    first = int(np.lexsort((np.arange(g.n), -g.element_orders))[0])
+    chosen = [first]
+    have = set(bfs_closure(0, chosen, g.mul)[0])
+    while len(have) < g.n:
+        best, best_size = -1, -1
+        for x in range(g.n):
+            if x in have:
+                continue
+            size = len(bfs_closure(0, chosen + [x], g.mul)[0])
+            if size > best_size:
+                best, best_size = x, size
+        chosen.append(best)
+        have = set(bfs_closure(0, chosen, g.mul)[0])
+    return tuple(chosen)
+
+
+def test_greedy_gens_matches_exhaustive_reference():
+    texts = ["S(4)", "A(5)", "S(3) x S(4)", "EA(2,6)"]
+    for n in range(1, 33):
+        doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
+        texts += [e["recipe"] for e in doc["entries"]]
+    for text in texts:
+        g = construct(text)
+        assert g.greedy_gens == _exhaustive_greedy_gens(g), text
+
+
+@pytest.mark.parametrize("text, most", [("S(3) x S(4)", 8), ("EA(2,6)", 64)])
+def test_greedy_gens_skips_covered_candidates(monkeypatch, text, most):
+    g = construct(text)
+    assert "greedy_gens" not in g.__dict__
+    calls = []
+
+    def counting_closure(*args, **kwargs):
+        calls.append(1)
+        return bfs_closure(*args, **kwargs)
+
+    monkeypatch.setattr("mge.groups.bfs_closure", counting_closure)
+    assert g.greedy_gens
+    assert 0 < len(calls) <= most
