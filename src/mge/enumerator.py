@@ -166,9 +166,11 @@ def regular_recipe(g: TableGroup) -> str:
 
 
 def _canonical_entry(g: TableGroup) -> CatalogEntry:
+    """g pinned to its regular recipe.  The rebuilt group is isomorphic to g,
+    so it takes g's fingerprint, which bucketing already computed."""
     expr = parse_expr(regular_recipe(g))
     canon = construct(expr)
-    return CatalogEntry(expr, canon, Fingerprint.of(canon), canon.table_hash)
+    return CatalogEntry(expr, canon, Fingerprint.of(g), canon.table_hash)
 
 
 def _dedupe(candidates) -> list[CatalogEntry]:

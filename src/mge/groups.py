@@ -224,7 +224,6 @@ class TableGroup:
         self.expr_text = expr_text
         self.perm_elems = perm_elems
         self.components = components
-        self._bfs_cache: dict[tuple[int, ...], list] = {}
 
     # -- basics --
 
@@ -427,15 +426,6 @@ class TableGroup:
             chosen.append(best)
             have = set(best_closure)
         return tuple(chosen)
-
-    def bfs_levels(self, gens: tuple[int, ...]) -> list:
-        """(closure elements in BFS order, derivations) for each prefix of
-        ``gens``; cached per generator tuple."""
-        if gens not in self._bfs_cache:
-            self._bfs_cache[gens] = [
-                bfs_closure(0, list(gens[: i + 1]), self.mul) for i in range(len(gens))
-            ]
-        return self._bfs_cache[gens]
 
     # -- subgroups --
 

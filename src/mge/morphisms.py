@@ -1,11 +1,28 @@
 """Isomorphism testing, embedding search, and automorphism streams.
 
-All searches share one backtracking engine: pick a short generating sequence
-for the source, propose images for each generator in turn, and extend the
-partial map along the source's BFS derivations.  A partial map that survives
-the (element, generator) product checks on a prefix closure is a genuine
-homomorphism of that closure, so pruning is sound; a completed map is a
-verified monomorphism without any separate pass.
+All searches share one backtracking kernel over int element ids: pick a
+short generating sequence for the source, propose images for each generator
+in turn, and extend the partial map along the source's BFS derivations.  A
+partial map that survives the (element, generator) product checks on a
+prefix closure is a genuine homomorphism of that closure, so pruning is
+sound; a completed map is a verified monomorphism without any separate pass.
+
+The kernel keeps the map in a list and the used images in a bytearray, reads
+products from read-only memoryviews of the rows of the target's int32 table
+(no copy; a row view is made when its id is first placed), and counts work
+units inline.  A TwistedGroup target has no table: a thin adapter interns
+its candidate elements to ids and multiplies on demand.
+
+Candidates for a generator are target elements of the same order whose
+centralizer is as large (exactly as large for isomorphisms), tried in
+ascending id order.  Each pool is a union of conjugacy classes, and
+conjugating an embedding gives an embedding, so the first embedding the
+ascending search meets sends the first generator to the smallest element of
+its class.  ``_conjugacy`` scans elements in ascending order, so those
+minima are exactly ``class_reps``: find_embedding and is_isomorphic try only
+class representatives for the first generator and return the same witness
+as the full search, for fewer work units.  search_monomorphisms and
+automorphisms still see every morphism.
 
 Absence results are proofs only when the target is a dense TableGroup, since
 then candidate pools cover the whole group.  Against a TwistedGroup the pool
@@ -151,8 +168,7 @@ class Morphism:
 
     @property
     def injective(self) -> bool:
-        vals = [_hashable(v) for v in self.mapping.values()]
-        return len(set(vals)) == len(vals)
+        return len(set(self.mapping.values())) == len(self.mapping)
 
     def verify(self) -> bool:
         src, dst = self.source, self.target
@@ -183,27 +199,130 @@ class Morphism:
         }
 
 
-def _hashable(x):
-    return int(x) if isinstance(x, (int, np.integer)) else x
+# --- the search kernel ------------------------------------------------------------
 
 
-# --- the backtracking engine ----------------------------------------------------
+def _search_levels(src: TableGroup) -> list:
+    """The source side of the search, one entry per generator of
+    ``src.greedy_gens``; cached on ``src``.
+
+    Entry ``L`` is ``(gen, prefix, steps, elems, prods)`` for the closure of
+    ``prefix``, the first ``L + 1`` generators.  ``steps`` lists
+    ``(e, parent, g)`` with ``e == parent * g`` for each element that the
+    closure adds besides ``gen``, in BFS order.  ``elems`` is the whole
+    closure in BFS order and ``prods[i][j]`` is ``elems[i] * prefix[j]``."""
+    levels = src.__dict__.get("_search_levels")
+    if levels is not None:
+        return levels
+    levels = []
+    have = {src.identity}
+    gens = src.greedy_gens
+    for level, gen in enumerate(gens):
+        prefix = gens[: level + 1]
+        elems, deriv = bfs_closure(src.identity, list(prefix), src.mul)
+        have.add(gen)
+        steps = []
+        for e in elems:
+            if e not in have:
+                parent, pos = deriv[e]
+                steps.append((e, parent, prefix[pos]))
+        have.update(elems)
+        prods = src.table[np.ix_(elems, prefix)].tolist()
+        levels.append((gen, prefix, steps, elems, prods))
+    src.__dict__["_search_levels"] = levels
+    return levels
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _kernel(levels, pools, row, size: int, budget: int):
+    """Backtracking over int ids.  Yields the live ``img`` list (source
+    element -> target id) of each monomorphism, in ascending lexicographic
+    order of the generator images.
 
-    def __init__(self, amount: int):
-        self.left = amount
+    ``pools[L]`` holds the candidate ids for generator ``L`` in ascending
+    order, id 0 is the identity, and every id is below ``size``.
+    ``row(a)[b]`` is the id of the product of ids ``a`` and ``b``; a row is
+    made when its id is first placed, so a search pays only for the rows it
+    reaches.  Each derived image and each (element, generator) product check
+    costs one work unit; the unit past ``budget`` raises
+    SearchBudgetExceeded."""
+    img = [0] * len(levels[-1][3])
+    used = bytearray(size)
+    used[0] = 1
+    rows = [None] * size
+    rows[0] = row(0)
+    left = budget
+    last = len(levels) - 1
 
-    def spend(self, k: int) -> None:
-        self.left -= k
-        if self.left < 0:
-            raise SearchBudgetExceeded("embedding search budget exhausted")
+    def place(level: int):
+        nonlocal left
+        gen, prefix, steps, elems, prods = levels[level]
+        for cand in pools[level]:
+            if used[cand]:
+                continue
+            img[gen] = cand
+            used[cand] = 1
+            if rows[cand] is None:
+                rows[cand] = row(cand)
+            placed = 0
+            ok = True
+            for e, parent, g in steps:
+                left -= 1
+                if left < 0:
+                    raise SearchBudgetExceeded("embedding search budget exhausted")
+                v = rows[img[parent]][img[g]]
+                if used[v]:
+                    ok = False
+                    break
+                img[e] = v
+                used[v] = 1
+                if rows[v] is None:
+                    rows[v] = row(v)
+                placed += 1
+            if ok:
+                # the (element, generator) checks on the prefix closure;
+                # survivors are homomorphisms of it
+                prefix_ids = [img[y] for y in prefix]
+                for x, xys in zip(elems, prods):
+                    dx = rows[img[x]]
+                    for xy, y in zip(xys, prefix_ids):
+                        left -= 1
+                        if left < 0:
+                            raise SearchBudgetExceeded("embedding search budget exhausted")
+                        if img[xy] != dx[y]:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok:
+                if level == last:
+                    yield img
+                else:
+                    yield from place(level + 1)
+            for e, _, _ in steps[:placed]:
+                used[img[e]] = 0
+            used[cand] = 0
+
+    yield from place(0)
 
 
-def _twisted_pool(dst: TwistedGroup, support, budget: _Budget):
-    """Candidate images in the support-restricted pool, with their orders."""
+class _TwistedRow:
+    """Row ``x`` of the kernel's products for a TwistedGroup whose candidate
+    elements are interned as ids into ``elems``: ``row[b]`` is the id of
+    ``x * elems[b]``, multiplied on demand and not stored."""
+
+    __slots__ = ("x", "mul", "elems", "id_of")
+
+    def __init__(self, x, mul, elems: list, id_of: dict):
+        self.x, self.mul, self.elems, self.id_of = x, mul, elems, id_of
+
+    def __getitem__(self, b: int) -> int:
+        return self.id_of[self.mul(self.x, self.elems[b])]
+
+
+def _twisted_elements(dst: TwistedGroup, support, left: int):
+    """The candidate elements of a TwistedGroup target at one work unit each,
+    and the units left.  They form the support subgroup (or the whole group),
+    so products stay inside, and the enumeration starts at the identity."""
     if support is None:
         if dst.order > TWISTED_FULL_POOL_LIMIT:
             raise SearchBudgetExceeded(
@@ -212,11 +331,85 @@ def _twisted_pool(dst: TwistedGroup, support, budget: _Budget):
         it = dst.elements()
     else:
         it = dst.support_elements(support)
-    pool = []
+    elems = []
     for x in it:
-        budget.spend(1)
-        pool.append((x, dst.element_order(x)))
-    return pool
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceeded("embedding search budget exhausted")
+        elems.append(x)
+    return elems, left
+
+
+def _dense_pools(src: TableGroup, dst: TableGroup, require_iso: bool, reps_only: bool):
+    """Candidate ids per generator: the elements of the generator's order
+    whose centralizer is as large (or, for isomorphisms, exactly as large).
+    Each pool is a union of conjugacy classes.  With ``reps_only`` the first
+    pool keeps only class representatives.  The target's classes are
+    computed only when some element has a wanted order."""
+    cent = None
+    pools = []
+    for level, g in enumerate(src.greedy_gens):
+        mask = dst.element_orders == src.element_order(g)
+        if mask.any():
+            if cent is None:
+                cent = dst.n // dst.class_sizes[dst.class_ids]
+            cz = src.centralizer_size(g)
+            mask &= (cent == cz) if require_iso else (cent >= cz)
+            if reps_only and level == 0:
+                reps = np.zeros(dst.n, dtype=bool)
+                reps[dst.class_reps] = True
+                mask &= reps
+        pools.append(np.flatnonzero(mask).tolist())
+    return pools
+
+
+def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support,
+            reps_only: bool):
+    """The one search behind every public entry point; see
+    search_monomorphisms.  With ``reps_only`` (first-witness callers only)
+    the first generator's images are cut to ``dst.class_reps``."""
+    left = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    dense = isinstance(dst, TableGroup)
+    if require_iso and (not dense or src.order != dst.order):
+        return
+    if dense and dst.order % src.order != 0:
+        return
+    kind = "isomorphism" if require_iso else "monomorphism"
+    if src.order == 1:
+        yield Morphism(src, dst, [], {0: dst.identity}, kind)
+        return
+    if require_iso and src is dst:
+        kind = "automorphism"
+
+    gens = src.greedy_gens
+    if dense:
+        pools = _dense_pools(src, dst, require_iso, reps_only)
+        size = n = dst.n
+        # row views of the read-only int32 table: no copy
+        view = memoryview(dst.table)
+        flat = view.cast("B").cast(view.format)
+
+        def row(a):
+            return flat[a * n : a * n + n]
+
+    else:
+        elems, left = _twisted_elements(dst, support, left)
+        orders = [dst.element_order(x) for x in elems]
+        wants = [src.element_order(g) for g in gens]
+        pools = [[i for i, o in enumerate(orders) if o == want] for want in wants]
+        id_of = {x: i for i, x in enumerate(elems)}
+
+        def row(a):
+            return _TwistedRow(elems[a], dst.mul, elems, id_of)
+
+        size = len(elems)
+
+    for img in _kernel(_search_levels(src), pools, row, size, left):
+        if dense:
+            mapping = dict(enumerate(img))
+        else:
+            mapping = {x: elems[i] for x, i in enumerate(img)}
+        yield Morphism(src, dst, [(g, mapping[g]) for g in gens], mapping, kind)
 
 
 def search_monomorphisms(
@@ -227,104 +420,29 @@ def search_monomorphisms(
     budget: int | None = None,
     support=None,
 ):
-    """Yield monomorphisms src -> dst (isomorphisms when require_iso).
+    """Yield every monomorphism src -> dst (isomorphisms when require_iso).
 
     Deterministic: candidates are tried in ascending element order.  Raises
     SearchBudgetExceeded when the work cap is hit, in which case nothing may
     be concluded from an absence of yields.
     """
-    bud = _Budget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
-    dense = isinstance(dst, TableGroup)
-    if require_iso and (not dense or src.order != dst.order):
-        return
-    if dense and dst.order % src.order != 0:
-        return
-    if src.order == 1:
-        kind = "isomorphism" if require_iso else "monomorphism"
-        yield Morphism(src, dst, [], {0: dst.identity}, kind)
-        return
-
-    gens = src.greedy_gens
-    levels = src.bfs_levels(gens)
-    src_orders = [src.element_order(g) for g in gens]
-    src_cent = [src.centralizer_size(g) for g in gens]
-
-    if dense:
-        dorders = dst.element_orders
-        pools = []
-        for o, cz in zip(src_orders, src_cent):
-            cand = np.flatnonzero(dorders == o)
-            if require_iso:
-                keep = [int(x) for x in cand if dst.centralizer_size(int(x)) == cz]
-            else:
-                keep = [int(x) for x in cand if dst.centralizer_size(int(x)) >= cz]
-            pools.append(keep)
-    else:
-        raw = _twisted_pool(dst, support, bud)
-        pools = [[x for x, o in raw if o == want] for want in src_orders]
-
-    img: dict = {src.identity: dst.identity}
-    used: dict = {_hashable(dst.identity): src.identity}
-
-    def place(level: int):
-        elems, deriv = levels[level]
-        gen_elem = gens[level]
-        for cand in pools[level]:
-            hc = _hashable(cand)
-            if hc in used:
-                continue
-            added: list = [(gen_elem, hc)]
-            img[gen_elem] = cand
-            used[hc] = gen_elem
-            ok = True
-            for e in elems:
-                if e in img:
-                    continue
-                parent, pos = deriv[e]
-                bud.spend(1)
-                val = dst.mul(img[parent], img[gens[pos]])
-                hv = _hashable(val)
-                if hv in used:
-                    ok = False
-                    break
-                img[e] = val
-                used[hv] = e
-                added.append((e, hv))
-            if ok:
-                # full (element, generator) product check on the prefix
-                # closure; survivors are verified homomorphisms of it
-                for x in elems:
-                    for j in range(level + 1):
-                        bud.spend(1)
-                        if img[src.mul(x, gens[j])] != dst.mul(img[x], img[gens[j]]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                if level + 1 == len(gens):
-                    kind = "isomorphism" if require_iso else "monomorphism"
-                    if require_iso and src is dst:
-                        kind = "automorphism"
-                    yield Morphism(src, dst, [(g, img[g]) for g in gens], dict(img), kind)
-                else:
-                    yield from place(level + 1)
-            for e, hv in added:
-                del img[e]
-                del used[hv]
-
-    yield from place(0)
+    return _search(src, dst, require_iso, budget, support, False)
 
 
 def is_isomorphic(a: TableGroup, b: TableGroup, *, budget: int | None = None) -> Morphism | None:
-    """A verified isomorphism, or None (which is a proof of non-isomorphism)."""
+    """A verified isomorphism, or None (which is a proof of non-isomorphism).
+
+    The isomorphism returned is the first one search_monomorphisms would
+    yield, found with the first generator's images cut to class
+    representatives; see the module docstring for why that loses nothing.
+    """
     if not isinstance(a, TableGroup) or not isinstance(b, TableGroup):
         raise TypeError("isomorphism testing needs dense groups on both sides")
     if a.order != b.order:
         return None
     if Fingerprint.of(a) != Fingerprint.of(b):
         return None
-    for m in search_monomorphisms(a, b, require_iso=True, budget=budget):
+    for m in _search(a, b, True, budget, None, True):
         return m
     return None
 
@@ -335,13 +453,17 @@ def find_embedding(
     """A verified embedding of h into g, or None.
 
     None proves absence only when g is a dense TableGroup; against a
-    TwistedGroup the pool is restricted and absence is inconclusive.
+    TwistedGroup the pool is restricted and absence is inconclusive.  Into a
+    dense g the embedding returned is the first one search_monomorphisms
+    would yield, found with the first generator's images cut to class
+    representatives (see the module docstring).  A TwistedGroup g goes
+    through the same kernel, its candidate elements interned to int ids.
     """
     if not isinstance(h, TableGroup):
         raise TypeError("the embedded group must be dense")
     if isinstance(g, TwistedGroup) and support is not None:
         support = g.resolve_support(support)
-    for m in search_monomorphisms(h, g, budget=budget, support=support):
+    for m in _search(h, g, False, budget, support, True):
         return m
     return None
 

@@ -8,6 +8,7 @@ import pytest
 from mge import construct, is_isomorphic
 from mge.enumerator import (
     _BUNDLED_DIR,
+    _canonical_entry,
     _compute,
     _seed_entries,
     Catalog,
@@ -19,6 +20,7 @@ from mge.enumerator import (
     regular_oracle,
 )
 from mge.errors import IncompleteSeedSet, OutOfRange, TierLimitExceeded
+from mge.morphisms import Fingerprint, rich_invariant_key
 
 # isomorphism class counts, orders 1..32
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14,
@@ -109,6 +111,31 @@ def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch):
             assert enumerate_groups(n).dumps() == bundled, n
     finally:
         clear_memory_cache()
+
+
+def test_cold_catalogs_above_32_match_bundled_bytes(tmp_path, monkeypatch):
+    # opt-in, like the order-243 sweep: several minutes of search
+    if default_tier() < 3:
+        pytest.skip("cold re-derivation of orders 33-144 runs only at MGE_TIER=3")
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "bundled").mkdir()
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
+    clear_memory_cache()
+    try:
+        for n in [*range(33, 65), 72, 96, 120, 144]:
+            bundled = (_BUNDLED_DIR / f"order{n}.json").read_text().strip()
+            assert enumerate_groups(n).dumps() == bundled, n
+    finally:
+        clear_memory_cache()
+
+
+def test_canonical_entry_takes_the_candidates_fingerprint():
+    g = construct("sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)")
+    rich_invariant_key(g)  # bucketing caches g's fingerprint
+    entry = _canonical_entry(g)
+    assert entry.fingerprint is Fingerprint.of(g)
+    assert entry.fingerprint == Fingerprint.of(construct(entry.recipe))
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 72, 96, 120, 144])

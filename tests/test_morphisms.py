@@ -1,13 +1,21 @@
 """Isomorphism testing, embedding search, automorphism counts, and the
 fingerprint invariant, against hand-checked classifications."""
 
+import json
+
+import numpy as np
 import pytest
 
-from mge import construct, find_embedding, is_isomorphic
+from mge import construct, find_embedding, is_isomorphic, registry
+from mge.enumerator import Catalog, _BUNDLED_DIR
 from mge.errors import SearchBudgetExceeded
+from mge.groups import TableGroup, bfs_closure
 from mge.morphisms import (
+    DEFAULT_SEARCH_BUDGET,
+    TWISTED_FULL_POOL_LIMIT,
     Fingerprint,
     automorphism_count,
+    automorphisms,
     derived_series_orders,
     ea_basis_and_coords,
     elem_abelian_prime,
@@ -143,3 +151,219 @@ def test_ea_coordinates():
     assert len(elem_of) == 8
     for e in g.elements():
         assert elem_of[tuple(int(c) for c in vec_of[e])] == e
+
+
+# --- the search kernel against the dict-based loop it replaced -----------------
+
+
+class _RefBudget:
+    def __init__(self, amount: int):
+        self.left = amount
+        self.spent = 0
+
+    def spend(self, k: int) -> None:
+        self.left -= k
+        self.spent += k
+        if self.left < 0:
+            raise SearchBudgetExceeded("embedding search budget exhausted")
+
+
+def _ref_hashable(x):
+    return int(x) if isinstance(x, (int, np.integer)) else x
+
+
+def reference_search(src, dst, *, require_iso=False, budget=None, support=None, bud=None):
+    """The search loop as it stood before the int kernel: dicts for the map
+    and the used images, products through ``mul``, every pool element tried
+    in ascending order.  Yields ``(gen_images, mapping, kind)``; ``bud.spent``
+    counts the work units so far."""
+    bud = bud or _RefBudget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    dense = isinstance(dst, TableGroup)
+    if require_iso and (not dense or src.order != dst.order):
+        return
+    if dense and dst.order % src.order != 0:
+        return
+    if src.order == 1:
+        yield [], {0: dst.identity}, "isomorphism" if require_iso else "monomorphism"
+        return
+
+    gens = src.greedy_gens
+    levels = [bfs_closure(0, list(gens[: i + 1]), src.mul) for i in range(len(gens))]
+    src_orders = [src.element_order(g) for g in gens]
+    src_cent = [src.centralizer_size(g) for g in gens]
+
+    if dense:
+        dorders = dst.element_orders
+        pools = []
+        for o, cz in zip(src_orders, src_cent):
+            cand = np.flatnonzero(dorders == o)
+            if require_iso:
+                keep = [int(x) for x in cand if dst.centralizer_size(int(x)) == cz]
+            else:
+                keep = [int(x) for x in cand if dst.centralizer_size(int(x)) >= cz]
+            pools.append(keep)
+    else:
+        if support is None:
+            assert dst.order <= TWISTED_FULL_POOL_LIMIT
+            it = dst.elements()
+        else:
+            it = dst.support_elements(support)
+        raw = []
+        for x in it:
+            bud.spend(1)
+            raw.append((x, dst.element_order(x)))
+        pools = [[x for x, o in raw if o == want] for want in src_orders]
+
+    img = {src.identity: dst.identity}
+    used = {_ref_hashable(dst.identity): src.identity}
+
+    def place(level):
+        elems, deriv = levels[level]
+        gen_elem = gens[level]
+        for cand in pools[level]:
+            hc = _ref_hashable(cand)
+            if hc in used:
+                continue
+            added = [(gen_elem, hc)]
+            img[gen_elem] = cand
+            used[hc] = gen_elem
+            ok = True
+            for e in elems:
+                if e in img:
+                    continue
+                parent, pos = deriv[e]
+                bud.spend(1)
+                val = dst.mul(img[parent], img[gens[pos]])
+                hv = _ref_hashable(val)
+                if hv in used:
+                    ok = False
+                    break
+                img[e] = val
+                used[hv] = e
+                added.append((e, hv))
+            if ok:
+                for x in elems:
+                    for j in range(level + 1):
+                        bud.spend(1)
+                        if img[src.mul(x, gens[j])] != dst.mul(img[x], img[gens[j]]):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok:
+                if level + 1 == len(gens):
+                    kind = "isomorphism" if require_iso else "monomorphism"
+                    if require_iso and src is dst:
+                        kind = "automorphism"
+                    yield [(g, img[g]) for g in gens], dict(img), kind
+                else:
+                    yield from place(level + 1)
+            for e, hv in added:
+                del img[e]
+                del used[hv]
+
+    yield from place(0)
+
+
+def _reference_first(src, dst, **kw):
+    """(first yield or None, work units spent up to it or to the end)."""
+    bud = _RefBudget(DEFAULT_SEARCH_BUDGET)
+    for found in reference_search(src, dst, bud=bud, **kw):
+        return found, bud.spent
+    return None, bud.spent
+
+
+def _assert_same_first(got, want, spent, retry):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.gen_images, got.mapping, got.kind) == want
+    # the first-witness search fits in the reference's own work units
+    again = retry(spent)
+    assert (again is None) == (want is None)
+    if want is not None:
+        assert again.gen_images == want[0]
+
+
+def _bundled(n: int) -> list[TableGroup]:
+    doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
+    return Catalog.from_json(doc).groups()
+
+
+def _shared_bucket_pairs():
+    pairs = []
+    for n in range(1, 33):
+        buckets: dict[bytes, list[TableGroup]] = {}
+        for g in _bundled(n):
+            buckets.setdefault(rich_invariant_key(g), []).append(g)
+        for groups in buckets.values():
+            pairs += [(a, b) for a in groups for b in groups if a is not b]
+    return pairs
+
+
+def test_is_isomorphic_matches_reference_on_shared_buckets():
+    pairs = _shared_bucket_pairs()
+    assert pairs  # orders 1-32 have rich-key collisions to separate
+    for a, b in pairs:
+        want, spent = _reference_first(a, b, require_iso=True)
+        _assert_same_first(is_isomorphic(a, b), want, spent,
+                           lambda k: is_isomorphic(a, b, budget=k))
+
+
+SMALL_REGISTRY = [
+    label for label in registry.available_labels()
+    if registry.resolve(label).order_hint() <= 12
+]
+
+
+@pytest.mark.parametrize("label", SMALL_REGISTRY)
+def test_first_witnesses_match_reference(label):
+    h = construct(f"named({label})")
+    for b in _bundled(h.order):
+        if rich_invariant_key(b) == rich_invariant_key(h):
+            want, spent = _reference_first(h, b, require_iso=True)
+            assert want is not None
+            _assert_same_first(is_isomorphic(h, b), want, spent,
+                               lambda k: is_isomorphic(h, b, budget=k))
+    for text in ("S(4)", "A(5)", "S(3) x S(4)"):
+        g = construct(text)
+        want, spent = _reference_first(h, g)
+        _assert_same_first(find_embedding(h, g), want, spent,
+                           lambda k: find_embedding(h, g, budget=k))
+
+
+def test_twisted_first_witness_matches_reference():
+    tw = construct("named(C5xC7xC9xD3xH1)")
+    for text, names in (("C(45)", ["C(5)", "C(9)"]), ("C(4)", ["C(5)"])):
+        h = construct(text)
+        want, spent = _reference_first(h, tw, support=tw.resolve_support(names))
+        _assert_same_first(find_embedding(h, tw, support=names), want, spent,
+                           lambda k: find_embedding(h, tw, support=names, budget=k))
+
+
+@pytest.mark.parametrize("text", [t for t, _ in AUT_COUNTS])
+def test_automorphism_streams_match_reference(text):
+    g = construct(text)
+    want = list(reference_search(g, g, require_iso=True))
+    got = [(m.gen_images, m.mapping, m.kind)
+           for m in search_monomorphisms(g, g, require_iso=True)]
+    assert got == want
+    if elem_abelian_prime(g) is None or g.order == elem_abelian_prime(g):
+        assert [(m.gen_images, m.mapping) for m in automorphisms(g)] == [
+            (gi, mp) for gi, mp, _ in want
+        ]
+
+
+def test_budget_runs_out_at_the_reference_unit():
+    a5 = construct("A(5)")
+    bud = _RefBudget(DEFAULT_SEARCH_BUDGET)
+    count = sum(1 for _ in reference_search(a5, a5, require_iso=True, bud=bud))
+    b = bud.spent
+    assert count == 120
+    assert sum(1 for _ in reference_search(a5, a5, require_iso=True, budget=b)) == 120
+    with pytest.raises(SearchBudgetExceeded):
+        list(reference_search(a5, a5, require_iso=True, budget=b - 1))
+    assert sum(1 for _ in search_monomorphisms(a5, a5, require_iso=True, budget=b)) == 120
+    with pytest.raises(SearchBudgetExceeded):
+        list(search_monomorphisms(a5, a5, require_iso=True, budget=b - 1))

@@ -8,6 +8,7 @@ import types
 import pytest
 
 from mge import construct, groups, verify
+from mge.enumerator import default_tier
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
     Certificate,
@@ -229,6 +230,18 @@ def test_scenario_reports_are_deterministic(sid):
     doc = json.loads(text)
     assert doc["scenario"] == sid and doc["passed"] is True
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[sid]
+
+
+# sha256 of the tier-3 lemma-p3 report (the order-243 sweep), recorded the
+# same way; opt-in like acceptance criterion 11
+LEMMA_P3_TIER3_DIGEST = "ce7aa8d21b61c9545e21d14ace0895c4190755710988623111c93826f8784a68"
+
+
+def test_lemma_p3_tier3_report_is_pinned():
+    if default_tier() < 3:
+        pytest.skip("the order-243 sweep runs only at MGE_TIER=3")
+    text = reproduce("lemma-p3", tier=3).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_P3_TIER3_DIGEST
 
 
 def test_embedding_memo_keeps_each_groups_generator_names(monkeypatch):
