@@ -33,6 +33,7 @@ import numpy as np
 from ._version import ENGINE_VERSION
 from .errors import (
     AutBudgetExceeded,
+    EngineError,
     IncompleteSeedSet,
     OutOfRange,
     TierLimitExceeded,
@@ -141,8 +142,11 @@ class Catalog:
         order = doc["order"]
         entries = []
         for raw in doc["entries"]:
-            expr = parse_expr(raw["recipe"])
-            g = construct(expr)
+            try:
+                expr = parse_expr(raw["recipe"])
+                g = construct(expr)
+            except EngineError as exc:  # e.g. a tampered generator closing past the limit
+                raise ValueError(f"catalog entry {raw['recipe']!r} does not build: {exc}") from exc
             if g.order != order:
                 raise ValueError(f"catalog entry {raw['recipe']!r} has wrong order")
             if g.table_hash != raw["table_hash"]:

@@ -25,6 +25,7 @@ of which may carry an integer exponent like ``a^-2``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -261,6 +262,10 @@ def tokenize_word(word: str) -> list[tuple[str, int]]:
 _ATOM_HEADS = {"C", "EA", "D", "Q", "S", "A", "sd", "cp", "quo", "perm", "named", "gens"}
 
 
+# text a raw segment passes over at depth 0: no stopper, groups without nesting
+_FLAT_RUN_RE = re.compile(r"(?:[^(),;]+|\([^()]*\))*")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -301,23 +306,32 @@ class _Scanner:
             raise ParseError(f"expected an integer at position {start}")
         return int(self.text[start:self.pos])
 
-    def read_raw_segment(self, stoppers: str = ",;)") -> str:
-        """Capture raw text (a word or clause) up to an unnested stopper."""
+    def read_raw_segment(self) -> str:
+        """Capture raw text (a word or clause) up to a comma, semicolon or
+        closing parenthesis outside any parentheses.  A run of plain text and
+        flat groups is skipped in one regex match; nested groups are walked
+        one character at a time."""
         self.skip_ws()
-        start = self.pos
+        start = pos = self.pos
+        text = self.text
         depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
+        while pos < len(text):
+            if depth == 0:
+                pos = _FLAT_RUN_RE.match(text, pos).end()
+                if pos == len(text):
+                    break
+            ch = text[pos]
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 if depth == 0:
                     break
                 depth -= 1
-            elif depth == 0 and ch in stoppers:
+            elif depth == 0:  # "," or ";"
                 break
-            self.pos += 1
-        seg = self.text[start:self.pos].strip()
+            pos += 1
+        self.pos = pos
+        seg = text[start:pos].strip()
         if not seg:
             raise ParseError(f"expected a word at position {start} in {self.text!r}")
         return seg

@@ -55,10 +55,19 @@ from .expressions import (
     parse_expr,
     tokenize_word,
 )
+from .numtheory import factorization
 
 TABLE_LIMIT = 5000
 SUBGROUP_LIMIT = 5000
 CHECK_TABLE_LIMIT = 512
+_BLOCK_CELLS = 1 << 18  # cells per block when an n x n product array is built in parts
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of ``range(rows)`` whose blocks of ``cols`` columns hold about
+    _BLOCK_CELLS cells each."""
+    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
 
 
 # --- shared closure helper ---------------------------------------------------
@@ -219,6 +228,10 @@ class TableGroup:
         self.inv = np.ascontiguousarray(np.argmin(table, axis=1).astype(np.int32))
         if (table[np.arange(n), self.inv] != 0).any():
             raise ValueError("table has an element without an inverse")
+        # zero-copy views: indexing one yields a Python int without a numpy scalar
+        self._cells = memoryview(table)
+        self._flat_cells = self._cells.cast("B").cast(self._cells.format)
+        self._inv_cells = memoryview(self.inv)
         self.gens = dict(gens)
         self._labels = labels
         self.expr_text = expr_text
@@ -239,28 +252,48 @@ class TableGroup:
         return range(self.n)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._cells[a, b]
 
     def inv_of(self, a: int) -> int:
-        return int(self.inv[a])
+        return self._inv_cells[a]
+
+    def row(self, a: int) -> memoryview:
+        """Row ``a`` of the table (``a * x`` for every x), a read-only view without a copy."""
+        return self._flat_cells[a * self.n : a * self.n + self.n]
 
     power = _power
 
     def element_order(self, x: int) -> int:
         return int(self.element_orders[x])
 
+    def _powers(self, x: np.ndarray, k: int) -> np.ndarray:
+        """``x[i] ** k`` for every entry, by square-and-multiply; k >= 1."""
+        cells = self.table.ravel()
+        out = None
+        while k:
+            if k & 1:
+                out = x if out is None else cells.take(out * self.n + x)
+            k >>= 1
+            if k:
+                x = cells.take(x * self.n + x)
+        return out
+
     @cached_property
     def element_orders(self) -> np.ndarray:
+        """The order of every element, one prime at a time.  For ``p**a``
+        exactly dividing n, ``y = x ** (n // p**a)`` has order the p-part of
+        the order of x, which is read off by raising y to the p-th power
+        until it is the identity."""
         n = self.n
-        idx = np.arange(n)
-        cur = idx.copy()
-        orders = np.zeros(n, dtype=np.int64)
-        k = 1
-        while (orders == 0).any():
-            hit = (cur == 0) & (orders == 0)
-            orders[hit] = k
-            cur = self.table[cur, idx]
-            k += 1
+        orders = np.ones(n, dtype=np.int64)
+        for p, a in factorization(n).items():
+            y = self._powers(np.arange(n), n // p**a)
+            for _ in range(a):
+                moved = y != 0
+                if not moved.any():
+                    break
+                orders[moved] *= p
+                y = self._powers(y, p)
         return orders
 
     @cached_property
@@ -275,19 +308,23 @@ class TableGroup:
 
     @cached_property
     def _conjugacy(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """(class id of each element, class representatives, class sizes).
+
+        Elements are scanned in ascending order and each one not yet in a
+        class opens the next class with its conjugates ``g * x * g^-1``, so
+        ``class_reps[i]`` is the minimum of class i.  The level-0 cut of the
+        search in ``morphisms`` relies on that invariant."""
         n = self.n
+        cells = self.table.ravel()
+        inv_rows = self.inv.astype(np.intp) * n  # g^-1 * y is cells[inv_rows[g] + y]
         class_id = np.full(n, -1, dtype=np.int64)
+        class_of = memoryview(class_id)  # reading one cell yields a Python int
         reps: list[int] = []
-        sizes: list[int] = []
-        all_g = np.arange(n)
         for x in range(n):
-            if class_id[x] >= 0:
-                continue
-            orbit = np.unique(self.table[self.table[all_g, x], self.inv[all_g]])
-            class_id[orbit] = len(reps)
-            reps.append(x)
-            sizes.append(len(orbit))
-        return class_id, reps, np.asarray(sizes, dtype=np.int64)
+            if class_of[x] < 0:
+                class_id[cells.take(inv_rows + self.table[x])] = len(reps)  # g^-1 * x * g
+                reps.append(x)
+        return class_id, reps, np.bincount(class_id)
 
     @property
     def class_ids(self) -> np.ndarray:
@@ -318,13 +355,25 @@ class TableGroup:
 
     @cached_property
     def derived_elements(self) -> list[int]:
-        """Sorted element list of the commutator subgroup."""
-        n = self.n
+        """Sorted element list of the commutator subgroup.
+
+        The commutators with a class representative r are
+        ``r^-1 * b^-1 * r * b``, that is r^-1 times each conjugate of r, and
+        every commutator is a conjugate of one of those.  So the commutators
+        are the classes that these n products meet.  That set S is then
+        closed by marking ``S * S`` until no element is added."""
         t = self.table
-        inv = self.inv
-        comms = np.unique(t[t[np.repeat(inv, n), np.tile(inv, n)], t.ravel()])
-        elems, _ = bfs_closure(0, [int(c) for c in comms if c != 0], self.mul)
-        return sorted(elems)
+        class_id = self.class_ids
+        reps = np.asarray(self.class_reps)
+        met = np.zeros(len(reps), dtype=bool)
+        met[class_id[t[self.inv[reps[class_id]], np.arange(self.n)]]] = True
+        mask = met[class_id]
+        while True:
+            s = np.flatnonzero(mask)
+            for rows in _row_blocks(len(s), len(s)):
+                mask[t[s[rows]][:, s]] = True
+            if mask.sum() == len(s):
+                return s.tolist()
 
     @cached_property
     def abelian_invariants(self) -> tuple[int, ...] | None:
@@ -626,33 +675,32 @@ def build_dicyclic(n: int) -> TableGroup:
     return TableGroup(table.astype(np.int32), {"a": 1, "b": tn})
 
 
-def _row_order(mat: np.ndarray) -> np.ndarray:
-    """Stable argsort of the rows of a non-negative int32 matrix in
-    lexicographic order.  Each row is sorted as one opaque bytes value; the
-    big-endian layout makes byte order agree with numeric order."""
-    rows = np.ascontiguousarray(mat, dtype=">i4")
-    return np.argsort(rows.view(np.dtype((np.void, 4 * mat.shape[1]))).ravel(), kind="stable")
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a matrix as one opaque bytes value."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
     """Every element generated by the rows of ``gens``, as rows in
     lexicographic order.  The closure grows level by level: a level is the
-    previous one times each generator (``x * g == g[x]``), deduplicated by
-    whole rows against everything found so far."""
-    found = np.arange(degree, dtype=np.int32)[None, :]
-    frontier = found
+    previous one times each generator (``x * g == g[x]``), keyed by the
+    bytes of each row; the rows whose key is new form the next level.  The
+    rows are sorted once, at the end, as big-endian bytes, whose order
+    agrees with numeric order."""
+    gens = np.asarray(gens, dtype=np.int32)  # the row keys are int32 bytes
+    identity = np.arange(degree, dtype=np.int32)
+    seen = {identity.tobytes()}
+    frontier = identity[None, :]
     while len(frontier):
-        both = np.concatenate([found, gens[:, frontier].reshape(-1, degree)])
-        order = _row_order(both)
-        rows = both[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        idx = order[first]  # the earliest copy of each distinct row
-        frontier = both[idx[idx >= len(found)]]
-        found = np.concatenate([found, frontier])
-        if len(found) > SUBGROUP_LIMIT:
+        level = set(_row_keys(np.take(gens, frontier, axis=1).reshape(-1, degree)).tolist())
+        level -= seen
+        seen |= level
+        if len(seen) > SUBGROUP_LIMIT:
             raise SubgroupLimitExceeded(f"closure exceeded {SUBGROUP_LIMIT} elements")
-    return found[_row_order(found)]
+        frontier = np.frombuffer(b"".join(level), dtype=np.int32).reshape(-1, degree)
+    found = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, degree)
+    return found[np.argsort(_row_keys(found.astype(">i4")))]
 
 
 class PermElements:
@@ -665,6 +713,12 @@ class PermElements:
     further.  For a regular group point 0 alone is a base.  The images of the
     base points fold into one key per element, re-ranked after each point so
     that every key stays below the group order and nothing can overflow.
+
+    Each base point has a dense table ``(key so far, image) -> next key``,
+    flattened row-major, with -1 where no element continues that way; its
+    extra last row is all -1, so after a miss the key indexes that row from
+    the end and stays -1.  The number of keys at least doubles per base
+    point, so the tables together hold about as many cells as ``mat``.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -672,7 +726,7 @@ class PermElements:
         self.mat = mat
         self.degree = degree
         self.base: list[int] = []
-        self._levels: list[np.ndarray] = []  # sorted partial keys, one array per base point
+        self._steps: list[np.ndarray] = []  # one flat (keys + 1) x degree table per base point
         key = np.zeros(n, dtype=np.int64)
         classes = 1
         for b in range(degree):
@@ -680,31 +734,29 @@ class PermElements:
                 break
             vals, ranks = np.unique(key * degree + mat[:, b], return_inverse=True)
             if len(vals) > classes:
+                step = np.full((classes + 1) * degree, -1, dtype=np.intp)
+                step[vals] = np.arange(len(vals))
                 self.base.append(b)
-                self._levels.append(vals)
+                self._steps.append(step)
                 key, classes = ranks.reshape(n), len(vals)
-        self._elem_of_key = np.empty(n, dtype=np.int64)
+        self._elem_of_key = np.full(n + 1, -1, dtype=np.int64)  # key -1 -> -1
         self._elem_of_key[key] = np.arange(n)
 
     def locate(self, images: np.ndarray) -> np.ndarray:
         """Element index for each stack of base images (the last axis runs
         over ``base``); -1 where no element has those images.  A hit is
         the group's only candidate, not yet proof of membership."""
-        key = np.zeros(images.shape[:-1], dtype=np.int64)
-        hit = np.ones(images.shape[:-1], dtype=bool)
-        for k, vals in enumerate(self._levels):
-            want = key * self.degree + images[..., k]
-            key = np.minimum(np.searchsorted(vals, want), len(vals) - 1)
-            hit &= vals[key] == want
-        return np.where(hit, self._elem_of_key[key], -1)
+        if not self._steps:  # the trivial group
+            return np.zeros(images.shape[:-1], dtype=np.int64)
+        key = self._steps[0].take(images[..., 0])
+        for k, step in enumerate(self._steps[1:], start=1):
+            key = step.take(key * self.degree + images[..., k])
+        return self._elem_of_key.take(key)
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each permutation row; -1 for non-members."""
         idx = self.locate(rows[..., self.base])
         return np.where((idx >= 0) & (self.mat[idx] == rows).all(axis=-1), idx, -1)
-
-
-_BLOCK_CELLS = 1 << 18  # table cells per block of rows in build_perm_group
 
 
 def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
@@ -724,13 +776,12 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     elems = PermElements(mat)
     base = elems.base
     table = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // n)
-    for r0 in range(0, n, step):
-        # mat[:, rows[:, base]][y, x, k] == (x * y)[base[k]]
-        prods = elems.locate(mat[:, mat[r0:r0 + step, base]].transpose(1, 0, 2))
+    for rows in _row_blocks(n, n):
+        # mat[:, mat[rows, base]][y, x, k] == (x * y)[base[k]]
+        prods = elems.locate(mat[:, mat[rows, base]].transpose(1, 0, 2))
         if (prods < 0).any():
             raise EngineError("a product of permutations fell outside their closure")
-        table[r0:r0 + step] = prods
+        table[rows] = prods
     gen_idx = elems.locate(gens[:, base])
     names = {perms.format_cycles(p): int(i) for p, i in zip(gen_perms, gen_idx)}
     return TableGroup(table, names, perm_elems=elems)
@@ -1060,18 +1111,22 @@ class TwistedGroup:
 
     def mul(self, x, y):
         (b1, d1), (b2, d2) = x, y
+        if d1 == 0:  # no twist moves the right factor
+            return (tuple([g.mul(a, b) for g, a, b in zip(self.components, b1, b2)]), d2)
         moved = []
         for ci, g in enumerate(self.components):
             act = self._composed(ci, d1)
             e = b2[ci] if act is None else int(act[b2[ci]])
-            moved.append(int(g.table[b1[ci], e]))
+            moved.append(g.mul(b1[ci], e))
         return (tuple(moved), d1 ^ d2)
 
     def inv_of(self, x):
         b, d = x
+        if d == 0:
+            return (tuple([g.inv_of(e) for g, e in zip(self.components, b)]), 0)
         moved = []
         for ci, g in enumerate(self.components):
-            e = int(g.inv[b[ci]])
+            e = g.inv_of(b[ci])
             act = self._composed(ci, d)
             moved.append(e if act is None else int(act[e]))
         return (tuple(moved), d)

@@ -384,14 +384,8 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
     gens = src.greedy_gens
     if dense:
         pools = _dense_pools(src, dst, require_iso, reps_only)
-        size = n = dst.n
-        # row views of the read-only int32 table: no copy
-        view = memoryview(dst.table)
-        flat = view.cast("B").cast(view.format)
-
-        def row(a):
-            return flat[a * n : a * n + n]
-
+        size = dst.n
+        row = dst.row
     else:
         elems, left = _twisted_elements(dst, support, left)
         orders = [dst.element_order(x) for x in elems]

@@ -12,10 +12,16 @@ degrees points must be separated by spaces, as in "(1 10 3)(2 7)".
 from __future__ import annotations
 
 import re
+from itertools import accumulate, chain
 
 from .errors import ParseError
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_RE = re.compile(r"(?:\([^()]*\)\s*)+")
+# a body with no space or comma and at least two characters: compact form
+_COMPACT_RE = re.compile(r"\(\s*([^()\s,][^() ,]*[^()\s,])\s*\)")
+# a body of commas and whitespace only, with at least one comma
+_EMPTY_LIST_RE = re.compile(r"\([\s,]*,[\s,]*\)")
+_OPEN_AND_COMMA = str.maketrans("(,", "  ")
 
 Perm = tuple[int, ...]
 
@@ -31,10 +37,15 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def looks_like_cycles(text: str) -> bool:
     """True when the string is entirely parenthesised cycles, e.g. "(12)(34)"."""
-    text = text.strip()
-    if not text.startswith("("):
-        return False
-    return _CYCLE_RE.sub("", text).strip() == ""
+    return _CYCLES_RE.fullmatch(text.strip()) is not None
+
+
+def _spaced_body(m: re.Match) -> str:
+    """A compact body rewritten with one space between its points."""
+    body = m.group(1)
+    if any(ch.isspace() for ch in body):
+        raise ParseError(f"bad cycle body {body!r}")
+    return "(" + " ".join(body) + ")"
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Perm:
@@ -42,64 +53,66 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
 
     With ``degree=None`` the degree is the largest point mentioned.  "()" is
     the identity (degree must then be given, or 0 is used).
+
+    A body that holds a space or a comma is split at runs of commas and
+    whitespace; any other body is read one character per point.  Compact
+    bodies are first rewritten with spaces, so the whole string is split by
+    ``str`` methods into one token list per cycle.  Tokens are read with
+    ``int`` and the checks run on all points at once.
     """
     text = text.strip()
-    if not looks_like_cycles(text):
+    if _CYCLES_RE.fullmatch(text) is None:
         raise ParseError(f"not a cycle string: {text!r}")
-    cycles: list[list[int]] = []
-    maxpt = 0
-    for body in _CYCLE_RE.findall(text):
-        body = body.strip()
-        if not body:
-            continue
-        if " " in body or "," in body:
-            parts = [p for p in re.split(r"[,\s]+", body) if p]
-        else:
-            parts = list(body)
-        try:
-            pts = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"bad cycle body {body!r} in {text!r}") from None
-        if any(p < 1 for p in pts):
-            raise ParseError(f"cycle points are 1-based: {text!r}")
-        if len(set(pts)) != len(pts):
-            raise ParseError(f"repeated point inside a cycle: {text!r}")
-        cycles.append([p - 1 for p in pts])
-        maxpt = max(maxpt, max(pts))
+    if _EMPTY_LIST_RE.search(text):
+        raise ParseError(f"cycle body without points in {text!r}")
+    spaced = _COMPACT_RE.sub(_spaced_body, text).translate(_OPEN_AND_COMMA)
+    cycles = [c for c in map(str.split, spaced.split(")")) if c]
+    tokens = list(chain.from_iterable(cycles))
+    try:
+        flat = [int(p) - 1 for p in tokens]
+    except ValueError:
+        raise ParseError(f"bad cycle body in {text!r}") from None
+    if flat and min(flat) < 0:
+        raise ParseError(f"cycle points are 1-based: {text!r}")
+    bounds = list(accumulate(map(len, cycles), initial=0))
+    distinct = len(set(flat))
+    if distinct != len(flat):
+        for s, e in zip(bounds, bounds[1:]):
+            if len(set(flat[s:e])) != e - s:
+                raise ParseError(f"repeated point inside a cycle: {text!r}")
+    maxpt = max(flat, default=-1) + 1
     if degree is None:
         degree = maxpt
     elif maxpt > degree:
         raise ParseError(f"cycle string {text!r} mentions point past degree {degree}")
-    out = list(range(degree))
-    touched: set[int] = set()
-    for cyc in cycles:
-        for pt in cyc:
+    if distinct != len(flat):
+        touched: set[int] = set()
+        for pt in flat:
             if pt in touched:
                 raise ParseError(f"point {pt + 1} appears in two cycles: {text!r}")
             touched.add(pt)
-        for k, pt in enumerate(cyc):
-            out[pt] = cyc[(k + 1) % len(cyc)]
+    out = list(range(degree))
+    for x, y in zip(flat, flat[1:]):  # each point to the one written after it,
+        out[x] = y
+    for s, e in zip(bounds, bounds[1:]):  # then each cycle's last point to its first
+        out[flat[e - 1]] = flat[s]
     return tuple(out)
 
 
 def format_cycles(p: Perm) -> str:
     """Render a permutation as a cycle string; the identity renders as "()"."""
     n = len(p)
+    sep = "" if n <= 9 else " "
     seen = [False] * n
-    parts: list[str] = []
-    compact = n <= 9
+    cycles: list[str] = []
     for start in range(n):
-        if seen[start] or p[start] == start:
-            seen[start] = True
+        i = p[start]
+        if i == start or seen[start]:
             continue
-        cyc = []
-        i = start
-        while not seen[i]:
+        cyc = [start + 1]
+        while i != start:
             seen[i] = True
             cyc.append(i + 1)
             i = p[i]
-        if compact:
-            parts.append("(" + "".join(str(x) for x in cyc) + ")")
-        else:
-            parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+        cycles.append(sep.join(map(str, cyc)))
+    return "(" + ")(".join(cycles) + ")" if cycles else "()"

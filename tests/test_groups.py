@@ -3,6 +3,7 @@ evaluation for every constructor, checked against hand-computed values."""
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -294,6 +295,36 @@ def test_twisted_product_basics():
     assert tw.evaluate_word(tw.label_of(x)) == x
     assert tw.resolve_support(["H1"]) == [4]
     assert tw.resolve_support("04") == [0, 4]
+
+
+def test_twisted_products_follow_the_componentwise_formula():
+    # (b1, d1)(b2, d2) = (b1 * d1(b2), d1 xor d2), with and without twist bits
+    tw = construct("named(BIG12_SOL)")
+    rng = random.Random(3)
+
+    def random_element():
+        return (tuple(rng.randrange(c.n) for c in tw.components), rng.randrange(1 << tw.rank))
+
+    for _ in range(300):
+        (b1, d1), (b2, d2) = x, y = random_element(), random_element()
+        if rng.random() < 0.5:
+            x = (b1, d1 := 0)
+        want = []
+        for ci, g in enumerate(tw.components):
+            act = tw._composed(ci, d1)
+            want.append(int(g.table[b1[ci], b2[ci] if act is None else act[b2[ci]]]))
+        assert tw.mul(x, y) == (tuple(want), d1 ^ d2)
+        inv = tw.inv_of(x)
+        assert tw.mul(x, inv) == tw.identity == tw.mul(inv, x)
+
+
+def test_table_products_are_plain_ints():
+    g = construct("C(7) x S(5)")
+    rng = random.Random(4)
+    for _ in range(200):
+        a, b = rng.randrange(g.n), rng.randrange(g.n)
+        assert type(g.mul(a, b)) is int and g.mul(a, b) == int(g.table[a, b])
+        assert type(g.inv_of(a)) is int and g.inv_of(a) == int(g.inv[a])
 
 
 def test_twisted_support_elements_count():

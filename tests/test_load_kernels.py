@@ -1,0 +1,407 @@
+"""The routines a checked catalog load runs, against their earlier forms.
+
+Each ``ref_*`` function below is the routine as it stood before it was made
+cheaper: a per-level sorted closure, a per-character cycle parser and raw
+segment scanner, one ``np.unique`` per conjugacy class, a Python closure of
+every distinct commutator, and element orders by repeated multiplication.
+The current routines must give the same values on every bundled catalog
+entry of orders 1-64 and every dense registry group (the order-840 and
+order-3360 containment ambients among them), and the parsers must accept
+and reject the same strings."""
+
+import json
+import random
+import re
+
+import numpy as np
+import pytest
+
+from mge import TableGroup, construct, perms, registry
+from mge.enumerator import _BUNDLED_DIR, Catalog
+from mge.errors import ParseError, SubgroupLimitExceeded
+from mge.expressions import PermGroupExpr, _Scanner, parse_expr
+from mge.groups import SUBGROUP_LIMIT, _perm_closure, bfs_closure
+
+# --- the earlier routines -----------------------------------------------------
+
+
+def _ref_row_order(mat):
+    rows = np.ascontiguousarray(mat, dtype=">i4")
+    return np.argsort(rows.view(np.dtype((np.void, 4 * mat.shape[1]))).ravel(), kind="stable")
+
+
+def ref_perm_closure(degree, gens):
+    found = np.arange(degree, dtype=np.int32)[None, :]
+    frontier = found
+    while len(frontier):
+        both = np.concatenate([found, gens[:, frontier].reshape(-1, degree)])
+        order = _ref_row_order(both)
+        rows = both[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        idx = order[first]
+        frontier = both[idx[idx >= len(found)]]
+        found = np.concatenate([found, frontier])
+        if len(found) > SUBGROUP_LIMIT:
+            raise SubgroupLimitExceeded(f"closure exceeded {SUBGROUP_LIMIT} elements")
+    return found[_ref_row_order(found)]
+
+
+_REF_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def ref_parse_cycles(text, degree=None):
+    text = text.strip()
+    if not text.startswith("(") or _REF_CYCLE_RE.sub("", text).strip() != "":
+        raise ParseError(f"not a cycle string: {text!r}")
+    cycles = []
+    maxpt = 0
+    for body in _REF_CYCLE_RE.findall(text):
+        body = body.strip()
+        if not body:
+            continue
+        if " " in body or "," in body:
+            parts = [p for p in re.split(r"[,\s]+", body) if p]
+        else:
+            parts = list(body)
+        try:
+            pts = [int(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"bad cycle body {body!r} in {text!r}") from None
+        if any(p < 1 for p in pts):
+            raise ParseError(f"cycle points are 1-based: {text!r}")
+        if len(set(pts)) != len(pts):
+            raise ParseError(f"repeated point inside a cycle: {text!r}")
+        cycles.append([p - 1 for p in pts])
+        maxpt = max(maxpt, max(pts))  # a body of commas only fails here, with ValueError
+    if degree is None:
+        degree = maxpt
+    elif maxpt > degree:
+        raise ParseError(f"cycle string {text!r} mentions point past degree {degree}")
+    out = list(range(degree))
+    touched = set()
+    for cyc in cycles:
+        for pt in cyc:
+            if pt in touched:
+                raise ParseError(f"point {pt + 1} appears in two cycles: {text!r}")
+            touched.add(pt)
+        for k, pt in enumerate(cyc):
+            out[pt] = cyc[(k + 1) % len(cyc)]
+    return tuple(out)
+
+
+def ref_read_raw_segment(text, pos, stoppers=",;)"):
+    """(segment, position after it), as the scanner read one character at a time."""
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    start = pos
+    depth = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0 and ch in stoppers:
+            break
+        pos += 1
+    seg = text[start:pos].strip()
+    if not seg:
+        raise ParseError(f"expected a word at position {start} in {text!r}")
+    return seg, pos
+
+
+def ref_conjugacy(g):
+    n = g.n
+    class_id = np.full(n, -1, dtype=np.int64)
+    reps, sizes = [], []
+    all_g = np.arange(n)
+    for x in range(n):
+        if class_id[x] >= 0:
+            continue
+        orbit = np.unique(g.table[g.table[all_g, x], g.inv[all_g]])
+        class_id[orbit] = len(reps)
+        reps.append(x)
+        sizes.append(len(orbit))
+    return class_id, reps, np.asarray(sizes, dtype=np.int64)
+
+
+def ref_derived_elements(g):
+    n, t, inv = g.n, g.table, g.inv
+    comms = np.unique(t[t[np.repeat(inv, n), np.tile(inv, n)], t.ravel()])
+    elems, _ = bfs_closure(0, [int(c) for c in comms if c != 0], lambda a, b: int(t[a, b]))
+    return sorted(elems)
+
+
+def ref_element_orders(g):
+    n = g.n
+    idx = np.arange(n)
+    cur = idx.copy()
+    orders = np.zeros(n, dtype=np.int64)
+    k = 1
+    while (orders == 0).any():
+        hit = (cur == 0) & (orders == 0)
+        orders[hit] = k
+        cur = g.table[cur, idx]
+        k += 1
+    return orders
+
+
+# --- the groups compared ------------------------------------------------------
+
+
+def _bundled_recipes(orders):
+    for n in orders:
+        doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
+        for e in doc["entries"]:
+            yield e["recipe"]
+
+
+def _perm_recipes(orders):
+    out = []
+    for text in _bundled_recipes(orders):
+        expr = parse_expr(text)
+        if isinstance(expr, PermGroupExpr):
+            out.append(expr)
+    return out
+
+
+BUNDLED_ORDERS = range(1, 65)
+
+
+@pytest.fixture(scope="module")
+def registry_groups():
+    """Every registry label that builds as a dense table, with its group."""
+    out = []
+    for label in registry.available_labels():
+        g = registry.resolve(label).build()
+        if isinstance(g, TableGroup):
+            out.append((label, g))
+    return out
+
+
+@pytest.fixture(scope="module")
+def compared_groups(registry_groups):
+    return [(text, construct(text)) for text in _bundled_recipes(BUNDLED_ORDERS)] + registry_groups
+
+
+def test_registry_includes_the_containment_ambients(registry_groups):
+    orders = {label: g.order for label, g in registry_groups}
+    assert {orders[k] for k in ("C4xC5xC7xD3", "C7xS5")} == {840}
+    assert {orders[k] for k in ("C5xC7xD3xH1", "C7xD15xH1")} == {3360}
+
+
+def test_perm_closure_matches_reference(registry_groups):
+    recipes = _perm_recipes(BUNDLED_ORDERS)
+    assert len(recipes) > 500
+    for expr in recipes:
+        gens = np.asarray([perms.parse_cycles(s, degree=expr.degree) for s in expr.gens],
+                          dtype=np.int32).reshape(len(expr.gens), expr.degree)
+        got = _perm_closure(expr.degree, gens)
+        assert np.array_equal(got, ref_perm_closure(expr.degree, gens)), expr.text()
+    for label, g in registry_groups:
+        if g.perm_elems is None:
+            continue
+        gens = g.perm_elems.mat[sorted(g.gens.values())]
+        got = _perm_closure(g.perm_elems.degree, gens)
+        assert np.array_equal(got, ref_perm_closure(g.perm_elems.degree, gens)), label
+
+
+def test_perm_closure_limit_matches_reference():
+    # S(8) by a transposition and an 8-cycle has 40320 > SUBGROUP_LIMIT elements
+    gens = np.asarray([perms.parse_cycles("(1 2)", 8), perms.parse_cycles("(1 2 3 4 5 6 7 8)", 8)],
+                      dtype=np.int32)
+    for closure in (_perm_closure, ref_perm_closure):
+        with pytest.raises(SubgroupLimitExceeded):
+            closure(8, gens)
+
+
+def test_invariants_match_reference(compared_groups):
+    for name, g in compared_groups:
+        class_id, reps, sizes = g._conjugacy
+        want_id, want_reps, want_sizes = ref_conjugacy(g)
+        assert np.array_equal(class_id, want_id), name
+        assert reps == want_reps, name
+        assert np.array_equal(sizes, want_sizes) and sizes.dtype == want_sizes.dtype, name
+        assert g.derived_elements == ref_derived_elements(g), name
+        orders = g.element_orders
+        assert np.array_equal(orders, ref_element_orders(g)) and orders.dtype == np.int64, name
+
+
+def test_derived_subgroup_larger_than_the_commutator_set():
+    # order 96 is the least order where the commutators need not form a
+    # subgroup; two bundled groups of that order show it
+    larger = 0
+    for text in _bundled_recipes([96]):
+        g = construct(text)
+        t, inv, n = g.table, g.inv, g.n
+        commutators = np.unique(t[t[np.repeat(inv, n), np.tile(inv, n)], t.ravel()])
+        larger += len(g.derived_elements) > len(commutators)
+        assert g.derived_elements == ref_derived_elements(g), text
+    assert larger == 2
+
+
+def test_locate_misses_give_minus_one():
+    g = construct("perm(10; (1 2 3 4), (1 2), (5 6 7)(9 10))")
+    elems = g.perm_elems
+    assert elems.base == [0, 1, 2, 4, 8]
+    hits = elems.locate(elems.mat[:, elems.base])
+    assert hits.tolist() == list(range(g.n))
+    misses = np.array([
+        [5, 1, 2, 4, 8],  # point 0 never goes to 5: a miss at the first base point
+        [0, 0, 2, 4, 8],  # two base points to one image: a miss at the second
+        [0, 1, 2, 4, 4],  # a miss at the last base point
+    ])
+    assert elems.locate(misses).tolist() == [-1, -1, -1]
+    odd = np.array(perms.parse_cycles("(5 6)", 10))  # not in the group
+    assert elems.index_of(odd) == -1
+
+
+def test_class_reps_are_class_minima(compared_groups):
+    # the level-0 cut of find_embedding and is_isomorphic relies on this
+    for name, g in compared_groups:
+        minima = np.full(len(g.class_reps), g.n, dtype=np.int64)
+        np.minimum.at(minima, g.class_ids, np.arange(g.n))
+        assert minima.tolist() == g.class_reps, name
+
+
+# --- parsing --------------------------------------------------------------------
+
+
+def _outcome(parse, *args):
+    try:
+        return ("ok", parse(*args))
+    except ParseError:
+        return ("rejected",)
+    except ValueError:  # the earlier parser's failure on a body of commas only
+        return ("rejected",)
+
+
+def test_parse_cycles_matches_reference_on_bundled_generators():
+    for expr in _perm_recipes(BUNDLED_ORDERS):
+        for s in expr.gens:
+            assert perms.parse_cycles(s, expr.degree) == ref_parse_cycles(s, expr.degree)
+
+
+# one string per kind of malformed input, and the degree it is read at
+MALFORMED_CYCLES = [
+    ("(0 1 2)", 12),  # 0-based
+    ("(012)", None),  # 0-based, compact
+    ("(1 2 1)", 12),  # repeated point
+    ("(121)", None),  # repeated point, compact
+    ("(1 2)(2 3)", 12),  # point in two cycles
+    ("(12)(23)", None),  # point in two cycles, compact
+    ("(1 13)", 12),  # past degree
+    ("(19)", 8),  # past degree, compact
+    ("(1 x 2)", 12),  # bad body
+    ("(1\t2)", 12),  # bad body: a tab is not a separator in a compact body
+    ("(1-2)", 12),  # bad body
+    ("(1 2", 12),  # not a cycle string
+    ("1 2)", 12),
+    ("(1 (2) 3)", 12),
+    ("(,)", 12),  # a body of commas only
+]
+
+
+@pytest.mark.parametrize("text, degree", MALFORMED_CYCLES)
+def test_parse_cycles_rejects_each_malformed_kind(text, degree):
+    assert _outcome(ref_parse_cycles, text, degree) == ("rejected",)
+    with pytest.raises(ParseError):
+        perms.parse_cycles(text, degree)
+
+
+WELL_FORMED_CYCLES = [
+    ("()", 3), ("( )", None), ("(12)(34)", None), (" (1 10 3)(2 7) ", None),
+    ("(1,2, 3)", 5), ("( 12 )", 4), ("(1 2)  (3 4)()", 6), ("(,1,2,)", None),
+    ("(+1 02)", 3), ("(5)", 7), ("(1 5001)(2 3)", None), ("(\u0661 2)", 2),
+]
+
+
+@pytest.mark.parametrize("text, degree", WELL_FORMED_CYCLES)
+def test_parse_cycles_accepts_what_the_reference_accepts(text, degree):
+    want = ref_parse_cycles(text, degree)
+    assert perms.parse_cycles(text, degree) == want
+
+
+def test_parse_cycles_matches_reference_on_random_strings():
+    rng = random.Random(7)
+    alphabet = "()()0123456789 ,\t-a"
+    for _ in range(6000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        if rng.random() < 0.5:
+            text = "(" + text + ")"
+        degree = rng.choice([None, 3, 9, 12])
+        want = _outcome(ref_parse_cycles, text, degree)
+        assert _outcome(perms.parse_cycles, text, degree) == want, (text, degree)
+
+
+def test_read_raw_segment_matches_reference():
+    rng = random.Random(11)
+    texts = [
+        "(1 2)(3 4), (5 6))", "a*b^2; c", "  (1 (2 3)) x, y", "(1 2", "", "  ,",
+        "perm(4; (1 2 3 4), (1 2))", "a.b=b^2, t.a=a^-1)",
+    ]
+    texts += ["".join(rng.choice("(),; ab1") for _ in range(rng.randint(0, 12)))
+              for _ in range(20000)]
+    for text in texts:
+        for pos in range(len(text) + 1):
+            sc = _Scanner(text)
+            sc.pos = pos
+            try:
+                got = (sc.read_raw_segment(), sc.pos)
+            except ParseError:
+                got = None
+            try:
+                want = ref_read_raw_segment(text, pos)
+            except ParseError:
+                want = None
+            assert got == want, (text, pos)
+
+
+# --- tamper detection on a regular-recipe entry ----------------------------------
+
+
+def _order48_doc():
+    doc = json.loads((_BUNDLED_DIR / "order48.json").read_text())
+    recipe = doc["entries"][0]["recipe"]
+    assert recipe.startswith("perm(48;")  # a regular recipe
+    return doc
+
+
+def test_order48_regular_entry_loads():
+    cat = Catalog.from_json(_order48_doc())
+    assert cat.order == 48
+
+
+def test_swapped_point_in_a_generator_is_rejected():
+    doc = _order48_doc()
+    expr = parse_expr(doc["entries"][0]["recipe"])
+    first = expr.gens[0]
+    a, b = re.findall(r"\d+", first)[:2]
+    swapped = re.sub(r"\d+", lambda m: {a: b, b: a}.get(m.group(), m.group()), first)
+    assert swapped != first
+    doc["entries"][0]["recipe"] = PermGroupExpr(expr.degree, (swapped, *expr.gens[1:])).text()
+    with pytest.raises(ValueError):
+        Catalog.from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["derived_order", "class_sizes"])
+def test_fingerprint_off_in_one_field_is_rejected(field):
+    doc = _order48_doc()
+    fp = json.loads(doc["entries"][0]["fingerprint"])
+    if field == "derived_order":
+        fp[field] += 1
+    else:
+        fp[field][0][1] += 1
+    doc["entries"][0]["fingerprint"] = json.dumps(fp, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(ValueError):
+        Catalog.from_json(doc)
+
+
+def test_wrong_order_is_rejected():
+    doc = _order48_doc()
+    doc["order"] = 96
+    with pytest.raises(ValueError):
+        Catalog.from_json(doc)
