@@ -32,7 +32,6 @@ import numpy as np
 
 from ._version import ENGINE_VERSION
 from .errors import (
-    AutBudgetExceeded,
     EngineError,
     IncompleteSeedSet,
     OutOfRange,
@@ -42,11 +41,11 @@ from .expressions import GroupExpr, parse_expr
 from .groups import TableGroup, bfs_closure, construct
 from .morphisms import (
     Fingerprint,
+    automorphisms,
     ea_basis_and_coords,
     elem_abelian_prime,
     is_isomorphic,
     rich_invariant_key,
-    search_monomorphisms,
 )
 from .numtheory import factorization, is_prime
 from .perms import compose, format_cycles
@@ -381,21 +380,6 @@ def _ea_alpha_pairs(base: TableGroup, q: int, p: int):
 # --- extension pairs over arbitrary bases -----------------------------------------
 
 
-def _materialized_automorphisms(base: TableGroup) -> list[np.ndarray]:
-    out = []
-    for mo in search_monomorphisms(base, base, require_iso=True):
-        arr = np.fromiter(
-            (mo.mapping[x] for x in range(base.n)), dtype=np.int64, count=base.n
-        )
-        out.append(arr)
-        if len(out) > AUT_MATERIALIZE_LIMIT:
-            raise AutBudgetExceeded(
-                f"automorphism group of a base of order {base.n} exceeds "
-                f"{AUT_MATERIALIZE_LIMIT}; no extension path for it"
-            )
-    return out
-
-
 def _compose_bytes(x: bytes, g: bytes) -> bytes:
     """``x * g == g[x]`` on int64 maps keyed by their bytes."""
     return np.frombuffer(g, np.int64)[np.frombuffer(x, np.int64)].tobytes()
@@ -427,7 +411,10 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
     by a coprime power (pick another generator of the quotient)."""
     m = base.n
     table = base.table.astype(np.int64)
-    auts = _materialized_automorphisms(base)
+    auts = [
+        np.asarray(mo.images, dtype=np.int64)
+        for mo in automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)
+    ]
     idx = np.arange(m)
 
     conj = [table[table[b, idx], base.inv[b]] for b in range(m)]  # b y b^-1
@@ -576,27 +563,27 @@ def enumerate_groups(n: int, *, tier: int | None = None) -> Catalog:
         raise TierLimitExceeded(
             f"order {n} is outside tier {t}; raise MGE_TIER or pass a higher tier"
         )
-    return _catalog(n, t)
+    return _catalog(n)
 
 
-def _catalog(n: int, tier: int) -> Catalog:
+def _catalog(n: int) -> Catalog:
     if n in _MEMO:
         return _MEMO[n]
     cat = _load_cached(n)
     if cat is None:
-        cat = _compute(n, tier)
+        cat = _compute(n)
         _save_cache(cat)
     _MEMO[n] = cat
     return cat
 
 
-def _compute(n: int, tier: int) -> Catalog:
+def _compute(n: int) -> Catalog:
     if n == 1:
         return Catalog(1, [_canonical_entry(construct("C(1)"))], "cyclic-extension")
 
     def candidates():
         for p in factorization(n):
-            for entry in _catalog(n // p, tier).entries:
+            for entry in _catalog(n // p).entries:
                 yield from _extension_candidates(entry.group, p)
         yield from _seed_entries(n)
 

@@ -170,9 +170,9 @@ def _factor_words(g, digits) -> list[str]:
     return words
 
 
-def _subgroup(g, generators, limit: int = SUBGROUP_LIMIT) -> "Subgroup":
+def _subgroup(g, generators) -> "Subgroup":
     gen_elems = [g.evaluate_word(w) if isinstance(w, str) else w for w in generators]
-    elems, _ = bfs_closure(g.identity, gen_elems, g.mul, limit=limit)
+    elems, _ = bfs_closure(g.identity, gen_elems, g.mul)
     return Subgroup.from_elements(g, sorted(elems), gen_elems)
 
 
@@ -210,7 +210,6 @@ class TableGroup:
         gens: dict[str, int],
         *,
         labels: Sequence[str] | None = None,
-        expr_text: str | None = None,
         perm_elems: PermElements | None = None,
         components: list[_Component] | None = None,
     ):
@@ -234,7 +233,7 @@ class TableGroup:
         self._inv_cells = memoryview(self.inv)
         self.gens = dict(gens)
         self._labels = labels
-        self.expr_text = expr_text
+        self.expr_text = None
         self.perm_elems = perm_elems
         self.components = components
 
@@ -574,7 +573,6 @@ class Subgroup:
     elements: list
     gen_elems: list
     group: TableGroup
-    to_ambient: list
 
     @staticmethod
     def from_elements(ambient, elements: list, gen_elems: list) -> "Subgroup":
@@ -592,7 +590,7 @@ class Subgroup:
                     tab[i, j] = index[ambient.mul(a, b)]
         gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
         grp = TableGroup(tab.astype(np.int32), gens, labels=_AmbientLabels(ambient, elements))
-        return Subgroup(ambient, elements, gen_elems, grp, list(elements))
+        return Subgroup(ambient, elements, gen_elems, grp)
 
     @property
     def order(self) -> int:
@@ -1027,7 +1025,6 @@ class TwistedGroup:
         components: list[TableGroup],
         comp_names: list[str],
         dgens: list[_DGen],
-        expr_text: str | None = None,
     ):
         if len(comp_names) != len(components):
             raise ValueError("one name per component")
@@ -1035,7 +1032,7 @@ class TwistedGroup:
         self.comp_names = _dedupe_names(comp_names)
         self.dgens = dgens
         self.rank = len(dgens)
-        self.expr_text = expr_text
+        self.expr_text = None
         order = 1 << self.rank
         for c in components:
             order *= c.n
@@ -1244,7 +1241,7 @@ def check_table(table) -> bool:
 # --- expression realization --------------------------------------------------------
 
 
-def expr_order(expr: GroupExpr | str, resolver=None) -> int:
+def expr_order(expr: GroupExpr | str) -> int:
     """Order of the group an expression denotes, computed without realizing
     direct products (their factors multiply).  Nodes that need inspection
     (quotients, permutation closures, central identifications) realize their
@@ -1266,47 +1263,45 @@ def expr_order(expr: GroupExpr | str, resolver=None) -> int:
     if isinstance(expr, DirectProduct):
         out = 1
         for f in expr.factors:
-            out *= expr_order(f, resolver)
+            out *= expr_order(f)
         return out
     if isinstance(expr, SemidirectProduct):
-        return expr_order(expr.base, resolver) * expr_order(expr.actor, resolver)
+        return expr_order(expr.base) * expr_order(expr.actor)
     if isinstance(expr, Renamed):
-        return expr_order(expr.inner, resolver)
+        return expr_order(expr.inner)
     if isinstance(expr, Named):
-        return _resolve_named(expr.label, resolver).order_hint()
+        return _resolve_named(expr.label).order_hint()
     if isinstance(expr, CentralProduct):
-        left = construct(expr.left, resolver)
-        right = construct(expr.right, resolver)
+        left = construct(expr.left)
+        right = construct(expr.right)
         u = left.evaluate_word(expr.left_word)
         return left.order * right.order // left.element_order(u)
     if isinstance(expr, Quotient):
-        g = construct(expr.inner, resolver)
+        g = construct(expr.inner)
         return g.order // g.subgroup(list(expr.words)).order
     if isinstance(expr, PermGroupExpr):
-        return construct(expr, resolver).order
+        return construct(expr).order
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _resolve_named(label: str, resolver):
-    if resolver is None:
-        from . import registry
+def _resolve_named(label: str):
+    from . import registry
 
-        resolver = registry.resolve
-    return resolver(label)
+    return registry.resolve(label)
 
 
-def construct(expr: GroupExpr | str, resolver=None):
+def construct(expr: GroupExpr | str):
     """Realize an expression (or its text form) as a TableGroup, or as a
     TwistedGroup when a direct product exceeds the dense-table limit."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    g = _construct(expr, resolver)
-    if getattr(g, "expr_text", None) is None:
+    g = _construct(expr)
+    if g.expr_text is None:
         g.expr_text = expr.text()
     return g
 
 
-def _construct(expr: GroupExpr, resolver):
+def _construct(expr: GroupExpr):
     if isinstance(expr, Cyclic):
         return build_cyclic(expr.n)
     if isinstance(expr, ElemAbelian):
@@ -1323,30 +1318,30 @@ def _construct(expr: GroupExpr, resolver):
         gen_perms = [perms.parse_cycles(s, degree=expr.degree) for s in expr.gens]
         return build_perm_group(expr.degree, gen_perms)
     if isinstance(expr, DirectProduct):
-        if expr_order(expr, resolver) <= TABLE_LIMIT:
-            return build_product([construct(f, resolver) for f in expr.factors])
-        return _build_twisted_product(expr, resolver)
+        if expr_order(expr) <= TABLE_LIMIT:
+            return build_product([construct(f) for f in expr.factors])
+        return _build_twisted_product(expr)
     if isinstance(expr, SemidirectProduct):
-        base = construct(expr.base, resolver)
-        actor = construct(expr.actor, resolver)
+        base = construct(expr.base)
+        actor = construct(expr.actor)
         if not isinstance(base, TableGroup) or not isinstance(actor, TableGroup):
             raise OrderLimitExceeded("sd() sides must fit the dense-table limit")
         return build_semidirect(base, actor, expr.clauses)
     if isinstance(expr, CentralProduct):
-        left = construct(expr.left, resolver)
-        right = construct(expr.right, resolver)
+        left = construct(expr.left)
+        right = construct(expr.right)
         if not isinstance(left, TableGroup) or not isinstance(right, TableGroup):
             raise OrderLimitExceeded("cp() sides must fit the dense-table limit")
         return build_central_product(left, right, expr.left_word, expr.right_word)
     if isinstance(expr, Quotient):
-        g = construct(expr.inner, resolver)
+        g = construct(expr.inner)
         if not isinstance(g, TableGroup):
             raise OrderLimitExceeded("quo() needs a dense-table group")
         return quotient_group(g, g.subgroup(list(expr.words)).elements)
     if isinstance(expr, Renamed):
-        return _apply_renames(construct(expr.inner, resolver), expr.names)
+        return _apply_renames(construct(expr.inner), expr.names)
     if isinstance(expr, Named):
-        return _resolve_named(expr.label, resolver).build()
+        return _resolve_named(expr.label).build()
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -1373,8 +1368,8 @@ def _apply_renames(g, names: tuple[str, ...]):
     return g
 
 
-def _build_twisted_product(expr: DirectProduct, resolver) -> TwistedGroup:
-    factors = [construct(f, resolver) for f in expr.factors]
+def _build_twisted_product(expr: DirectProduct) -> TwistedGroup:
+    factors = [construct(f) for f in expr.factors]
     flat: list[TableGroup] = []
     names: list[str] = []
     dgens: list[_DGen] = []
@@ -1390,4 +1385,4 @@ def _build_twisted_product(expr: DirectProduct, resolver) -> TwistedGroup:
             names.append(fe.label if isinstance(fe, Named) else fe.text())
     for d in dgens:
         d.actions.extend([None] * (len(flat) - len(d.actions)))
-    return TwistedGroup(flat, names, dgens, expr_text=expr.text())
+    return TwistedGroup(flat, names, dgens)

@@ -24,6 +24,10 @@ class representatives for the first generator and return the same witness
 as the full search, for fewer work units.  search_monomorphisms and
 automorphisms still see every morphism.
 
+An automorphism stream is this same search from a group to itself, with a
+budget on the number of maps.  An elementary abelian group of rank k whose
+|GL(k, p)| is over that budget is refused before the search starts.
+
 Absence results are proofs only when the target is a dense TableGroup, since
 then candidate pools cover the whole group.  Against a TwistedGroup the pool
 is restricted (by support, or by sheer size), so only positive findings count.
@@ -102,23 +106,6 @@ class Fingerprint:
             ),
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "Fingerprint":
-        return Fingerprint(
-            order=d["order"],
-            abelian=d["abelian"],
-            element_orders=tuple((a, b) for a, b in d["element_orders"]),
-            center_order=d["center_order"],
-            derived_order=d["derived_order"],
-            exponent=d["exponent"],
-            class_sizes=tuple((a, b) for a, b in d["class_sizes"]),
-            abelian_invariants=(
-                None
-                if d["abelian_invariants"] is None
-                else tuple(d["abelian_invariants"])
-            ),
-        )
-
 
 def derived_series_orders(g: TableGroup) -> list[int]:
     out = [g.order]
@@ -155,24 +142,23 @@ def rich_invariant_key(g: TableGroup) -> bytes:
 @dataclass
 class Morphism:
     """A verified structure-preserving map, stored as generator images plus
-    the full element map."""
+    ``images``, the image of every source element indexed by its id."""
 
     source: object
     target: object
     gen_images: list[tuple[object, object]]
-    mapping: dict
-    kind: str = "monomorphism"
+    images: list
 
     def __call__(self, x):
-        return self.mapping[x]
+        return self.images[x]
 
     @property
     def injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
+        return len(set(self.images)) == len(self.images)
 
     def verify(self) -> bool:
         src, dst = self.source, self.target
-        m = self.mapping
+        m = self.images
         if len(m) != src.order or not self.injective:
             return False
         if m[src.identity] != dst.identity:
@@ -189,14 +175,6 @@ class Morphism:
             (self.source.label_of(a), self.target.label_of(b))
             for a, b in self.gen_images
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "generators": [
-                {"source": sw, "image": tw} for sw, tw in self.witness_words()
-            ],
-        }
 
 
 # --- the search kernel ------------------------------------------------------------
@@ -374,12 +352,9 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
         return
     if dense and dst.order % src.order != 0:
         return
-    kind = "isomorphism" if require_iso else "monomorphism"
     if src.order == 1:
-        yield Morphism(src, dst, [], {0: dst.identity}, kind)
+        yield Morphism(src, dst, [], [dst.identity])
         return
-    if require_iso and src is dst:
-        kind = "automorphism"
 
     gens = src.greedy_gens
     if dense:
@@ -399,11 +374,8 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
         size = len(elems)
 
     for img in _kernel(_search_levels(src), pools, row, size, left):
-        if dense:
-            mapping = dict(enumerate(img))
-        else:
-            mapping = {x: elems[i] for x, i in enumerate(img)}
-        yield Morphism(src, dst, [(g, mapping[g]) for g in gens], mapping, kind)
+        images = img[:] if dense else [elems[i] for i in img]
+        yield Morphism(src, dst, [(g, images[g]) for g in gens], images)
 
 
 def search_monomorphisms(
@@ -463,24 +435,26 @@ def find_embedding(
 
 
 def automorphisms(g: TableGroup, *, budget: int = AUT_BUDGET):
-    """Stream every automorphism of g in a deterministic order.
-
-    Elementary abelian groups of rank at least 2 go through the
-    invertible-linear-map shortcut; everything else uses the generic search.
-    Raises AutBudgetExceeded past ``budget`` automorphisms.
+    """Stream every automorphism of g in the order search_monomorphisms
+    yields them.  Raises AutBudgetExceeded past ``budget`` automorphisms, and
+    before the first one when g is elementary abelian of rank k and
+    |GL(k, p)| is over the budget.
     """
-    if g.order == 1:
-        yield Morphism(g, g, [], {0: 0}, "automorphism")
-        return
     p = elem_abelian_prime(g)
-    if p is not None and g.order > p:
-        yield from _linear_automorphisms(g, p, budget)
-        return
+    if p is not None:
+        k = factorization(g.order)[p]
+        total = 1
+        for i in range(k):
+            total *= p**k - p**i
+        if total > budget:
+            raise AutBudgetExceeded(f"|Aut| = {total} exceeds the budget {budget}")
     count = 0
     for m in search_monomorphisms(g, g, require_iso=True):
         count += 1
         if count > budget:
-            raise AutBudgetExceeded(f"more than {budget} automorphisms")
+            raise AutBudgetExceeded(
+                f"more than {budget} automorphisms of a group of order {g.order}"
+            )
         yield m
 
 
@@ -519,39 +493,3 @@ def ea_basis_and_coords(g: TableGroup, p: int):
         elem_of[combo] = e
         vec_of[e] = combo
     return basis, elem_of, vec_of
-
-
-def _linear_automorphisms(g: TableGroup, p: int, budget: int):
-    n = g.order
-    k = factorization(n)[p]
-    total = 1
-    for i in range(k):
-        total *= p**k - p**i
-    if total > budget:
-        raise AutBudgetExceeded(f"|Aut| = {total} exceeds the budget {budget}")
-    basis, elem_of, vec_of = ea_basis_and_coords(g, p)
-    vectors = list(itertools.product(range(p), repeat=k))
-    zero = tuple([0] * k)
-
-    def add(u, v):
-        return tuple((a + b) % p for a, b in zip(u, v))
-
-    def emit(rows: list, covered: set):
-        if len(rows) == k:
-            mapping = {}
-            for e in range(n):
-                v = vec_of[e]
-                w = zero
-                for i in range(k):
-                    if v[i]:
-                        for _ in range(v[i]):
-                            w = add(w, rows[i])
-                mapping[e] = elem_of[w]
-            yield Morphism(g, g, [(b, mapping[b]) for b in basis], mapping, "automorphism")
-            return
-        for cand in vectors:
-            if cand in covered:
-                continue
-            yield from emit(rows + [cand], set(bfs_closure(zero, rows + [cand], add)[0]))
-
-    yield from emit([], {zero})

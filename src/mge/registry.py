@@ -63,7 +63,7 @@ class Resolved:
     def build(self):
         entry = self._entry
         if "expr" in entry:
-            g = construct(parse_expr(entry["expr"]), resolve)
+            g = construct(entry["expr"])
         elif "family" in entry:
             g = _family_group(entry["family"], ())
         else:
@@ -73,7 +73,7 @@ class Resolved:
                 f"registry entry {self.label!r} built order {g.order}, "
                 f"expected {entry['order']}"
             )
-        if getattr(g, "expr_text", None) is None:
+        if g.expr_text is None:
             g.expr_text = f"named({self.label})"
         return g
 
@@ -119,7 +119,7 @@ def _theta_action(theta: dict, comp: TableGroup) -> np.ndarray:
 
 
 def _component_group(name: str) -> TableGroup:
-    return construct(parse_expr(_data()["kfactors"][name]), resolve)
+    return construct(_data()["kfactors"][name])
 
 
 def _family_group(desc: dict, extras: tuple[str, ...]) -> TwistedGroup:

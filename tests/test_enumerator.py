@@ -94,7 +94,7 @@ def test_catalog_round_trip_and_tamper_detection():
 
 def test_recompute_matches_bundled_bytes():
     # full recomputation of a composite order reproduces the shipped catalog
-    fresh = _compute(24, 2)
+    fresh = _compute(24)
     assert fresh.dumps() == (_BUNDLED_DIR / "order24.json").read_text().strip()
 
 

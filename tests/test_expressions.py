@@ -105,6 +105,7 @@ def test_tokenize_word_rejects(bad):
         "sd(C(3), C(2))",             # no action clause
         "sd(C(3), C(2), a=b",         # unclosed
         "cp(D(4), D(4), a^2)",        # identification needs '='
+        "cp(D(4), D(4), a^2=a^2, b^2=b^2)",  # exactly one identification
         "quo(C(4))",                  # no word
         "perm(3)",                    # missing generator block
         "gens(C(4), a, a)",           # duplicate names

@@ -165,6 +165,8 @@ def test_quotient_groups():
     assert q2.order == 4 and q2.exponent == 2
     with pytest.raises(NotNormal):
         quotient_group(s4, [s4.identity, s4.evaluate_word("(12)")])
+    with pytest.raises(NotNormal):
+        construct("quo(S(3), (12))")  # the words generate a subgroup, not its normal closure
 
 
 def test_central_product_rejects_bad_identification():

@@ -8,7 +8,7 @@ import pytest
 
 from mge import construct, find_embedding, is_isomorphic, registry
 from mge.enumerator import Catalog, _BUNDLED_DIR
-from mge.errors import SearchBudgetExceeded
+from mge.errors import AutBudgetExceeded, SearchBudgetExceeded
 from mge.groups import TableGroup, bfs_closure
 from mge.morphisms import (
     DEFAULT_SEARCH_BUDGET,
@@ -45,7 +45,7 @@ def test_isomorphic_pairs(a, b):
     ga, gb = construct(a), construct(b)
     m = is_isomorphic(ga, gb)
     assert m is not None
-    assert m.kind == "isomorphism"
+    assert sorted(m.images) == list(gb.elements())  # a bijection onto gb
     assert m.verify()
     # fingerprints and invariant keys agree on isomorphic groups
     assert Fingerprint.of(ga) == Fingerprint.of(gb)
@@ -84,7 +84,7 @@ EMBED_NO = [
 def test_embeddings_found(h, g):
     m = find_embedding(construct(h), construct(g))
     assert m is not None
-    assert m.kind == "monomorphism"
+    assert len(m.images) == m.source.order
     assert m.injective
     assert m.verify()
 
@@ -175,8 +175,8 @@ def _ref_hashable(x):
 def reference_search(src, dst, *, require_iso=False, budget=None, support=None, bud=None):
     """The search loop as it stood before the int kernel: dicts for the map
     and the used images, products through ``mul``, every pool element tried
-    in ascending order.  Yields ``(gen_images, mapping, kind)``; ``bud.spent``
-    counts the work units so far."""
+    in ascending order.  Yields ``(gen_images, images)`` with ``images`` the
+    image of each source id; ``bud.spent`` counts the work units so far."""
     bud = bud or _RefBudget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
     dense = isinstance(dst, TableGroup)
     if require_iso and (not dense or src.order != dst.order):
@@ -184,7 +184,7 @@ def reference_search(src, dst, *, require_iso=False, budget=None, support=None, 
     if dense and dst.order % src.order != 0:
         return
     if src.order == 1:
-        yield [], {0: dst.identity}, "isomorphism" if require_iso else "monomorphism"
+        yield [], [dst.identity]
         return
 
     gens = src.greedy_gens
@@ -252,10 +252,7 @@ def reference_search(src, dst, *, require_iso=False, budget=None, support=None, 
                         break
             if ok:
                 if level + 1 == len(gens):
-                    kind = "isomorphism" if require_iso else "monomorphism"
-                    if require_iso and src is dst:
-                        kind = "automorphism"
-                    yield [(g, img[g]) for g in gens], dict(img), kind
+                    yield [(g, img[g]) for g in gens], [img[x] for x in range(src.order)]
                 else:
                     yield from place(level + 1)
             for e, hv in added:
@@ -278,7 +275,7 @@ def _assert_same_first(got, want, spent, retry):
         assert got is None
     else:
         assert got is not None
-        assert (got.gen_images, got.mapping, got.kind) == want
+        assert (got.gen_images, got.images) == want
     # the first-witness search fits in the reference's own work units
     again = retry(spent)
     assert (again is None) == (want is None)
@@ -346,13 +343,16 @@ def test_twisted_first_witness_matches_reference():
 def test_automorphism_streams_match_reference(text):
     g = construct(text)
     want = list(reference_search(g, g, require_iso=True))
-    got = [(m.gen_images, m.mapping, m.kind)
+    got = [(m.gen_images, m.images)
            for m in search_monomorphisms(g, g, require_iso=True)]
     assert got == want
-    if elem_abelian_prime(g) is None or g.order == elem_abelian_prime(g):
-        assert [(m.gen_images, m.mapping) for m in automorphisms(g)] == [
-            (gi, mp) for gi, mp, _ in want
-        ]
+    assert [(m.gen_images, m.images) for m in automorphisms(g)] == want
+
+
+def test_automorphisms_refuse_a_large_elementary_abelian_group_up_front():
+    # |GL(6, 2)| is over AUT_BUDGET, so the stream raises before its first map
+    with pytest.raises(AutBudgetExceeded):
+        next(automorphisms(construct("EA(2,6)")))
 
 
 def test_budget_runs_out_at_the_reference_unit():

@@ -1,6 +1,7 @@
 """Static checks over the package source that need no linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import mge
@@ -36,3 +37,44 @@ def _unused_imports(path: Path) -> list[str]:
 def test_package_has_no_unused_imports():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
     assert unused == []
+
+
+def _private_defs(tree: ast.Module):
+    """Undecorated private ``def`` and ``class`` nodes at module or class level."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *inner]:
+            if (
+                isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and d.name.startswith("_")
+                and not d.name.startswith("__")
+                and not d.decorator_list
+            ):
+                yield d
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name] += 1
+    return names
+
+
+def test_package_has_no_unreferenced_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used += _referenced_names(tree)
+    unreferenced = [
+        f"{name}:{d.lineno} {d.name}"
+        for name, tree in trees.items()
+        for d in _private_defs(tree)
+        # a definition's references to itself do not keep it alive
+        if used[d.name] == _referenced_names(d)[d.name]
+    ]
+    assert unreferenced == []

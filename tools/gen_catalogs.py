@@ -23,7 +23,7 @@ def main() -> int:
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     for n in orders:
         t0 = time.time()
-        cat = enumerator._catalog(n, tier=3)
+        cat = enumerator._catalog(n)
         path = OUT_DIR / f"order{n}.json"
         path.write_text(cat.dumps(), encoding="utf-8")
         print(f"order {n}: {len(cat)} classes -> {path.name} [{time.time() - t0:.1f}s]")
