@@ -17,17 +17,12 @@ import sys
 from . import enumerator, registry, verify
 from ._version import ENGINE_VERSION
 from .errors import EngineError
-from .expressions import parse_expr
 from .groups import TableGroup, construct
 from .morphisms import find_embedding, is_isomorphic
 
 
-def _build(text: str):
-    return construct(parse_expr(text))
-
-
 def _cmd_construct(args) -> int:
-    g = _build(args.expr)
+    g = construct(args.expr)
     print(f"order {g.order}")
     if isinstance(g, TableGroup):
         print(f"exponent {g.exponent}")
@@ -42,7 +37,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a, b = _build(args.left), _build(args.right)
+    a, b = construct(args.left), construct(args.right)
     m = is_isomorphic(a, b)
     if m is None:
         print("not isomorphic")
@@ -53,7 +48,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    h, g = _build(args.inner), _build(args.outer)
+    h, g = construct(args.inner), construct(args.outer)
     support = args.support.split(",") if args.support else None
     m = find_embedding(h, g, support=support)
     if m is None:

@@ -49,6 +49,7 @@ from .morphisms import (
 )
 from .numtheory import factorization, is_prime
 from .perms import compose, format_cycles
+from .registry import perfect_seed_exprs
 
 AUT_MATERIALIZE_LIMIT = 1 << 20
 HARD_ORDER_LIMIT = 256
@@ -194,10 +195,14 @@ def _dedupe(candidates) -> list[CatalogEntry]:
 
 # --- extension pairs over elementary abelian bases -------------------------------
 #
-# For an elementary abelian base every conjugation is trivial, so valid alphas
-# are exactly the matrices of multiplicative order dividing p, taken up to
-# GL-conjugacy: unipotent Jordan types when p equals the field characteristic,
-# companion-block sums of irreducible factors of x^p - 1 otherwise.
+# For an elementary abelian base GF(q)^k every conjugation is trivial, so valid
+# alphas are exactly the matrices A with A^p = 1, taken up to GL(k, q)-
+# conjugacy.  When p equals q these are the unipotent Jordan types.  Otherwise
+# x^p - 1 is squarefree, so A is semisimple and its class is a sum of companion
+# blocks, one per irreducible factor of x^p - 1 it uses.  A block of degree
+# above k never fits, so trial division over the monic polynomials of degree
+# 1..k finds every usable factor: a divisor of x^p - 1 is irreducible exactly
+# when no smaller factor divides it.
 
 
 def _poly_divmod(f: tuple, g: tuple, q: int) -> tuple[tuple, tuple]:
@@ -221,88 +226,18 @@ def _monic_polys(degree: int, q: int):
         yield coeffs + (1,)
 
 
-def _poly_trim(coeffs: list) -> tuple:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_add(a: tuple, b: tuple, q: int) -> tuple:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return _poly_trim(out)
-
-
-def _poly_mulmod(a: tuple, b: tuple, f: tuple, q: int) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_divmod(_poly_trim(out), f, q)[1]
-
-
-def _poly_powmod(a: tuple, e: int, f: tuple, q: int) -> tuple:
-    acc = (1,)
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, a, f, q)
-        a = _poly_mulmod(a, a, f, q)
-        e >>= 1
-    return acc
-
-
-def _poly_gcd(a: tuple, b: tuple, q: int) -> tuple:
-    while b != (0,):
-        a, b = b, _poly_divmod(a, b, q)[1]
-    inv = pow(a[-1], -1, q)
-    return tuple(c * inv % q for c in a)
-
-
-def _split_same_degree(f: tuple, d: int, q: int) -> list[tuple]:
-    """Irreducible factors of monic squarefree f, all of known degree d.
-    Gcd splitting against a fixed trial stream; trial division is hopeless
-    here because d can run into the hundreds."""
-    if len(f) - 1 == d:
-        return [f]
-    for degree in itertools.count(1):
-        for u in _monic_polys(degree, q):
-            if q == 2:
-                # char 2 splits on the trace map u + u^2 + ... + u^(2^(d-1))
-                w = u
-                term = u
-                for _ in range(d - 1):
-                    term = _poly_mulmod(term, term, f, q)
-                    w = _poly_add(w, term, q)
-            else:
-                w = _poly_add(_poly_powmod(u, (q**d - 1) // 2, f, q), (q - 1,), q)
-            g = _poly_gcd(f, w, q)
-            if 1 < len(g) < len(f):
-                quo = _poly_divmod(f, g, q)[0]
-                return _split_same_degree(g, d, q) + _split_same_degree(quo, d, q)
-
-
-def _mult_order(q: int, p: int) -> int:
-    acc, d = q % p, 1
-    while acc != 1:
-        acc = acc * q % p
-        d += 1
-    return d
-
-
-def _factors_of_xp_minus_1(q: int, p: int) -> list[tuple]:
-    """Monic irreducible factors over GF(q), ascending by (degree, coeffs).
-    Squarefree since p != q: x - 1 plus (p-1)/d cyclotomic factors whose
-    shared degree d is the multiplicative order of q mod p."""
-    d = _mult_order(q, p)
-    if d == 1:
-        roots = [z for z in range(1, q) if pow(z, p, q) == 1]
-        return sorted(((q - z) % q, 1) for z in roots)
-    cyclo = _split_same_degree(tuple([1] * p), d, q)
-    return [(q - 1, 1)] + sorted(cyclo)
+def _factors_of_xp_minus_1(q: int, p: int, k: int) -> list[tuple]:
+    """Monic irreducible factors of x^p - 1 over GF(q) of degree at most k,
+    ascending by (degree, coeffs); needs p != q, so x^p - 1 is squarefree."""
+    xp1 = (q - 1,) + (0,) * (p - 1) + (1,)
+    factors: list[tuple] = []
+    for d in range(1, k + 1):
+        for f in _monic_polys(d, q):
+            if _poly_divmod(xp1, f, q)[1] == (0,) and not any(
+                _poly_divmod(f, g, q)[1] == (0,) for g in factors
+            ):
+                factors.append(f)
+    return factors
 
 
 def _companion(poly: tuple) -> np.ndarray:
@@ -347,7 +282,7 @@ def _ea_alpha_matrices(q: int, k: int, p: int) -> list[np.ndarray]:
             _block_diag([_jordan(s) for s in part], k)
             for part in _partitions(k, min(p, k))
         ]
-    factors = _factors_of_xp_minus_1(q, p)
+    factors = _factors_of_xp_minus_1(q, p, k)
     degrees = [len(f) - 1 for f in factors]
     reps = []
 
@@ -528,8 +463,6 @@ def _seed_entries(n: int) -> list[TableGroup]:
             f"perfect groups are only tabulated up to order {HARD_ORDER_LIMIT}; "
             f"order {n} could hide an unlisted one"
         )
-    from .registry import perfect_seed_exprs
-
     out = []
     for text in perfect_seed_exprs().get(n, ()):
         g = construct(text)

@@ -300,9 +300,10 @@ class _Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             raise ParseError(f"expected an integer at position {start}")
         return int(self.text[start:self.pos])
 

@@ -18,6 +18,7 @@ no clause for some acting generator are fixed by it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -1141,17 +1142,11 @@ class TwistedGroup:
     def elements(self):
         """Every element, ordered by (component tuple, bits).  Only sensible
         for small instances; sweeps should restrict support instead."""
-        import itertools
-
-        for base in itertools.product(*(range(c.n) for c in self.components)):
-            for bits in range(1 << self.rank):
-                yield (base, bits)
+        return self.support_elements(range(len(self.components)))
 
     def support_elements(self, support: list[int]):
         """Elements with trivial base part off the given components; every
         twist-bit combination is included."""
-        import itertools
-
         ranges = [
             range(c.n) if ci in support else range(1)
             for ci, c in enumerate(self.components)

@@ -56,10 +56,6 @@ class Resolved:
     def order_hint(self) -> int:
         return int(self._entry["order"])
 
-    @property
-    def anchor(self) -> str:
-        return self._entry["anchor"]
-
     def build(self):
         entry = self._entry
         if "expr" in entry:
@@ -240,7 +236,7 @@ def collection_bound(n: int) -> int:
         raise OutOfRange(f"collection_bound needs n >= 1, got {n}")
     out = 1
     for p, a in factorization(n).items():
-        out *= p ** (2 * a - 1)
+        out *= pbound(p, a)
     return out
 
 
@@ -257,7 +253,7 @@ def nbound(n: int) -> int:
         k = 1
         while p ** (k + 1) <= n:
             k += 1
-        out *= p ** (2 * k - 1)
+        out *= pbound(p, k)
     return out
 
 

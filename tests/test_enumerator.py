@@ -1,8 +1,10 @@
 """Catalog completeness against the classification of small groups, the
 regular-representation oracle, serialization safety, and tier gating."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from mge import construct, is_isomorphic
@@ -10,6 +12,8 @@ from mge.enumerator import (
     _BUNDLED_DIR,
     _canonical_entry,
     _compute,
+    _ea_alpha_matrices,
+    _factors_of_xp_minus_1,
     _seed_entries,
     Catalog,
     clear_memory_cache,
@@ -21,6 +25,7 @@ from mge.enumerator import (
 )
 from mge.errors import IncompleteSeedSet, OutOfRange, TierLimitExceeded
 from mge.morphisms import Fingerprint, rich_invariant_key
+from mge.numtheory import is_prime
 
 # isomorphism class counts, orders 1..32
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14,
@@ -185,6 +190,97 @@ def test_cyclic_extensions():
     assert [g.order for g in cyclic_extensions(construct("C(1)"), 5)] == [5]
     with pytest.raises(OutOfRange):
         cyclic_extensions(construct("C(3)"), 4)
+
+
+def _poly_rem(f, g, q):
+    """Remainder of f by monic g over GF(q), coefficients constant first."""
+    f = list(f)
+    for i in range(len(f) - 1, len(g) - 2, -1):
+        c = f[i]
+        for j, gj in enumerate(g):
+            f[i - len(g) + 1 + j] = (f[i - len(g) + 1 + j] - c * gj) % q
+    return f[: len(g) - 1]
+
+
+def _poly_mul(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % q
+    return tuple(out)
+
+
+def _monic(degree, q):
+    return [c + (1,) for c in itertools.product(range(q), repeat=degree)]
+
+
+PRIMES_TO_31 = [n for n in range(32) if is_prime(n)]
+FIELD_RANKS = [(q, k) for q in PRIMES_TO_31 for k in range(1, 9) if q**k <= 256]
+
+
+@pytest.mark.parametrize("q, k", FIELD_RANKS)
+def test_factors_of_xp_minus_1_are_the_irreducible_divisors_up_to_degree_k(q, k):
+    for p in PRIMES_TO_31:
+        if p == q:
+            continue
+        xp1 = (q - 1,) + (0,) * (p - 1) + (1,)
+        factors = _factors_of_xp_minus_1(q, p, k)
+        for f in factors:
+            assert f[-1] == 1 and 1 <= len(f) - 1 <= k
+            assert not any(_poly_rem(xp1, f, q))
+            assert all(
+                any(_poly_rem(f, g, q)) for d in range(1, len(f) - 1) for g in _monic(d, q)
+            ), (q, p, f)
+        assert factors == sorted(factors, key=lambda f: (len(f), f))
+        # x^p - 1 = (x - 1) times factors of one degree, the order of q mod p
+        degree = next(d for d in range(1, p) if pow(q, d, p) == 1)
+        if degree <= k:
+            product = (1,)
+            for f in factors:
+                product = _poly_mul(product, f, q)
+            assert product == xp1, (q, p, k)
+        else:
+            assert factors == [(q - 1, 1)], (q, p, k)
+
+
+def test_factors_of_x7_minus_1_over_gf2():
+    # x^7 - 1 = (x + 1)(x^3 + x^2 + 1)(x^3 + x + 1)
+    assert _factors_of_xp_minus_1(2, 7, 3) == [(1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
+    assert _factors_of_xp_minus_1(2, 7, 2) == [(1, 1)]
+
+
+def _mat_power(mats, e, q):
+    out = np.broadcast_to(np.eye(mats.shape[-1], dtype=np.int64), mats.shape).copy()
+    while e:
+        if e & 1:
+            out = out @ mats % q
+        mats = mats @ mats % q
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_ea_alpha_matrices_are_one_per_class_of_order_dividing_p(q, k):
+    """Brute force over GL(k, q): the classes of {A : A^p = 1} under
+    conjugation, each hit by exactly one returned matrix."""
+    mats = np.array(list(itertools.product(range(q), repeat=k * k)), dtype=np.int64)
+    mats = mats.reshape(-1, k, k)
+    dets = np.rint(np.linalg.det(mats)).astype(np.int64) % q
+    gl = mats[dets != 0]
+    gl_inv = _mat_power(gl, len(gl) - 1, q)  # x^|G| = 1 in a group G
+    eye = np.eye(k, dtype=np.int64)
+    for p in (2, 3, 5, 7):
+        roots = gl[(_mat_power(gl, p, q) == eye).all(axis=(1, 2))]
+        class_of: dict[bytes, int] = {}
+        classes = 0
+        for a in roots:
+            if a.tobytes() not in class_of:
+                for b in gl @ a @ gl_inv % q:
+                    class_of[b.tobytes()] = classes
+                classes += 1
+        reps = _ea_alpha_matrices(q, k, p)
+        hit = sorted(class_of[np.ascontiguousarray(r % q).tobytes()] for r in reps)
+        assert hit == list(range(classes)), (q, k, p)
 
 
 def test_perfect_seeds_are_injected():

@@ -102,6 +102,9 @@ def test_tokenize_word_rejects(bad):
         "EA(4,2)",                    # p must be prime
         "EA(2,0)",                    # k must be positive
         "C(0)",
+        "C(-)",                       # sign with no digits
+        "EA(-,2)",
+        "C(\u00b2)",                  # str.isdigit but not a decimal digit
         "sd(C(3), C(2))",             # no action clause
         "sd(C(3), C(2), a=b",         # unclosed
         "cp(D(4), D(4), a^2)",        # identification needs '='

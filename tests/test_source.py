@@ -78,3 +78,23 @@ def test_package_has_no_unreferenced_private_functions():
         if used[d.name] == _referenced_names(d)[d.name]
     ]
     assert unreferenced == []
+
+
+# the one lazy import: registry imports groups at module level
+_LAZY_IMPORTS = {("groups.py", "_resolve_named")}
+
+
+def test_package_has_no_local_imports():
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) in _LAZY_IMPORTS:
+                continue
+            local += [
+                f"{path.name}:{node.lineno} {fn.name}"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    assert local == []
