@@ -25,7 +25,6 @@ from .groups import (
     TwistedGroup,
     check_table,
     construct,
-    expr_order,
     quotient_group,
 )
 from .morphisms import (
@@ -61,7 +60,6 @@ __all__ = [
     "automorphisms",
     "check_table",
     "construct",
-    "expr_order",
     "find_embedding",
     "is_isomorphic",
     "parse_expr",

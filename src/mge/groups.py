@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -234,7 +234,6 @@ class TableGroup:
         self._inv_cells = memoryview(self.inv)
         self.gens = dict(gens)
         self._labels = labels
-        self.expr_text = None
         self.perm_elems = perm_elems
         self.components = components
 
@@ -377,16 +376,25 @@ class TableGroup:
 
     @cached_property
     def abelian_invariants(self) -> tuple[int, ...] | None:
-        """Invariant factors, largest first, for abelian groups; else None."""
+        """Invariant factors, largest first, for abelian groups; else None.
+
+        They are read off the element orders one prime at a time.  If the
+        p-primary part has partition l, then ``m * p**(sum of min(l_i, j))``
+        elements have an order whose p-part divides ``p**j`` (m the p'-part
+        of n).  So count j over count j-1 is ``p**l'_j``, l' the conjugate
+        partition, and l_i is the number of those steps that reach ``p**i``."""
         if not self.is_abelian:
             return None
         invs: list[int] = []
-        g = self
-        while g.order > 1:
-            x = int(np.argmax(g.element_orders))
-            invs.append(g.element_order(x))
-            cyc, _ = bfs_closure(0, [x], g.mul)
-            g = quotient_group(g, sorted(cyc), check=False)
+        for p, a in factorization(self.n).items():
+            counts = [np.count_nonzero(self.element_orders % p ** (j + 1)) for j in range(a + 1)]
+            steps = [int(hi // lo) for lo, hi in zip(counts, counts[1:])]
+            i, q = 0, p
+            while steps[0] >= q:
+                if i == len(invs):
+                    invs.append(1)
+                invs[i] *= p ** sum(s >= q for s in steps)
+                i, q = i + 1, q * p
         return tuple(invs)
 
     # -- words and labels --
@@ -524,8 +532,7 @@ class TableGroup:
         return hashlib.sha256(self.table).hexdigest()
 
     def __repr__(self) -> str:
-        src = self.expr_text or "table"
-        return f"<TableGroup order={self.n} from {src!r}>"
+        return f"<TableGroup order={self.n}>"
 
 
 def _compress_word(names: list[str]) -> str:
@@ -601,18 +608,17 @@ class Subgroup:
 # --- quotients ------------------------------------------------------------------
 
 
-def quotient_group(g: TableGroup, normal_elems: list[int], *, check: bool = True) -> TableGroup:
+def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
     n = g.n
     nset = {int(e) for e in normal_elems}
     arr = np.asarray(sorted(nset), dtype=np.int64)
-    if check:
-        idx = np.arange(n)
-        for a in sorted(nset):
-            conj = g.table[g.table[idx, a], g.inv[idx]]
-            if not all(int(c) in nset for c in conj):
-                raise NotNormal(
-                    f"element {g.label_of(a)} has conjugates outside the subgroup"
-                )
+    idx = np.arange(n)
+    for a in sorted(nset):
+        conj = g.table[g.table[idx, a], g.inv[idx]]
+        if not all(int(c) in nset for c in conj):
+            raise NotNormal(
+                f"element {g.label_of(a)} has conjugates outside the subgroup"
+            )
     cosets = g.table[arr[:, None], np.arange(n)[None, :]]
     rep = cosets.min(axis=0)
     uniq = np.unique(rep)
@@ -1033,7 +1039,6 @@ class TwistedGroup:
         self.comp_names = _dedupe_names(comp_names)
         self.dgens = dgens
         self.rank = len(dgens)
-        self.expr_text = None
         order = 1 << self.rank
         for c in components:
             order *= c.n
@@ -1186,8 +1191,7 @@ class TwistedGroup:
         return "*".join(parts) or "1"
 
     def __repr__(self) -> str:
-        src = self.expr_text or "twisted"
-        return f"<TwistedGroup order={self.order} from {src!r}>"
+        return f"<TwistedGroup order={self.order}>"
 
 
 def _dedupe_names(names: list[str]) -> list[str]:
@@ -1236,49 +1240,6 @@ def check_table(table) -> bool:
 # --- expression realization --------------------------------------------------------
 
 
-def expr_order(expr: GroupExpr | str) -> int:
-    """Order of the group an expression denotes, computed without realizing
-    direct products (their factors multiply).  Nodes that need inspection
-    (quotients, permutation closures, central identifications) realize their
-    ingredients, which are small by construction."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    if isinstance(expr, Cyclic):
-        return expr.n
-    if isinstance(expr, ElemAbelian):
-        return expr.p**expr.k
-    if isinstance(expr, Dihedral):
-        return 2 * expr.n
-    if isinstance(expr, Dicyclic):
-        return 4 * expr.n
-    if isinstance(expr, Symmetric):
-        return factorial(expr.n)
-    if isinstance(expr, Alternating):
-        return max(1, factorial(expr.n) // 2)
-    if isinstance(expr, DirectProduct):
-        out = 1
-        for f in expr.factors:
-            out *= expr_order(f)
-        return out
-    if isinstance(expr, SemidirectProduct):
-        return expr_order(expr.base) * expr_order(expr.actor)
-    if isinstance(expr, Renamed):
-        return expr_order(expr.inner)
-    if isinstance(expr, Named):
-        return _resolve_named(expr.label).order_hint()
-    if isinstance(expr, CentralProduct):
-        left = construct(expr.left)
-        right = construct(expr.right)
-        u = left.evaluate_word(expr.left_word)
-        return left.order * right.order // left.element_order(u)
-    if isinstance(expr, Quotient):
-        g = construct(expr.inner)
-        return g.order // g.subgroup(list(expr.words)).order
-    if isinstance(expr, PermGroupExpr):
-        return construct(expr).order
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
 def _resolve_named(label: str):
     from . import registry
 
@@ -1290,10 +1251,7 @@ def construct(expr: GroupExpr | str):
     TwistedGroup when a direct product exceeds the dense-table limit."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    g = _construct(expr)
-    if g.expr_text is None:
-        g.expr_text = expr.text()
-    return g
+    return _construct(expr)
 
 
 def _construct(expr: GroupExpr):
@@ -1313,9 +1271,10 @@ def _construct(expr: GroupExpr):
         gen_perms = [perms.parse_cycles(s, degree=expr.degree) for s in expr.gens]
         return build_perm_group(expr.degree, gen_perms)
     if isinstance(expr, DirectProduct):
-        if expr_order(expr) <= TABLE_LIMIT:
-            return build_product([construct(f) for f in expr.factors])
-        return _build_twisted_product(expr)
+        factors = [construct(f) for f in expr.factors]
+        if prod(f.order for f in factors) <= TABLE_LIMIT:
+            return build_product(factors)
+        return _build_twisted_product(factors, expr.factors)
     if isinstance(expr, SemidirectProduct):
         base = construct(expr.base)
         actor = construct(expr.actor)
@@ -1359,16 +1318,14 @@ def _apply_renames(g, names: tuple[str, ...]):
         g.renames = [
             {k: mapping.get(v, v) for k, v in ren.items()} for ren in g.renames
         ]
-    g.expr_text = None
     return g
 
 
-def _build_twisted_product(expr: DirectProduct) -> TwistedGroup:
-    factors = [construct(f) for f in expr.factors]
+def _build_twisted_product(factors: list, exprs: Sequence[GroupExpr]) -> TwistedGroup:
     flat: list[TableGroup] = []
     names: list[str] = []
     dgens: list[_DGen] = []
-    for f, fe in zip(factors, expr.factors):
+    for f, fe in zip(factors, exprs):
         if isinstance(f, TwistedGroup):
             offset = len(flat)
             flat.extend(f.components)

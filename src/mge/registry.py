@@ -46,31 +46,26 @@ def available_labels() -> tuple[str, ...]:
 
 
 class Resolved:
-    """Handle for one registry label: the expected order without realization,
-    plus build() for a fresh realization."""
+    """Handle for one registry label; build() gives a fresh realization."""
 
     def __init__(self, label: str, entry: dict):
         self.label = label
         self._entry = entry
-
-    def order_hint(self) -> int:
-        return int(self._entry["order"])
 
     def build(self):
         entry = self._entry
         if "expr" in entry:
             g = construct(entry["expr"])
         elif "family" in entry:
-            g = _family_group(entry["family"], ())
+            g = _twisted_group(entry["family"], {"sigma": entry["family"]["sigma"]})
         else:
-            g = _product_group(entry["product"])
+            desc = entry["product"]
+            g = _twisted_group(desc, {t: [t] for t in desc["dgens"]})
         if g.order != entry["order"]:
             raise RuntimeError(
                 f"registry entry {self.label!r} built order {g.order}, "
                 f"expected {entry['order']}"
             )
-        if g.expr_text is None:
-            g.expr_text = f"named({self.label})"
         return g
 
 
@@ -118,30 +113,21 @@ def _component_group(name: str) -> TableGroup:
     return construct(_data()["kfactors"][name])
 
 
-def _family_group(desc: dict, extras: tuple[str, ...]) -> TwistedGroup:
+def _twisted_group(desc: dict, twists: dict[str, list[str]]) -> TwistedGroup:
+    """The components of ``desc`` extended by one twist generator per entry of
+    ``twists``; a generator composes the actions of the thetas it lists."""
     thetas = _data()["thetas"]
-    comps = [_component_group(nm) for nm in desc["components"]]
     names = list(desc["components"])
-    actions: list[np.ndarray | None] = [None] * len(comps)
-    for tname in list(desc["sigma"]) + list(extras):
-        theta = thetas[tname]
-        ci = names.index(theta["component"])
-        act = _theta_action(theta, comps[ci])
-        actions[ci] = act if actions[ci] is None else act[actions[ci]]
-    return TwistedGroup(comps, names, [_DGen("sigma", actions)])
-
-
-def _product_group(desc: dict) -> TwistedGroup:
-    thetas = _data()["thetas"]
-    comps = [_component_group(nm) for nm in desc["components"]]
-    names = list(desc["components"])
+    comps = [_component_group(nm) for nm in names]
     dgens = []
-    for tname in desc["dgens"]:
-        theta = thetas[tname]
+    for dname, tnames in twists.items():
         actions: list[np.ndarray | None] = [None] * len(comps)
-        ci = names.index(theta["component"])
-        actions[ci] = _theta_action(theta, comps[ci])
-        dgens.append(_DGen(tname, actions))
+        for tname in tnames:
+            theta = thetas[tname]
+            ci = names.index(theta["component"])
+            act = _theta_action(theta, comps[ci])
+            actions[ci] = act if actions[ci] is None else act[actions[ci]]
+        dgens.append(_DGen(dname, actions))
     return TwistedGroup(comps, names, dgens)
 
 
@@ -174,7 +160,7 @@ def family_member(label: str, thetas=()) -> TwistedGroup:
             extras.remove(t)
         else:
             extras.append(t)
-    g = _family_group(desc, tuple(extras))
+    g = _twisted_group(desc, {"sigma": [*desc["sigma"], *extras]})
     if g.order != entry["order"]:
         raise RuntimeError(f"family {label!r} built order {g.order}")
     return g

@@ -182,10 +182,8 @@ class Report:
 
 
 def generated_subgroup(g, words) -> Subgroup:
-    """Close the word images into a subgroup of g."""
-    gens = [g.evaluate_word(w) for w in words]
-    elems, _ = bfs_closure(g.identity, gens, g.mul)
-    return Subgroup.from_elements(g, elems, gens)
+    """The subgroup of g that the word images generate."""
+    return g.subgroup(list(words))
 
 
 @lru_cache(maxsize=512)
@@ -742,45 +740,19 @@ def _run_thm144(tier: int) -> list[ReportItem]:
 
 
 def _index2_subgroups(g: TableGroup):
-    """Element arrays of the index-2 subgroups, found as hyperplanes over the
-    quotient by the subgroup the squares generate."""
-    n = g.n
-    # the squares already generate every commutator: [x, y] = x^-2 (x y^-1)^2 y^2
-    gens = {int(s) for s in np.diagonal(g.table)}
-    elems, _ = bfs_closure(0, sorted(gens), g.mul)
-    nset = sorted(elems)
-    if len(nset) == n:
-        return
-    # label cosets, then give the elementary abelian quotient 0/1 coordinates
-    rep = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for x in range(n):
-        if rep[x] >= 0:
-            continue
-        r = len(reps)
-        reps.append(x)
-        for e in nset:
-            rep[g.table[x, e]] = r
-    coords = {0: 0}
-    nbits = 0
-    for i in range(1, len(reps)):
-        if i in coords:
-            continue
-        bit = 1 << nbits
-        nbits += 1
-        for j in list(coords):
-            coords[int(rep[g.table[reps[j], reps[i]]])] = coords[j] | bit
-    coord_of = np.zeros(len(reps), dtype=np.int64)
-    for j, c in coords.items():
-        coord_of[j] = c
-    elem_coord = coord_of[rep]
-    for phi in range(1, 1 << nbits):
-        masked = elem_coord & phi
-        parity = np.zeros(n, dtype=np.int64)
-        while masked.any():
-            parity ^= masked & 1
-            masked = masked >> 1
-        yield np.flatnonzero(parity == 0)
+    """Element arrays of the index-2 subgroups: the kernels of the maps onto
+    C2.  Each choice of images of ``greedy_gens`` extends along the closure's
+    derivations to a map phi, which is a homomorphism exactly when
+    ``phi(x * s) == phi(x) ^ phi(s)`` for every element x and generator s."""
+    gens = list(g.greedy_gens)
+    elems, deriv = bfs_closure(0, gens, g.mul)
+    for bits in range(1, 1 << len(gens)):
+        phi = np.zeros(g.n, dtype=np.int8)
+        for e in elems[1:]:
+            parent, pos = deriv[e]
+            phi[e] = phi[parent] ^ (bits >> pos & 1)
+        if (phi[g.table[:, gens]] == phi[:, None] ^ phi[gens]).all():
+            yield np.flatnonzero(phi == 0)
 
 
 def _has_abelian_exp4_half(g: TableGroup) -> bool:

@@ -3,7 +3,8 @@
 Each ``ref_*`` function below is the routine as it stood before it was made
 cheaper: a per-level sorted closure, a per-character cycle parser and raw
 segment scanner, one ``np.unique`` per conjugacy class, a Python closure of
-every distinct commutator, and element orders by repeated multiplication.
+every distinct commutator, element orders by repeated multiplication, and
+invariant factors by splitting off one largest cyclic subgroup at a time.
 The current routines must give the same values on every bundled catalog
 entry of orders 1-64 and every dense registry group (the order-840 and
 order-3360 containment ambients among them), and the parsers must accept
@@ -16,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from mge import TableGroup, construct, perms, registry
+from mge import TableGroup, construct, perms, quotient_group, registry
 from mge.enumerator import _BUNDLED_DIR, Catalog
 from mge.errors import ParseError, SubgroupLimitExceeded
 from mge.expressions import PermGroupExpr, _Scanner, parse_expr
@@ -149,6 +150,16 @@ def ref_element_orders(g):
     return orders
 
 
+def ref_abelian_invariants(g):
+    invs = []
+    while g.order > 1:
+        x = int(np.argmax(g.element_orders))
+        invs.append(g.element_order(x))
+        cyc, _ = bfs_closure(0, [x], g.mul)
+        g = quotient_group(g, sorted(cyc))
+    return tuple(invs)
+
+
 # --- the groups compared ------------------------------------------------------
 
 
@@ -228,6 +239,19 @@ def test_invariants_match_reference(compared_groups):
         assert g.derived_elements == ref_derived_elements(g), name
         orders = g.element_orders
         assert np.array_equal(orders, ref_element_orders(g)) and orders.dtype == np.int64, name
+
+
+def test_abelian_invariants_match_reference():
+    recipes = [
+        e["recipe"]
+        for path in sorted(_BUNDLED_DIR.glob("order*.json"))
+        for e in json.loads(path.read_text())["entries"]
+        if json.loads(e["fingerprint"])["abelian_invariants"] is not None
+    ]
+    assert len(recipes) == 155  # every abelian entry of every bundled order
+    for text in recipes + ["EA(2,6) x C(4)", "C(4) x C(8) x C(3) x C(9) x C(2)"]:
+        g = construct(text)
+        assert g.abelian_invariants == ref_abelian_invariants(g), text
 
 
 def test_derived_subgroup_larger_than_the_commutator_set():

@@ -310,7 +310,7 @@ def test_is_isomorphic_matches_reference_on_shared_buckets():
 
 SMALL_REGISTRY = [
     label for label in registry.available_labels()
-    if registry.resolve(label).order_hint() <= 12
+    if registry._named_entry(label)["order"] <= 12
 ]
 
 

@@ -5,10 +5,11 @@ import hashlib
 import json
 import types
 
+import numpy as np
 import pytest
 
 from mge import construct, groups, verify
-from mge.enumerator import default_tier
+from mge.enumerator import _BUNDLED_DIR, default_tier
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
     Certificate,
@@ -52,6 +53,56 @@ def test_generated_subgroup():
     s4 = construct("S(4)")
     sub = generated_subgroup(s4, ["(123)", "(12)(34)"])
     assert sub.order == 12
+
+
+def ref_index2_subgroups(g):
+    """The index-2 subgroups as hyperplanes over the quotient by the subgroup
+    the squares generate, with hand-made coset and coordinate labels."""
+    n = g.n
+    elems, _ = groups.bfs_closure(0, sorted({int(s) for s in np.diagonal(g.table)}), g.mul)
+    nset = sorted(elems)
+    if len(nset) == n:
+        return
+    rep = np.full(n, -1, dtype=np.int64)
+    reps = []
+    for x in range(n):
+        if rep[x] >= 0:
+            continue
+        r = len(reps)
+        reps.append(x)
+        for e in nset:
+            rep[g.table[x, e]] = r
+    coords = {0: 0}
+    nbits = 0
+    for i in range(1, len(reps)):
+        if i in coords:
+            continue
+        bit = 1 << nbits
+        nbits += 1
+        for j in list(coords):
+            coords[int(rep[g.table[reps[j], reps[i]]])] = coords[j] | bit
+    coord_of = np.zeros(len(reps), dtype=np.int64)
+    for j, c in coords.items():
+        coord_of[j] = c
+    elem_coord = coord_of[rep]
+    for phi in range(1, 1 << nbits):
+        masked = elem_coord & phi
+        parity = np.zeros(n, dtype=np.int64)
+        while masked.any():
+            parity ^= masked & 1
+            masked = masked >> 1
+        yield np.flatnonzero(parity == 0)
+
+
+def test_index2_subgroups_match_reference():
+    compared = 0
+    for n in (8, 12, 16, 24, 32, 48):
+        for e in json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())["entries"]:
+            g = construct(e["recipe"])
+            got = sorted(sub.tolist() for sub in verify._index2_subgroups(g))
+            assert got == sorted(sub.tolist() for sub in ref_index2_subgroups(g)), e["recipe"]
+            compared += 1
+    assert compared == 142
 
 
 def test_verify_claim_pass():
