@@ -179,12 +179,13 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
 
 def _dedupe(candidates) -> list[CatalogEntry]:
     """Sequential reduce in deterministic generation order: invariant-key
-    buckets first, explicit isomorphism tests only within a bucket."""
+    buckets first, explicit isomorphism tests only within a bucket, with the
+    bucket's kept group as the search source (a duplicate builds no search)."""
     buckets: dict[bytes, list[TableGroup]] = {}
     found: list[TableGroup] = []
     for g in candidates:
         reps = buckets.setdefault(rich_invariant_key(g), [])
-        if any(is_isomorphic(g, r) is not None for r in reps):
+        if any(is_isomorphic(r, g) is not None for r in reps):
             continue
         reps.append(g)
         found.append(g)
@@ -408,21 +409,17 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
 
 
 def _extension_table(base: TableGroup, amap: np.ndarray, a: int, p: int) -> np.ndarray:
-    m = base.n
-    t = base.table.astype(np.int64)
+    """Index ``i*m + x`` stands for ``x * t^i`` and ``t^p = a`` commutes with t, so
+    block (i, j) is ``x * alpha^i(y)``, times ``a`` when ``i + j >= p``, coset (i+j) % p."""
+    m, t = base.n, base.table
     pows = [np.arange(m)]
     for _ in range(1, p):
         pows.append(amap[pows[-1]])
-    n = m * p
-    out = np.empty((n, n), dtype=np.int64)
-    # index i*m + x stands for x * t^i; t^p = a commutes with t
-    for i in range(p):
-        for j in range(p):
-            blk = t[:, pows[i]]
-            if i + j >= p:
-                blk = t[blk, a]
-            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk + ((i + j) % p) * m
-    return out
+    blk = t[:, np.stack(pows)].transpose(1, 0, 2)[:, :, None, :]  # [i, x, ., y]
+    i = np.arange(p, dtype=np.int32)
+    s = i[:, None, None, None] + i[:, None]  # i + j, as [i, ., j, .]
+    out = np.where(s >= p, t[:, a][blk], blk) + (s % p) * np.int32(m)
+    return out.reshape(m * p, m * p)
 
 
 def _fresh_name(taken, want: str) -> str:

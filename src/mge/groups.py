@@ -71,7 +71,18 @@ def _row_blocks(rows: int, cols: int):
     return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
 
 
-# --- shared closure helper ---------------------------------------------------
+# --- shared closure helpers --------------------------------------------------
+
+
+def _close_products(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The sorted elements of the product closure of the set S marked in
+    ``mask``: ``S * S`` is marked, in row blocks, until nothing is added."""
+    while True:
+        s = np.flatnonzero(mask)
+        for rows in _row_blocks(len(s), len(s)):
+            mask[table[s[rows]][:, s]] = True
+        if mask.sum() == len(s):
+            return s
 
 
 def bfs_closure(identity, gens, mul, limit=SUBGROUP_LIMIT):
@@ -359,20 +370,12 @@ class TableGroup:
         The commutators with a class representative r are
         ``r^-1 * b^-1 * r * b``, that is r^-1 times each conjugate of r, and
         every commutator is a conjugate of one of those.  So the commutators
-        are the classes that these n products meet.  That set S is then
-        closed by marking ``S * S`` until no element is added."""
-        t = self.table
-        class_id = self.class_ids
+        are the classes that these n products meet, and G' is their closure."""
+        t, class_id = self.table, self.class_ids
         reps = np.asarray(self.class_reps)
         met = np.zeros(len(reps), dtype=bool)
         met[class_id[t[self.inv[reps[class_id]], np.arange(self.n)]]] = True
-        mask = met[class_id]
-        while True:
-            s = np.flatnonzero(mask)
-            for rows in _row_blocks(len(s), len(s)):
-                mask[t[s[rows]][:, s]] = True
-            if mask.sum() == len(s):
-                return s.tolist()
+        return _close_products(t, met[class_id]).tolist()
 
     @cached_property
     def abelian_invariants(self) -> tuple[int, ...] | None:

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AutBudgetExceeded, SearchBudgetExceeded
-from .groups import Subgroup, TableGroup, TwistedGroup, bfs_closure
+from .errors import AutBudgetExceeded, OrderLimitExceeded, SearchBudgetExceeded
+from .groups import TableGroup, TwistedGroup, _close_products, _row_blocks, bfs_closure
 from .numtheory import factorization, is_prime
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
@@ -71,19 +71,14 @@ class Fingerprint:
         cached = g.__dict__.get("_fingerprint")
         if cached is not None:
             return cached
-        orders = g.element_orders
-        uniq, counts = np.unique(orders, return_counts=True)
-        osig = tuple((int(u), int(c)) for u, c in zip(uniq, counts))
-        su, sc = np.unique(g.class_sizes, return_counts=True)
-        csig = tuple((int(u), int(c)) for u, c in zip(su, sc))
         fp = Fingerprint(
             order=g.order,
             abelian=g.is_abelian,
-            element_orders=osig,
+            element_orders=_histogram(g.element_orders),
             center_order=len(g.center_elements),
             derived_order=len(g.derived_elements),
             exponent=g.exponent,
-            class_sizes=csig,
+            class_sizes=_histogram(g.class_sizes),
             abelian_invariants=g.abelian_invariants,
         )
         g.__dict__["_fingerprint"] = fp
@@ -107,36 +102,41 @@ class Fingerprint:
         }
 
 
+def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
+    counts = np.bincount(values)  # (value, multiplicity) for each value present
+    return tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
+
+
 def derived_series_orders(g: TableGroup) -> list[int]:
+    """Orders of the derived series down to its first perfect term; each term
+    after G' closes the commutators of the one before inside g's table."""
+    t, inv = g.table, g.inv
     out = [g.order]
-    cur = g
-    elems = cur.derived_elements
+    elems = np.asarray(g.derived_elements)
     while len(elems) not in (1, out[-1]):
         out.append(len(elems))
-        sg = Subgroup.from_elements(cur, elems, elems[:3])
-        cur = sg.group
-        elems = cur.derived_elements
+        mask = np.zeros(g.n, dtype=bool)
+        for rows in _row_blocks(len(elems), len(elems)):
+            a = elems[rows]
+            mask[t[t[inv[a]][:, inv[elems]], t[a][:, elems]]] = True  # a^-1 b^-1 a b
+        elems = _close_products(t, mask)
     if len(elems) == 1 and out[-1] != 1:
         out.append(1)
     return out
 
 
 def rich_invariant_key(g: TableGroup) -> bytes:
-    """Finer (still sound) separation key used to bucket candidates before
-    pairwise isomorphism checks."""
+    """The fingerprint, the derived series and, per class with representative r,
+    (size, order of r, order of r^2, size of r^2's class), rows sorted: a finer
+    (still sound) key that buckets candidates before pairwise isomorphism tests."""
     fp = Fingerprint.of(g).canonical_bytes()
-    _, reps, sizes = g._conjugacy
-    per_class = sorted(
-        (
-            int(sizes[i]),
-            int(g.element_order(r)),
-            int(g.element_order(g.power(r, 2))),
-            int(sizes[g.class_ids[g.power(r, 2)]]),
-        )
-        for i, r in enumerate(reps)
-    )
+    class_id, reps, sizes = g._conjugacy
+    orders, reps = g.element_orders, np.asarray(reps)
+    sq = g.table[reps, reps]
+    cols = np.stack([sizes, orders[reps], orders[sq], sizes[class_id[sq]]])  # int64
+    per_class = cols[:, np.lexsort(cols[::-1])].T.tobytes()
     series = derived_series_orders(g)
-    return fp + b"|" + repr(per_class).encode() + b"|" + repr(series).encode()
+    return fp + b"|" + per_class + b"|" + repr(series).encode()
 
 
 @dataclass
@@ -403,7 +403,7 @@ def is_isomorphic(a: TableGroup, b: TableGroup, *, budget: int | None = None) ->
     representatives; see the module docstring for why that loses nothing.
     """
     if not isinstance(a, TableGroup) or not isinstance(b, TableGroup):
-        raise TypeError("isomorphism testing needs dense groups on both sides")
+        raise OrderLimitExceeded("isomorphism testing needs both groups within the table limit")
     if a.order != b.order:
         return None
     if Fingerprint.of(a) != Fingerprint.of(b):
@@ -426,7 +426,7 @@ def find_embedding(
     through the same kernel, its candidate elements interned to int ids.
     """
     if not isinstance(h, TableGroup):
-        raise TypeError("the embedded group must be dense")
+        raise OrderLimitExceeded("the embedded group must be within the table limit")
     if isinstance(g, TwistedGroup) and support is not None:
         support = g.resolve_support(support)
     for m in _search(h, g, False, budget, support, True):

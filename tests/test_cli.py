@@ -53,6 +53,15 @@ def test_embed_exit_codes(capsys):
     assert code == 1 and out.strip() == "no embedding"
 
 
+def test_iso_and_embed_refuse_a_group_over_the_table_limit(capsys):
+    # S(5) x S(5) has order 14400, so it is built without a dense table
+    for argv in (["iso", "S(5) x S(5)", "C(2)"], ["iso", "C(2)", "S(5) x S(5)"],
+                 ["embed", "S(5) x S(5)", "C(2)"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "table limit" in err, argv
+
+
 def test_embed_twisted_is_inconclusive(capsys):
     code, out, _ = run(
         capsys, "embed", "C(4)", "named(C5xC7xC9xD3xH1)", "--support", "C(5)"

@@ -12,7 +12,9 @@ from mge.enumerator import (
     _BUNDLED_DIR,
     _canonical_entry,
     _compute,
+    _dedupe,
     _ea_alpha_matrices,
+    _extension_candidates,
     _factors_of_xp_minus_1,
     _seed_entries,
     Catalog,
@@ -121,14 +123,14 @@ def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch):
 def test_cold_catalogs_above_32_match_bundled_bytes(tmp_path, monkeypatch):
     # opt-in, like the order-243 sweep: several minutes of search
     if default_tier() < 3:
-        pytest.skip("cold re-derivation of orders 33-144 runs only at MGE_TIER=3")
+        pytest.skip("cold re-derivation of orders 33-243 runs only at MGE_TIER=3")
     (tmp_path / "cache").mkdir()
     (tmp_path / "bundled").mkdir()
     monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
     clear_memory_cache()
     try:
-        for n in [*range(33, 65), 72, 96, 120, 144]:
+        for n in [*range(33, 65), 72, 96, 120, 144, 81, 243]:
             bundled = (_BUNDLED_DIR / f"order{n}.json").read_text().strip()
             assert enumerate_groups(n).dumps() == bundled, n
     finally:
@@ -143,7 +145,21 @@ def test_canonical_entry_takes_the_candidates_fingerprint():
     assert entry.fingerprint == Fingerprint.of(construct(entry.recipe))
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 72, 96, 120, 144])
+def test_dedupe_builds_no_search_on_a_duplicate():
+    # the bucket's kept group is the search source, so a candidate rejected
+    # as a duplicate gets no generating sequence and no search levels
+    candidates = [g for base in enumerate_groups(12).groups()
+                  for g in _extension_candidates(base, 2)]
+    entries = _dedupe(candidates)
+    kept = {id(e.fingerprint) for e in entries}
+    dupes = [g for g in candidates if id(Fingerprint.of(g)) not in kept]
+    assert len(entries) == 14 and len(dupes) == len(candidates) - 14 > 20
+    for g in dupes:
+        assert "greedy_gens" not in g.__dict__
+        assert "_search_levels" not in g.__dict__
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 72, 81, 96, 120, 144, 243])
 def test_bundled_catalog_loads(n):
     # from_json rebuilds every recipe and checks its table hash and fingerprint
     doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())

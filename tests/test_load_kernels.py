@@ -8,7 +8,12 @@ invariant factors by splitting off one largest cyclic subgroup at a time.
 The current routines must give the same values on every bundled catalog
 entry of orders 1-64 and every dense registry group (the order-840 and
 order-3360 containment ambients among them), and the parsers must accept
-and reject the same strings."""
+and reject the same strings.
+
+The routines cold enumeration runs on each candidate are compared the same
+way: the bucket key built from per-element ``power`` calls, the derived
+series through one ``Subgroup`` table per term, and the extension table
+filled one block at a time."""
 
 import json
 import random
@@ -18,10 +23,22 @@ import numpy as np
 import pytest
 
 from mge import TableGroup, construct, perms, quotient_group, registry
-from mge.enumerator import _BUNDLED_DIR, Catalog
+from mge.enumerator import (
+    _BUNDLED_DIR,
+    Catalog,
+    _ea_alpha_pairs,
+    _extension_table,
+    _generic_alpha_pairs,
+)
 from mge.errors import ParseError, SubgroupLimitExceeded
 from mge.expressions import PermGroupExpr, _Scanner, parse_expr
-from mge.groups import SUBGROUP_LIMIT, _perm_closure, bfs_closure
+from mge.groups import SUBGROUP_LIMIT, Subgroup, _perm_closure, bfs_closure
+from mge.morphisms import (
+    Fingerprint,
+    derived_series_orders,
+    elem_abelian_prime,
+    rich_invariant_key,
+)
 
 # --- the earlier routines -----------------------------------------------------
 
@@ -160,6 +177,54 @@ def ref_abelian_invariants(g):
     return tuple(invs)
 
 
+def ref_derived_series_orders(g):
+    out = [g.order]
+    cur = g
+    elems = cur.derived_elements
+    while len(elems) not in (1, out[-1]):
+        out.append(len(elems))
+        sg = Subgroup.from_elements(cur, elems, elems[:3])
+        cur = sg.group
+        elems = cur.derived_elements
+    if len(elems) == 1 and out[-1] != 1:
+        out.append(1)
+    return out
+
+
+def ref_rich_invariant_key(g):
+    fp = Fingerprint.of(g).canonical_bytes()
+    _, reps, sizes = g._conjugacy
+    per_class = sorted(
+        (
+            int(sizes[i]),
+            int(g.element_order(r)),
+            int(g.element_order(g.power(r, 2))),
+            int(sizes[g.class_ids[g.power(r, 2)]]),
+        )
+        for i, r in enumerate(reps)
+    )
+    series = ref_derived_series_orders(g)
+    return fp + b"|" + repr(per_class).encode() + b"|" + repr(series).encode()
+
+
+def ref_extension_table(base, amap, a, p):
+    m = base.n
+    t = base.table.astype(np.int64)
+    pows = [np.arange(m)]
+    for _ in range(1, p):
+        pows.append(amap[pows[-1]])
+    n = m * p
+    out = np.empty((n, n), dtype=np.int64)
+    # index i*m + x stands for x * t^i; t^p = a commutes with t
+    for i in range(p):
+        for j in range(p):
+            blk = t[:, pows[i]]
+            if i + j >= p:
+                blk = t[blk, a]
+            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk + ((i + j) % p) * m
+    return out
+
+
 # --- the groups compared ------------------------------------------------------
 
 
@@ -289,6 +354,68 @@ def test_class_reps_are_class_minima(compared_groups):
         minima = np.full(len(g.class_reps), g.n, dtype=np.int64)
         np.minimum.at(minima, g.class_ids, np.arange(g.n))
         assert minima.tolist() == g.class_reps, name
+
+
+# --- the cold-enumeration kernels ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bundled_catalogs():
+    """Every bundled catalog (orders 1-64, 72, 81, 96, 120, 144, 243) as
+    {order: [group, ...]}, built from the recipes."""
+    orders = sorted(int(path.stem[5:]) for path in _BUNDLED_DIR.glob("order*.json"))
+    return {n: [construct(text) for text in _bundled_recipes([n])] for n in orders}
+
+
+def _partition(keys):
+    blocks = {}
+    for i, k in enumerate(keys):
+        blocks.setdefault(k, []).append(i)
+    return sorted(blocks.values())
+
+
+def test_rich_key_partitions_every_bundled_catalog_as_the_reference(bundled_catalogs):
+    assert sorted(bundled_catalogs) == [*range(1, 65), 72, 81, 96, 120, 144, 243]
+    shared = 0
+    for n, groups in bundled_catalogs.items():
+        got = _partition([rich_invariant_key(g) for g in groups])
+        assert got == _partition([ref_rich_invariant_key(g) for g in groups]), n
+        shared += sum(len(b) > 1 for b in got)
+    assert shared > 0  # some keys are shared, so the partitions are not all trivial
+
+
+def test_derived_series_matches_reference(bundled_catalogs):
+    for n, groups in bundled_catalogs.items():
+        for i, g in enumerate(groups):
+            assert derived_series_orders(g) == ref_derived_series_orders(g), (n, i)
+    for text in ("S(4)", "Q(2) x A(4)", "A(5) x C(2)", "S(3) x S(4)"):
+        g = construct(text)
+        assert derived_series_orders(g) == ref_derived_series_orders(g), text
+
+
+def test_rich_key_is_invariant_under_relabeling(bundled_catalogs):
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        for g in bundled_catalogs[n]:
+            pi = np.concatenate([[0], 1 + rng.permutation(n - 1)])  # fixes the identity 0
+            table = np.empty_like(g.table)
+            table[np.ix_(pi, pi)] = pi[g.table]  # pi(x) * pi(y) = pi(x * y)
+            assert rich_invariant_key(TableGroup(table, {})) == rich_invariant_key(g), n
+
+
+def test_extension_table_matches_reference(bundled_catalogs):
+    pairs = 0
+    for n in (8, 12, 16, 24):
+        for base in bundled_catalogs[n]:
+            q = elem_abelian_prime(base)
+            for p in (2, 3):
+                alphas = _ea_alpha_pairs(base, q, p) if q else _generic_alpha_pairs(base, p)
+                for amap, valid_a in alphas:
+                    for a in valid_a:
+                        got = _extension_table(base, amap, a, p)
+                        assert np.array_equal(got, ref_extension_table(base, amap, a, p)), n
+                        pairs += 1
+    assert pairs > 500
 
 
 # --- parsing --------------------------------------------------------------------
