@@ -640,8 +640,7 @@ def build_cyclic(n: int) -> TableGroup:
         raise OrderLimitExceeded(f"C({n}) exceeds table limit")
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    labels = ["1"] + [("a" if k == 1 else f"a^{k}") for k in range(1, n)]
-    return TableGroup(table.astype(np.int32), {"a": 1 % n}, labels=labels)
+    return TableGroup(table.astype(np.int32), {"a": 1 % n})
 
 
 def build_elem_abelian(p: int, k: int) -> TableGroup:
@@ -1310,8 +1309,6 @@ def _apply_renames(g, names: tuple[str, ...]):
     g.gens = {mapping[o]: g.gens[o] for o in old}
     if isinstance(g, TableGroup):
         g.__dict__.pop("labels", None)
-        if g._labels is not None:
-            g._labels = [_remap_word(w, mapping) for w in g._labels]
         if g.components:
             for comp in g.components:
                 comp.rename = {k: mapping.get(v, v) for k, v in comp.rename.items()}

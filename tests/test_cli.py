@@ -146,6 +146,21 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {},
+    {"ambient": "S(4)", "claims": [{"target": "C(4)"}]},
+    [{"ambient": "S(4)", "claims": []}],
+    {"ambient": "S(4)", "claims": [{"target": "C(4)", "generators": "a^2"}]},
+], ids=["empty object", "claim without generators", "top-level list",
+        "generators as one string"])
+def test_verify_malformed_certificate_is_a_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
 def test_reproduce_scenario(capsys, tmp_path):
     path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "reproduce", "table1", "--json", str(path))
@@ -176,6 +191,19 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4324320"
+
+
+def test_demos_run(tmp_path):
+    # the demos call the public API the way a reader would; an empty cache
+    # directory keeps them from reading catalogs an earlier run left behind
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "MGE_CACHE_DIR": str(tmp_path)}
+    demos = sorted((root / "demos").glob("*.py"))
+    assert len(demos) == 3
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], cwd=root, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
 
 
 def test_trace_hooks_install_in_a_fresh_interpreter():

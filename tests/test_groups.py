@@ -419,6 +419,14 @@ def test_labels_are_formatted_on_demand():
     assert "labels" not in ambient.__dict__
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 60])
+def test_cyclic_labels_are_powers_of_the_generator(n):
+    for text, name in ((f"C({n})", "a"), (f"gens(C({n}), x)", "x")):
+        g = construct(text)
+        assert g.labels == ["1"] + [name if k == 1 else f"{name}^{k}" for k in range(1, n)]
+        assert g.label_of(n - 1) == g.labels[-1]
+
+
 def _exhaustive_greedy_gens(g):
     """The greedy generating sequence found by closing every candidate in
     every round: the reference that the pruned ``greedy_gens`` must match."""

@@ -49,6 +49,42 @@ def test_certificate_round_trip(tmp_path):
     assert verify_certificate(path).passed
 
 
+# each is a certificate file whose shape is wrong; loading one must raise
+# ValueError (which the command line reports as a usage error)
+MALFORMED_CERTIFICATES = {
+    "empty object": {},
+    "claim without generators": {"ambient": "S(4)", "claims": [{"target": "C(4)"}]},
+    "top-level list": [{"ambient": "S(4)", "claims": []}],
+    "generators as one string": {
+        "ambient": "S(4)", "claims": [{"target": "C(4)", "generators": "a^2"}]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CERTIFICATES))
+def test_malformed_certificate_is_a_value_error(name, tmp_path):
+    doc = MALFORMED_CERTIFICATES[name]
+    with pytest.raises(ValueError):
+        Certificate.from_json(doc)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        verify_certificate(path)
+
+
+def test_bundled_certificates_refuse_two_for_one_ambient(monkeypatch, tmp_path):
+    for name in ("a.json", "b.json"):
+        cert = Certificate("S(4)", name, [Claim("C(4)", ("(1234)",))])
+        (tmp_path / name).write_text(cert.dumps())
+    monkeypatch.setattr(verify, "_CERT_DIR", tmp_path)
+    bundled_certificates.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="S\\(4\\)"):
+            bundled_certificates()
+    finally:
+        bundled_certificates.cache_clear()
+
+
 def test_generated_subgroup():
     s4 = construct("S(4)")
     sub = generated_subgroup(s4, ["(123)", "(12)(34)"])
@@ -179,7 +215,7 @@ def test_containment_stop_on_fail():
 def test_twisted_ambient_needs_certificates():
     tw = construct("named(C5xC7xC9xD3xH1)")
     with pytest.raises(IncompleteCertificates):
-        contains_all_of_order(tw, 8, certificates=[], ambient_text="named(C5xC7xC9xD3xH1)")
+        contains_all_of_order(tw, 8, ambient_text="named(C5xC7xC9xD3xH1)")
 
 
 def test_twisted_ambient_with_bundled_certificates():
@@ -196,7 +232,7 @@ def test_upto_containment_small():
     assert rep.counts()["pass"] == 3  # one target per order 1, 2, 3
 
 
-def test_upto_sweep_hashes_the_ambient_once(monkeypatch):
+def test_upto_sweep_hashes_no_table(monkeypatch):
     g = construct("S(4)")
     hashed = []
 
@@ -207,7 +243,7 @@ def test_upto_sweep_hashes_the_ambient_once(monkeypatch):
     monkeypatch.setattr(groups, "hashlib", types.SimpleNamespace(sha256=sha256))
     rep = contains_all_upto(g, 4)
     assert len(rep.items) == 5  # C1, C2, C3, C4, EA(2,2)
-    assert sum(data is g.table for data in hashed) == 1
+    assert hashed == []
 
 
 def test_minimal_search_order_collection():
@@ -295,17 +331,14 @@ def test_lemma_p3_tier3_report_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_P3_TIER3_DIGEST
 
 
-def test_embedding_memo_keeps_each_groups_generator_names(monkeypatch):
+def test_embedding_witnesses_keep_each_groups_generator_names():
     # C(2) x C(2) and EA(2,2) have one table but other generator names
-    monkeypatch.setattr(verify, "_EMBED_MEMO", {})
     first = contains_all_of_order(construct("C(2) x C(2)"), 4, ambient_text="C(2) x C(2)")
     rep = contains_all_of_order(construct("EA(2,2)"), 4, ambient_text="EA(2, 2)")
-    assert len(verify._EMBED_MEMO) == 2
     for r in (first, rep):
         witnesses = [it.witness for it in r.items if it.status == "pass"]
         assert witnesses and all(replay_witness(w) for w in witnesses)
     assert rep.items[1].witness["generators"] == ["a1", "a2"]
-    monkeypatch.setattr(verify, "_EMBED_MEMO", {})
     fresh = contains_all_of_order(construct("EA(2,2)"), 4, ambient_text="EA(2, 2)")
     assert fresh.dumps() == rep.dumps()
 
@@ -326,6 +359,30 @@ def test_replay_witness_rejects_tampering():
     elif "target" in bad:
         bad["target"] = "C(5)"
     assert not replay_witness(bad)
+
+
+def _pass_witness(sid: str, item_id: str) -> dict:
+    rep = reproduce(sid)
+    w = next(it.witness for it in rep.items if it.item_id == item_id)
+    assert replay_witness(w)
+    return w
+
+
+def test_replay_rejects_a_tampered_bijection():
+    w = _pass_witness("table1", "order 8")
+    pairs = w["pairs"]
+    swapped = [[pairs[0][0], pairs[1][1]], [pairs[1][0], pairs[0][1]]] + pairs[2:]
+    duplicated = [pairs[0], pairs[0]] + pairs[2:]
+    for bad in (swapped, duplicated, pairs[:-1]):
+        assert not replay_witness({**w, "pairs": bad})
+
+
+def test_replay_rejects_a_tampered_table4_witness():
+    w = _pass_witness("table4", "n=6")
+    assert w["factor"] == 1
+    assert not replay_witness({**w, "factor": 2})
+    # named(C2xH1) has order 32, not table 4's 120 for n = 6
+    assert not replay_witness({**w, "ambient": "named(C2xH1)"})
 
 
 def test_lemma_p3_skips_below_tier3():
