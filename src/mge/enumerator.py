@@ -8,8 +8,10 @@ fixed seed list that is verified on load rather than discovered.
 
 An extension of N by C_p is pinned by a pair (alpha, a): alpha the
 conjugation automorphism induced by a chosen coset generator t, and a = t^p,
-subject to alpha(a) = a and alpha^p = conjugation-by-a.  Candidates are
-over-generated from such pairs, deduped by invariant buckets plus explicit
+subject to alpha(a) = a and alpha^p = conjugation-by-a.  Moving t by a
+central z changes a only by the norm z alpha(z) ... alpha^(p-1)(z), so a is
+taken up to norms of Z(N): one a per coset of the norm subgroup.  Candidates
+are over-generated from such pairs, deduped by invariant buckets plus explicit
 isomorphism tests, and pinned to canonical regular-representation recipes so
 repeated runs emit byte-identical catalogs.
 
@@ -38,7 +40,7 @@ from .errors import (
     TierLimitExceeded,
 )
 from .expressions import GroupExpr, parse_expr
-from .groups import TableGroup, bfs_closure, construct
+from .groups import TableGroup, construct
 from .morphisms import (
     Fingerprint,
     automorphisms,
@@ -137,11 +139,17 @@ class Catalog:
 
     @staticmethod
     def from_json(doc: dict) -> "Catalog":
+        raws = doc.get("entries") if isinstance(doc, dict) else None
+        if not (isinstance(raws, list) and isinstance(doc.get("order"), int)
+                and all(isinstance(r, dict) and all(isinstance(r.get(k), str) for k in
+                        ("recipe", "fingerprint", "table_hash")) for r in raws)):
+            raise ValueError("a catalog needs an int 'order' and a list 'entries' of "
+                             "string 'recipe', 'fingerprint' and 'table_hash'")
         if doc.get("engine_version") != ENGINE_VERSION:
             raise ValueError("catalog written by a different engine version")
         order = doc["order"]
         entries = []
-        for raw in doc["entries"]:
+        for raw in raws:
             try:
                 expr = parse_expr(raw["recipe"])
                 g = construct(expr)
@@ -316,27 +324,46 @@ def _ea_alpha_pairs(base: TableGroup, q: int, p: int):
 # --- extension pairs over arbitrary bases -----------------------------------------
 
 
-def _compose_bytes(x: bytes, g: bytes) -> bytes:
-    """``x * g == g[x]`` on int64 maps keyed by their bytes."""
-    return np.frombuffer(g, np.int64)[np.frombuffer(x, np.int64)].tobytes()
+def _aut_listing(base: TableGroup) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Aut(base) as the rows of one array, in stream order and of the narrowest
+    unsigned dtype that holds ``n - 1``, plus a greedy generating subset widened
+    to int64.  Every prime extends the same base, so the listing is cached on
+    ``base`` like the search levels."""
+    cached = base.__dict__.get("_aut_listing")
+    if cached is not None:
+        return cached
+    dtype = np.min_scalar_type(base.n - 1)
+    stream = automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)
+    auts = np.fromiter(
+        itertools.chain.from_iterable(mo.images for mo in stream), dtype=dtype
+    ).reshape(-1, base.n)
 
+    # greedy in stream order; <H, g> is H plus what right multiplication by the
+    # generators reaches from H*g, and x * g is g[x]
+    row = np.dtype((np.void, auts.strides[0]))
 
-def _aut_generators(auts: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """A greedy generating subset, taken in stream order."""
-    ident = np.arange(n, dtype=np.int64).tobytes()
-    have = {ident}
+    def keys(rows: np.ndarray) -> list[bytes]:
+        return rows.view(row).ravel().tolist()
+
+    elems = [np.arange(base.n, dtype=dtype)[None]]
+    have = set(keys(elems[0]))
     gens: list[np.ndarray] = []
-    keys: list[bytes] = []
     for cand in auts:
-        key = cand.tobytes()
-        if key in have:
-            continue
-        gens.append(cand)
-        keys.append(key)
-        have = set(bfs_closure(ident, keys, _compose_bytes, limit=len(auts))[0])
         if len(have) == len(auts):
             break
-    return gens
+        if cand.tobytes() in have:
+            continue
+        gens.append(cand)
+        batch = cand[np.concatenate(elems)]
+        while len(batch):
+            first = dict(zip(keys(batch), range(len(batch))))
+            fresh = batch[[i for k, i in first.items() if k not in have]]
+            have.update(first)
+            elems.append(fresh)
+            batch = np.concatenate([g[fresh] for g in gens])
+    gens = [g.astype(np.int64) for g in gens]
+    base.__dict__["_aut_listing"] = (auts, gens)
+    return auts, gens
 
 
 def _generic_alpha_pairs(base: TableGroup, p: int):
@@ -347,35 +374,30 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
     by a coprime power (pick another generator of the quotient)."""
     m = base.n
     table = base.table.astype(np.int64)
-    auts = [
-        np.asarray(mo.images, dtype=np.int64)
-        for mo in automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)
-    ]
+    auts, aut_gens = _aut_listing(base)
     idx = np.arange(m)
 
     conj = [table[table[b, idx], base.inv[b]] for b in range(m)]  # b y b^-1
     inner_rep: dict[bytes, int] = {}
     for b in range(m):
-        inner_rep.setdefault(conj[b].tobytes(), b)
-    center = [b for b in range(m) if (conj[b] == idx).all()]
+        inner_rep.setdefault(conj[b].astype(auts.dtype).tobytes(), b)
+    center = base.center_elements
 
-    aut_gens = _aut_generators(auts, m)
     inv_aut_gens = [np.argsort(s) for s in aut_gens]
     gen_conj = [conj[b] for b in base.greedy_gens]
     gen_conj += [np.argsort(c) for c in gen_conj]
 
-    def alpha_power(amap: np.ndarray) -> np.ndarray:
-        out = idx
-        for _ in range(p):
-            out = amap[out]
-        return out
+    # alpha^p for every row at once; alpha qualifies when that is inner
+    pw = auts
+    for _ in range(p - 1):
+        pw = np.take_along_axis(auts, pw, axis=1)
+    inner = [inner_rep.get(row.tobytes()) for row in pw]
 
     seen: set[bytes] = set()
-    for alpha in auts:
-        pw = alpha_power(alpha)
-        a0 = inner_rep.get(pw.tobytes())
+    for row, a0 in zip(auts, inner):
         if a0 is None:
             continue
+        alpha = row.astype(np.int64)
         kb = alpha.tobytes()
         if kb in seen:
             continue
@@ -438,9 +460,23 @@ def _extension_candidates(base: TableGroup, p: int):
     )
     gens = dict(base.gens)
     gens[_fresh_name(gens, "t")] = base.n
+    table = base.table
+    centre = np.asarray(base.center_elements)
     for amap, valid_a in pairs:
-        for a in valid_a:
-            yield TableGroup(_extension_table(base, amap, a, p), gens)
+        # Replacing t by t*z with z in Z(N) keeps alpha, since z is central, and
+        # sends t^p = a to a*N(z) with N(z) = z alpha(z) ... alpha^(p-1)(z): the
+        # factors are central, so they commute past t.  N is a homomorphism on
+        # the abelian Z(N), so the norms M form a subgroup that alpha fixes, and
+        # (alpha, a) and (alpha, b) build isomorphic groups for every b in a*M.
+        # valid_a ascends, so keeping only the least element of each coset a*M
+        # keeps the first candidate of every isomorphism class.
+        y = norms = centre
+        for _ in range(p - 1):
+            y = amap[y]
+            norms = table[norms, y]
+        a = np.asarray(valid_a, dtype=np.intp)
+        for x in a[table[a[:, None], np.unique(norms)].min(axis=1) == a]:
+            yield TableGroup(_extension_table(base, amap, int(x), p), gens)
 
 
 def cyclic_extensions(base: TableGroup, p: int) -> list[TableGroup]:

@@ -393,7 +393,16 @@ def minimal_embedding_search(
 
 
 def replay_witness(w: dict) -> bool:
-    """Re-verify a report witness from scratch.  True means it still holds."""
+    """Re-verify a report witness from scratch.  True means it still holds; a
+    witness that is malformed, of an unknown kind, or asks for more than the
+    engine builds does not hold, so one tampered witness fails only its item."""
+    try:
+        return _replay(w)
+    except (EngineError, KeyError, TypeError, ValueError):
+        return False
+
+
+def _replay(w: dict) -> bool:
     kind = w.get("kind")
     if kind == "embedding":
         g = construct(w["ambient"])

@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from mge import construct, is_isomorphic
+from mge._version import ENGINE_VERSION
 from mge.enumerator import (
     _BUNDLED_DIR,
     _canonical_entry,
     _compute,
     _dedupe,
     _ea_alpha_matrices,
+    _ea_alpha_pairs,
     _extension_candidates,
+    _extension_table,
     _factors_of_xp_minus_1,
+    _generic_alpha_pairs,
     _seed_entries,
     Catalog,
     clear_memory_cache,
@@ -26,7 +30,8 @@ from mge.enumerator import (
     regular_oracle,
 )
 from mge.errors import IncompleteSeedSet, OutOfRange, TierLimitExceeded
-from mge.morphisms import Fingerprint, rich_invariant_key
+from mge.groups import TableGroup
+from mge.morphisms import Fingerprint, automorphisms, elem_abelian_prime, rich_invariant_key
 from mge.numtheory import is_prime
 
 # isomorphism class counts, orders 1..32
@@ -148,15 +153,101 @@ def test_canonical_entry_takes_the_candidates_fingerprint():
 def test_dedupe_builds_no_search_on_a_duplicate():
     # the bucket's kept group is the search source, so a candidate rejected
     # as a duplicate gets no generating sequence and no search levels
-    candidates = [g for base in enumerate_groups(12).groups()
+    candidates = [g for base in enumerate_groups(16).groups()
                   for g in _extension_candidates(base, 2)]
     entries = _dedupe(candidates)
     kept = {id(e.fingerprint) for e in entries}
     dupes = [g for g in candidates if id(Fingerprint.of(g)) not in kept]
-    assert len(entries) == 14 and len(dupes) == len(candidates) - 14 > 20
+    assert len(entries) == 51 and len(dupes) == len(candidates) - 51 > 20
     for g in dupes:
         assert "greedy_gens" not in g.__dict__
         assert "_search_levels" not in g.__dict__
+
+
+def _alpha_pairs(base, p):
+    q = elem_abelian_prime(base) if base.n > 1 else None
+    return _ea_alpha_pairs(base, q, p) if q else _generic_alpha_pairs(base, p)
+
+
+def _norms(base, alpha, p):
+    """{z alpha(z) ... alpha^(p-1)(z) : z central}, one element at a time."""
+    out = set()
+    for z in base.center_elements:
+        y = norm = z
+        for _ in range(p - 1):
+            y = int(alpha[y])
+            norm = base.mul(norm, y)
+        out.add(norm)
+    return out
+
+
+def test_candidates_keep_one_a_per_norm_coset():
+    # t -> t*z with z central keeps alpha and sends t^p = a to a*N(z), so a
+    # dropped (alpha, a) builds the group that the least element of a*M builds
+    dropped = 0
+    for n in range(1, 17):
+        for base in enumerate_groups(n).groups():
+            for p in (2, 3):
+                want = []
+                for alpha, valid_a in _alpha_pairs(base, p):
+                    norms = _norms(base, alpha, p)
+                    for a in valid_a:
+                        least = min(base.mul(a, m) for m in norms)
+                        kept = _extension_table(base, alpha, least, p)
+                        if a == least:
+                            want.append(kept)
+                            continue
+                        got = TableGroup(_extension_table(base, alpha, a, p), {})
+                        assert is_isomorphic(TableGroup(kept, {}), got) is not None
+                        dropped += 1
+                have = [g.table for g in _extension_candidates(base, p)]
+                assert len(have) == len(want)
+                assert all(np.array_equal(x, y) for x, y in zip(have, want)), (n, p)
+    assert dropped > 100
+
+
+def test_order24_candidates_from_order12_bases():
+    # 58 candidates before the norm filter
+    assert sum(1 for base in enumerate_groups(12).groups()
+               for _ in _extension_candidates(base, 2)) == 28
+
+
+def test_cold_enumeration_lists_aut_once_per_base(tmp_path, monkeypatch):
+    (tmp_path / "cache").mkdir()
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
+    listed = []
+
+    def counting(g, **kw):
+        listed.append(id(g))
+        return automorphisms(g, **kw)
+
+    monkeypatch.setattr("mge.enumerator.automorphisms", counting)
+    clear_memory_cache()
+    try:
+        for n in range(1, 33):
+            enumerate_groups(n)
+        bases = [id(g) for n in range(1, 17) for g in enumerate_groups(n).groups()
+                 if n == 1 or elem_abelian_prime(g) is None]
+        assert sorted(listed) == sorted(bases)
+    finally:
+        clear_memory_cache()
+
+
+def test_malformed_cache_file_is_stale(tmp_path, monkeypatch):
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path))
+    bundled = (_BUNDLED_DIR / "order6.json").read_text().strip()
+    wrong_entries = {"order": 6, "engine_version": ENGINE_VERSION,
+                     "method": "cyclic-extension", "entries": [1]}
+    for doc in ([], wrong_entries, {**wrong_entries, "order": "6", "entries": []}):
+        with pytest.raises(ValueError):
+            Catalog.from_json(doc)
+        (tmp_path / "order6.json").write_text(json.dumps(doc))
+        clear_memory_cache()
+        try:
+            assert enumerate_groups(6).dumps() == bundled
+        finally:
+            clear_memory_cache()
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 72, 81, 96, 120, 144, 243])

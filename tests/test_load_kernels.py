@@ -12,8 +12,9 @@ and reject the same strings.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
-series through one ``Subgroup`` table per term, and the extension table
-filled one block at a time."""
+series through one ``Subgroup`` table per term, the extension table
+filled one block at a time, and the generating set of Aut(N) grown by one
+``bfs_closure`` over byte-keyed maps per generator added."""
 
 import json
 import random
@@ -25,7 +26,9 @@ import pytest
 from mge import TableGroup, construct, perms, quotient_group, registry
 from mge.enumerator import (
     _BUNDLED_DIR,
+    AUT_MATERIALIZE_LIMIT,
     Catalog,
+    _aut_listing,
     _ea_alpha_pairs,
     _extension_table,
     _generic_alpha_pairs,
@@ -35,6 +38,7 @@ from mge.expressions import PermGroupExpr, _Scanner, parse_expr
 from mge.groups import SUBGROUP_LIMIT, Subgroup, _perm_closure, bfs_closure
 from mge.morphisms import (
     Fingerprint,
+    automorphisms,
     derived_series_orders,
     elem_abelian_prime,
     rich_invariant_key,
@@ -223,6 +227,27 @@ def ref_extension_table(base, amap, a, p):
                 blk = t[blk, a]
             out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk + ((i + j) % p) * m
     return out
+
+
+def ref_aut_generators(auts, n):
+    """A greedy generating subset of the int64 maps ``auts``, in stream order."""
+
+    def compose(x, g):  # x * g == g[x]
+        return np.frombuffer(g, np.int64)[np.frombuffer(x, np.int64)].tobytes()
+
+    ident = np.arange(n, dtype=np.int64).tobytes()
+    have = {ident}
+    gens, keys = [], []
+    for cand in auts:
+        key = cand.tobytes()
+        if key in have:
+            continue
+        gens.append(cand)
+        keys.append(key)
+        have = set(bfs_closure(ident, keys, compose, limit=len(auts))[0])
+        if len(have) == len(auts):
+            break
+    return gens
 
 
 # --- the groups compared ------------------------------------------------------
@@ -416,6 +441,25 @@ def test_extension_table_matches_reference(bundled_catalogs):
                         assert np.array_equal(got, ref_extension_table(base, amap, a, p)), n
                         pairs += 1
     assert pairs > 500
+
+
+def test_aut_listing_matches_reference(bundled_catalogs):
+    bases = 0
+    for n in (1, 8, 12, 16, 18, 24):
+        for base in bundled_catalogs[n]:
+            if n > 1 and elem_abelian_prime(base) is not None:
+                continue  # elementary abelian bases take the matrix path
+            stream = [np.asarray(mo.images, dtype=np.int64)
+                      for mo in automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)]
+            auts, gens = _aut_listing(base)
+            assert auts.dtype == np.uint8 and np.array_equal(auts, stream), n
+            want = ref_aut_generators(stream, n)
+            assert len(gens) == len(want), n
+            assert all(np.array_equal(g, w) and g.dtype == np.int64
+                       for g, w in zip(gens, want)), n
+            assert _aut_listing(base)[0] is auts  # listed once per base
+            bases += 1
+    assert bases == 43
 
 
 # --- parsing --------------------------------------------------------------------

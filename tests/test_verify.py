@@ -385,6 +385,33 @@ def test_replay_rejects_a_tampered_table4_witness():
     assert not replay_witness({**w, "ambient": "named(C2xH1)"})
 
 
+def test_replay_fails_a_malformed_witness_instead_of_raising():
+    bij = _pass_witness("table1", "order 8")
+    t4 = _pass_witness("table4", "n=6")
+    search = next(it.witness for it in reproduce("thm-order32").items if it.witness)
+    assert search["kind"] == "minimal-search"
+    for bad in (
+        {**bij, "pairs": [bij["pairs"][0][:1]] + bij["pairs"][1:]},  # a one-element pair
+        {**t4, "n": 16},  # table 4 stops at n = 15
+        {"kind": "absence", "ambient": "C(4)", "target": "C(99999)"},  # past the table limit
+        {"kind": "embedding", "ambient": "C(4)", "target": "C(99999)", "generators": ["a"]},
+        {k: v for k, v in search.items() if k != "search_kind"},
+        {"kind": "no-such-kind"},
+    ):
+        assert replay_witness(bad) is False, bad
+
+
+def test_replay_report_fails_on_one_tampered_witness():
+    rep = reproduce("table1")
+    assert replay_report(rep)
+    items = list(rep.items)
+    at = next(i for i, it in enumerate(items) if it.item_id == "order 8")
+    w = items[at].witness
+    items[at] = verify.ReportItem(items[at].item_id, "pass", items[at].detail,
+                                  {**w, "pairs": [w["pairs"][0][:1]] + w["pairs"][1:]})
+    assert replay_report(verify.Report(rep.scenario, items)) is False
+
+
 def test_lemma_p3_skips_below_tier3():
     rep = reproduce("lemma-p3", tier=2)
     assert rep.passed
