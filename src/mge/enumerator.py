@@ -40,7 +40,7 @@ from .errors import (
     TierLimitExceeded,
 )
 from .expressions import GroupExpr, parse_expr
-from .groups import TableGroup, construct
+from .groups import TableGroup, _row_closure, construct
 from .morphisms import (
     Fingerprint,
     automorphisms,
@@ -53,7 +53,6 @@ from .numtheory import factorization, is_prime
 from .perms import compose, format_cycles
 from .registry import perfect_seed_exprs
 
-AUT_MATERIALIZE_LIMIT = 1 << 20
 HARD_ORDER_LIMIT = 256
 ORACLE_LIMIT = 10
 TIER_EXTRA = {1: frozenset(), 2: frozenset({72, 96, 120, 144}),
@@ -333,20 +332,14 @@ def _aut_listing(base: TableGroup) -> tuple[np.ndarray, list[np.ndarray]]:
     if cached is not None:
         return cached
     dtype = np.min_scalar_type(base.n - 1)
-    stream = automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)
     auts = np.fromiter(
-        itertools.chain.from_iterable(mo.images for mo in stream), dtype=dtype
+        itertools.chain.from_iterable(mo.images for mo in automorphisms(base)), dtype=dtype
     ).reshape(-1, base.n)
 
     # greedy in stream order; <H, g> is H plus what right multiplication by the
     # generators reaches from H*g, and x * g is g[x]
-    row = np.dtype((np.void, auts.strides[0]))
-
-    def keys(rows: np.ndarray) -> list[bytes]:
-        return rows.view(row).ravel().tolist()
-
     elems = [np.arange(base.n, dtype=dtype)[None]]
-    have = set(keys(elems[0]))
+    have = {elems[0].tobytes()}
     gens: list[np.ndarray] = []
     for cand in auts:
         if len(have) == len(auts):
@@ -354,13 +347,8 @@ def _aut_listing(base: TableGroup) -> tuple[np.ndarray, list[np.ndarray]]:
         if cand.tobytes() in have:
             continue
         gens.append(cand)
-        batch = cand[np.concatenate(elems)]
-        while len(batch):
-            first = dict(zip(keys(batch), range(len(batch))))
-            fresh = batch[[i for k, i in first.items() if k not in have]]
-            have.update(first)
-            elems.append(fresh)
-            batch = np.concatenate([g[fresh] for g in gens])
+        elems.extend(_row_closure(cand[np.concatenate(elems)],
+                                  lambda f: np.concatenate([g[f] for g in gens]), have))
     gens = [g.astype(np.int64) for g in gens]
     base.__dict__["_aut_listing"] = (auts, gens)
     return auts, gens
@@ -393,37 +381,26 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
         pw = np.take_along_axis(auts, pw, axis=1)
     inner = [inner_rep.get(row.tobytes()) for row in pw]
 
+    def neighbours(f: np.ndarray) -> np.ndarray:
+        """The regradings of every row of ``f`` at once."""
+        moves = [s[f[:, si]] for s, si in zip(aut_gens, inv_aut_gens)]
+        moves += [si[f[:, s]] for s, si in zip(aut_gens, inv_aut_gens)]
+        moves += [c[f] for c in gen_conj] + [f[:, c] for c in gen_conj]
+        acc = f
+        for _ in range(p - 2):
+            acc = np.take_along_axis(f, acc, axis=1)
+            moves.append(acc)
+        return np.concatenate(moves) if moves else f[:0]
+
     seen: set[bytes] = set()
     for row, a0 in zip(auts, inner):
         if a0 is None:
             continue
         alpha = row.astype(np.int64)
-        kb = alpha.tobytes()
-        if kb in seen:
+        if alpha.tobytes() in seen:
             continue
-        # mark the whole equivalence class of this representative
-        frontier = [alpha]
-        seen.add(kb)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                neighbours = []
-                for s, si in zip(aut_gens, inv_aut_gens):
-                    neighbours.append(s[f[si]])
-                    neighbours.append(si[f[s]])
-                for c in gen_conj:
-                    neighbours.append(c[f])
-                    neighbours.append(f[c])
-                acc = f
-                for _ in range(p - 2):
-                    acc = f[acc]
-                    neighbours.append(acc)
-                for nb in neighbours:
-                    nbk = nb.tobytes()
-                    if nbk not in seen:
-                        seen.add(nbk)
-                        nxt.append(nb)
-            frontier = nxt
+        for _ in _row_closure(alpha[None], neighbours, seen):
+            pass  # marks the whole equivalence class of this representative
         valid_a = sorted(
             int(table[a0, z]) for z in center if alpha[table[a0, z]] == table[a0, z]
         )

@@ -85,6 +85,27 @@ def _close_products(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
             return s
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a matrix as one opaque bytes value."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _row_closure(seeds: np.ndarray, step, seen: set):
+    """Yield, level by level, the rows reachable from ``seeds`` whose bytes
+    are not in ``seen``, adding their keys to ``seen``.  The first level is
+    the new seeds; each next one is ``step(level)`` (a 2-d array of rows of
+    the same dtype) less the rows already seen."""
+    rows = seeds
+    while len(rows):
+        first = dict(zip(_row_keys(rows).tolist(), range(len(rows))))
+        rows = rows[[i for k, i in first.items() if k not in seen]]
+        seen.update(first)
+        if len(rows):
+            yield rows
+            rows = step(rows)
+
+
 def bfs_closure(identity, gens, mul, limit=SUBGROUP_LIMIT):
     """Breadth-first closure of ``gens`` under ``mul``.
 
@@ -221,7 +242,6 @@ class TableGroup:
         table: np.ndarray,
         gens: dict[str, int],
         *,
-        labels: Sequence[str] | None = None,
         perm_elems: PermElements | None = None,
         components: list[_Component] | None = None,
     ):
@@ -244,7 +264,6 @@ class TableGroup:
         self._flat_cells = self._cells.cast("B").cast(self._cells.format)
         self._inv_cells = memoryview(self.inv)
         self.gens = dict(gens)
-        self._labels = labels
         self.perm_elems = perm_elems
         self.components = components
 
@@ -425,7 +444,7 @@ class TableGroup:
     def labels(self) -> list[str]:
         """Every element's label.  Only groups labelled by generator words
         need this whole list; label_of formats single elements of the rest."""
-        if self._labels is None and self.perm_elems is None and not self.components:
+        if self.perm_elems is None and not self.components:
             return self._bfs_labels()
         return [self.label_of(x) for x in range(self.n)]
 
@@ -442,8 +461,6 @@ class TableGroup:
         return [_compress_word(words[i]) for i in range(self.n)]
 
     def label_of(self, x: int) -> str:
-        if self._labels is not None:
-            return self._labels[x]
         if self.perm_elems is not None:
             return perms.format_cycles(self.perm_elems.mat[x].tolist())
         if self.components:
@@ -562,20 +579,6 @@ def _remap_word(word: str, rename: dict[str, str]) -> str:
     return "*".join(parts)
 
 
-class _AmbientLabels(Sequence):
-    """A subgroup's element labels, formatted by the ambient group on demand."""
-
-    def __init__(self, ambient, elements: list):
-        self._ambient = ambient
-        self._elements = elements
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __getitem__(self, i):
-        return self._ambient.label_of(self._elements[i])
-
-
 @dataclass
 class Subgroup:
     """A subgroup captured as sorted ambient elements plus its own table."""
@@ -600,7 +603,7 @@ class Subgroup:
                 for j, b in enumerate(elements):
                     tab[i, j] = index[ambient.mul(a, b)]
         gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
-        grp = TableGroup(tab.astype(np.int32), gens, labels=_AmbientLabels(ambient, elements))
+        grp = TableGroup(tab.astype(np.int32), gens)
         return Subgroup(ambient, elements, gen_elems, grp)
 
     @property
@@ -682,31 +685,20 @@ def build_dicyclic(n: int) -> TableGroup:
     return TableGroup(table.astype(np.int32), {"a": 1, "b": tn})
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a matrix as one opaque bytes value."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
     """Every element generated by the rows of ``gens``, as rows in
-    lexicographic order.  The closure grows level by level: a level is the
-    previous one times each generator (``x * g == g[x]``), keyed by the
-    bytes of each row; the rows whose key is new form the next level.  The
-    rows are sorted once, at the end, as big-endian bytes, whose order
+    lexicographic order: the identity closed under right multiplication
+    (``x * g == g[x]``), then sorted once as big-endian bytes, whose order
     agrees with numeric order."""
     gens = np.asarray(gens, dtype=np.int32)  # the row keys are int32 bytes
-    identity = np.arange(degree, dtype=np.int32)
-    seen = {identity.tobytes()}
-    frontier = identity[None, :]
-    while len(frontier):
-        level = set(_row_keys(np.take(gens, frontier, axis=1).reshape(-1, degree)).tolist())
-        level -= seen
-        seen |= level
+    seen: set[bytes] = set()
+    levels = []
+    for level in _row_closure(np.arange(degree, dtype=np.int32)[None],
+                              lambda f: np.take(gens, f, axis=1).reshape(-1, degree), seen):
+        levels.append(level)
         if len(seen) > SUBGROUP_LIMIT:
             raise SubgroupLimitExceeded(f"closure exceeded {SUBGROUP_LIMIT} elements")
-        frontier = np.frombuffer(b"".join(level), dtype=np.int32).reshape(-1, degree)
-    found = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, degree)
+    found = np.concatenate(levels)
     return found[np.argsort(_row_keys(found.astype(">i4")))]
 
 

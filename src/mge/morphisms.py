@@ -46,7 +46,7 @@ from .groups import TableGroup, TwistedGroup, _close_products, _row_blocks, bfs_
 from .numtheory import factorization, is_prime
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
-AUT_BUDGET = 1 << 25
+AUT_BUDGET = 1 << 20
 TWISTED_FULL_POOL_LIMIT = 2_000_000
 
 
@@ -348,6 +348,8 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
     the first generator's images are cut to ``dst.class_reps``."""
     left = DEFAULT_SEARCH_BUDGET if budget is None else budget
     dense = isinstance(dst, TableGroup)
+    if not dense:
+        support = dst.resolve_support(support)
     if require_iso and (not dense or src.order != dst.order):
         return
     if dense and dst.order % src.order != 0:
@@ -390,7 +392,8 @@ def search_monomorphisms(
 
     Deterministic: candidates are tried in ascending element order.  Raises
     SearchBudgetExceeded when the work cap is hit, in which case nothing may
-    be concluded from an absence of yields.
+    be concluded from an absence of yields.  Against a TwistedGroup,
+    ``support`` names the components (by name or index) images may use.
     """
     return _search(src, dst, require_iso, budget, support, False)
 
@@ -427,16 +430,14 @@ def find_embedding(
     """
     if not isinstance(h, TableGroup):
         raise OrderLimitExceeded("the embedded group must be within the table limit")
-    if isinstance(g, TwistedGroup) and support is not None:
-        support = g.resolve_support(support)
     for m in _search(h, g, False, budget, support, True):
         return m
     return None
 
 
-def automorphisms(g: TableGroup, *, budget: int = AUT_BUDGET):
+def automorphisms(g: TableGroup):
     """Stream every automorphism of g in the order search_monomorphisms
-    yields them.  Raises AutBudgetExceeded past ``budget`` automorphisms, and
+    yields them.  Raises AutBudgetExceeded past AUT_BUDGET automorphisms, and
     before the first one when g is elementary abelian of rank k and
     |GL(k, p)| is over the budget.
     """
@@ -446,20 +447,20 @@ def automorphisms(g: TableGroup, *, budget: int = AUT_BUDGET):
         total = 1
         for i in range(k):
             total *= p**k - p**i
-        if total > budget:
-            raise AutBudgetExceeded(f"|Aut| = {total} exceeds the budget {budget}")
+        if total > AUT_BUDGET:
+            raise AutBudgetExceeded(f"|Aut| = {total} exceeds the budget {AUT_BUDGET}")
     count = 0
     for m in search_monomorphisms(g, g, require_iso=True):
         count += 1
-        if count > budget:
+        if count > AUT_BUDGET:
             raise AutBudgetExceeded(
-                f"more than {budget} automorphisms of a group of order {g.order}"
+                f"more than {AUT_BUDGET} automorphisms of a group of order {g.order}"
             )
         yield m
 
 
-def automorphism_count(g: TableGroup, *, budget: int = AUT_BUDGET) -> int:
-    return sum(1 for _ in automorphisms(g, budget=budget))
+def automorphism_count(g: TableGroup) -> int:
+    return sum(1 for _ in automorphisms(g))
 
 
 def elem_abelian_prime(g: TableGroup) -> int | None:

@@ -467,24 +467,6 @@ def reproduce(sid: str, *, tier: int | None = None) -> Report:
     return Report(sid, _SCENARIOS[sid](tier))
 
 
-def _class_names(texts: list[str], labels: list[str]) -> tuple[bool, str]:
-    """Match recipe texts against expected registry labels up to isomorphism."""
-    if len(texts) != len(labels):
-        return False, f"expected {len(labels)} classes, found {len(texts)}"
-    remaining = {lb: construct(registry.named_group(lb)) for lb in labels}
-    for text in texts:
-        g = construct(text)
-        found = None
-        for lb, h in remaining.items():
-            if g.order == h.order and is_isomorphic(g, h) is not None:
-                found = lb
-                break
-        if found is None:
-            return False, f"group {text!r} matches no expected class"
-        del remaining[found]
-    return True, ""
-
-
 def _bijection(cat, labels: list[str]) -> tuple[list[list[str]], str | None]:
     """Pair each registry label with the catalog class it is isomorphic to;
     the problem names the first label that matches no class or a class an
@@ -500,6 +482,16 @@ def _bijection(cat, labels: list[str]) -> tuple[list[list[str]], str | None]:
         seen.add(entry.recipe_text)
         pairs.append([lb, entry.recipe_text])
     return pairs, None
+
+
+def _passing_classes_problem(out: SearchOutcome, labels: list[str], tier: int) -> str | None:
+    """Why the passing classes of the search's found order are not exactly
+    the labelled groups, or None when they are."""
+    cat = enumerator.enumerate_groups(out.found_order, tier=tier)
+    passing = [e for e in cat.entries if e.recipe_text in out.groups]
+    if len(passing) != len(labels):
+        return f"expected {len(labels)} classes, found {len(passing)}"
+    return _bijection(enumerator.Catalog(cat.order, passing, cat.provenance), labels)[1]
 
 
 @_scenario("table1")
@@ -543,8 +535,8 @@ def _run_table2(tier: int) -> list[ReportItem]:
                            f"search found order {out.found_order}, stated {stated_order}")
             )
             continue
-        ok, why = _class_names(out.groups, list(stated_labels))
-        if not ok:
+        why = _passing_classes_problem(out, list(stated_labels), tier)
+        if why is not None:
             items.append(ReportItem(f"n={n}", "fail", why))
             continue
         items.append(
@@ -657,8 +649,8 @@ def _minimal_host_items(
         elim = ", ".join(f"{m} ({c} groups)" for m, c in sorted(out.eliminated.items()))
         detail += f" after eliminating {elim}"
     items = [ReportItem("minimal order", "pass", detail, witness)]
-    ok, why = _class_names(out.groups, labels)
-    if ok:
+    why = _passing_classes_problem(out, labels, tier)
+    if why is None:
         plural = "group" if len(labels) == 1 else "groups"
         items.append(
             ReportItem("passing classes", "pass",

@@ -13,8 +13,9 @@ and reject the same strings.
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
 series through one ``Subgroup`` table per term, the extension table
-filled one block at a time, and the generating set of Aut(N) grown by one
-``bfs_closure`` over byte-keyed maps per generator added."""
+filled one block at a time, the generating set of Aut(N) grown by one
+``bfs_closure`` over byte-keyed maps per generator added, and the classes
+of extension automorphisms marked one map at a time."""
 
 import json
 import random
@@ -26,7 +27,6 @@ import pytest
 from mge import TableGroup, construct, perms, quotient_group, registry
 from mge.enumerator import (
     _BUNDLED_DIR,
-    AUT_MATERIALIZE_LIMIT,
     Catalog,
     _aut_listing,
     _ea_alpha_pairs,
@@ -250,6 +250,58 @@ def ref_aut_generators(auts, n):
     return gens
 
 
+def ref_generic_alpha_pairs(base, p):
+    """(alpha, valid a) pairs, each class marked by a BFS over single maps."""
+    m = base.n
+    table = base.table.astype(np.int64)
+    auts, aut_gens = _aut_listing(base)
+    idx = np.arange(m)
+    conj = [table[table[b, idx], base.inv[b]] for b in range(m)]  # b y b^-1
+    inner_rep = {}
+    for b in range(m):
+        inner_rep.setdefault(conj[b].astype(auts.dtype).tobytes(), b)
+    inv_aut_gens = [np.argsort(s) for s in aut_gens]
+    gen_conj = [conj[b] for b in base.greedy_gens]
+    gen_conj += [np.argsort(c) for c in gen_conj]
+    pw = auts
+    for _ in range(p - 1):
+        pw = np.take_along_axis(auts, pw, axis=1)
+    inner = [inner_rep.get(row.tobytes()) for row in pw]
+    seen = set()
+    for row, a0 in zip(auts, inner):
+        if a0 is None:
+            continue
+        alpha = row.astype(np.int64)
+        if alpha.tobytes() in seen:
+            continue
+        frontier = [alpha]
+        seen.add(alpha.tobytes())
+        while frontier:
+            nxt = []
+            for f in frontier:
+                neighbours = []
+                for s, si in zip(aut_gens, inv_aut_gens):
+                    neighbours.append(s[f[si]])
+                    neighbours.append(si[f[s]])
+                for c in gen_conj:
+                    neighbours.append(c[f])
+                    neighbours.append(f[c])
+                acc = f
+                for _ in range(p - 2):
+                    acc = f[acc]
+                    neighbours.append(acc)
+                for nb in neighbours:
+                    if nb.tobytes() not in seen:
+                        seen.add(nb.tobytes())
+                        nxt.append(nb)
+            frontier = nxt
+        valid_a = sorted(
+            int(table[a0, z]) for z in base.center_elements
+            if alpha[table[a0, z]] == table[a0, z]
+        )
+        yield alpha, valid_a
+
+
 # --- the groups compared ------------------------------------------------------
 
 
@@ -450,7 +502,7 @@ def test_aut_listing_matches_reference(bundled_catalogs):
             if n > 1 and elem_abelian_prime(base) is not None:
                 continue  # elementary abelian bases take the matrix path
             stream = [np.asarray(mo.images, dtype=np.int64)
-                      for mo in automorphisms(base, budget=AUT_MATERIALIZE_LIMIT)]
+                      for mo in automorphisms(base)]
             auts, gens = _aut_listing(base)
             assert auts.dtype == np.uint8 and np.array_equal(auts, stream), n
             want = ref_aut_generators(stream, n)
@@ -460,6 +512,21 @@ def test_aut_listing_matches_reference(bundled_catalogs):
             assert _aut_listing(base)[0] is auts  # listed once per base
             bases += 1
     assert bases == 43
+
+
+def test_generic_alpha_pairs_match_reference(bundled_catalogs):
+    bases = pairs = 0
+    for n in range(8, 25):
+        for base in bundled_catalogs[n]:
+            if elem_abelian_prime(base) is not None:
+                continue
+            for p in (2, 3):
+                got = [(a.tolist(), v) for a, v in _generic_alpha_pairs(base, p)]
+                want = [(a.tolist(), v) for a, v in ref_generic_alpha_pairs(base, p)]
+                assert got == want, (n, p)
+                pairs += len(got)
+            bases += 1
+    assert (bases, pairs) == (57, 275)
 
 
 # --- parsing --------------------------------------------------------------------

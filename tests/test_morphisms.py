@@ -109,6 +109,18 @@ def test_twisted_embedding_with_support():
     assert find_embedding(construct("C(4)"), tw, support=["C(5)"]) is None
 
 
+def test_search_monomorphisms_resolves_support_names():
+    tw = registry.resolve("BIGPROD").build()
+    h = construct("C(5)")
+    first = find_embedding(h, tw, support=["A5"])
+    assert first is not None
+    maps = list(search_monomorphisms(h, tw, support=["A5"]))
+    assert maps and all(m.verify() for m in maps)
+    assert first.images in [m.images for m in maps]
+    assert [m.images for m in search_monomorphisms(h, tw, support=["7"])] == \
+        [m.images for m in maps]  # "A5" is component 7
+
+
 AUT_COUNTS = [
     ("C(6)", 2),
     ("EA(2,2)", 6),

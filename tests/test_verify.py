@@ -264,6 +264,14 @@ def test_minimal_search_order_collection():
     assert flat == ["C(2) x C(4)", "D(4)"]
 
 
+def test_passing_classes_are_matched_to_labels_through_the_catalog():
+    out = minimal_embedding_search("order", 4, 16)
+    assert verify._passing_classes_problem(out, ["D4", "C2xC4"], 2) is None
+    assert verify._passing_classes_problem(out, ["D4"], 2) == "expected 1 classes, found 2"
+    assert verify._passing_classes_problem(out, ["D4", "Q2"], 2) == \
+        "Q2 matches no enumerated class"
+
+
 def test_minimal_search_trivial():
     out = minimal_embedding_search("order", 2, 4)
     assert out.found_order == 2 and len(out.groups) == 1
