@@ -373,7 +373,6 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
 
     inv_aut_gens = [np.argsort(s) for s in aut_gens]
     gen_conj = [conj[b] for b in base.greedy_gens]
-    gen_conj += [np.argsort(c) for c in gen_conj]
 
     # alpha^p for every row at once; alpha qualifies when that is inner
     pw = auts
@@ -382,10 +381,9 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
     inner = [inner_rep.get(row.tobytes()) for row in pw]
 
     def neighbours(f: np.ndarray) -> np.ndarray:
-        """The regradings of every row of ``f`` at once."""
-        moves = [s[f[:, si]] for s, si in zip(aut_gens, inv_aut_gens)]
-        moves += [si[f[:, s]] for s, si in zip(aut_gens, inv_aut_gens)]
-        moves += [c[f] for c in gen_conj] + [f[:, c] for c in gen_conj]
+        """The regradings of every row of ``f`` at once.  No inverse moves: each
+        move's inverse is one of its powers, and f after c_b is c_f(b) after f."""
+        moves = [s[f[:, si]] for s, si in zip(aut_gens, inv_aut_gens)] + [c[f] for c in gen_conj]
         acc = f
         for _ in range(p - 2):
             acc = np.take_along_axis(f, acc, axis=1)

@@ -240,7 +240,7 @@ class TableGroup:
     def __init__(
         self,
         table: np.ndarray,
-        gens: dict[str, int],
+        gens: dict[str, int] | None,
         *,
         perm_elems: PermElements | None = None,
         components: list[_Component] | None = None,
@@ -263,11 +263,17 @@ class TableGroup:
         self._cells = memoryview(table)
         self._flat_cells = self._cells.cast("B").cast(self._cells.format)
         self._inv_cells = memoryview(self.inv)
-        self.gens = dict(gens)
+        if gens is not None:  # None for a permutation group; see the gens property
+            self.gens = dict(gens)
         self.perm_elems = perm_elems
         self.components = components
 
     # -- basics --
+
+    @cached_property
+    def gens(self) -> dict[str, int]:
+        """A permutation group's generators by cycle string, formatted on first read."""
+        return {self.label_of(i): i for i in self.perm_elems.gen_ids}
 
     @property
     def order(self) -> int:
@@ -724,6 +730,7 @@ class PermElements:
         n, degree = mat.shape
         self.mat = mat
         self.degree = degree
+        self.gen_ids: list[int] = []  # the generating permutations' element ids
         self.base: list[int] = []
         self._steps: list[np.ndarray] = []  # one flat (keys + 1) x degree table per base point
         key = np.zeros(n, dtype=np.int64)
@@ -758,32 +765,68 @@ class PermElements:
         return np.where((idx >= 0) & (self.mat[idx] == rows).all(axis=-1), idx, -1)
 
 
+def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
+    """Row ``p`` is the element taking point 0 to ``p`` if the rows of ``gens``
+    generate a regular group, else None.  Rows are filled along a Schreier tree
+    of point 0 and accepted when ``U[j] * s == U[s[j]]`` for all points j and
+    generators s: U then holds 1, is closed under the generators and is made of
+    their products, so it is the whole group."""
+    if degree > TABLE_LIMIT:
+        return None
+    u = np.empty((degree, degree), dtype=np.int32)
+    u[0] = np.arange(degree)
+    flat, rows, seen = gens.ravel(), gens.tolist(), bytearray(degree)
+    seen[0] = 1
+    frontier = [0]
+    while frontier:  # one tree level, filled by one flat take
+        level = []
+        for j in frontier:
+            for k, s in enumerate(rows):
+                if not seen[s[j]]:
+                    seen[s[j]] = 1
+                    level.append((s[j], j, k))
+        if level:  # (point s[j], parent j, generator s) triples
+            points, parents, by = np.array(level).T
+            u[points] = flat[by[:, None] * degree + u[parents]]  # u[j] * s, as x * s == s[x]
+        frontier = [q for q, _, _ in level]
+    if 0 in seen:
+        return None
+    # one generator and one row block at a time: no array larger than the table
+    closed = all((s.take(u[b]) == u.take(s[b], axis=0)).all()
+                 for s in gens for b in _row_blocks(degree, degree))
+    return u if closed else None
+
+
 def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     """Tabulate the group generated by ``gen_perms``.
 
     Elements are numbered in lexicographic order of their image tuples, which
-    puts the identity at index 0.  The table is built without per-cell work,
-    by the base-key method of PermElements: the product ``x * y`` is located
-    by its base images ``(x * y)[b] == y[x[b]]``, taken for a block of rows
-    ``x`` against every ``y`` at once.
+    puts the identity at index 0.  A regular group's rows ``U`` from
+    _regular_elements are in that order (row ``p`` starts with ``p``), and
+    ``(U[x] * U[y])[0] == U[y][x]`` makes its table ``U.T``.  Any other group
+    is closed by _perm_closure, and the product ``x * y`` is located by the
+    base-key method of PermElements from ``(x * y)[b] == y[x[b]]``, for a
+    block of rows ``x`` against every ``y`` at once.
     """
     gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
-    mat = _perm_closure(degree, gens)
-    n = len(mat)
-    if n > TABLE_LIMIT:
-        raise OrderLimitExceeded(f"permutation closure has {n} elements")
-    elems = PermElements(mat)
-    base = elems.base
-    table = np.empty((n, n), dtype=np.int32)
-    for rows in _row_blocks(n, n):
-        # mat[:, mat[rows, base]][y, x, k] == (x * y)[base[k]]
-        prods = elems.locate(mat[:, mat[rows, base]].transpose(1, 0, 2))
-        if (prods < 0).any():
-            raise EngineError("a product of permutations fell outside their closure")
-        table[rows] = prods
-    gen_idx = elems.locate(gens[:, base])
-    names = {perms.format_cycles(p): int(i) for p, i in zip(gen_perms, gen_idx)}
-    return TableGroup(table, names, perm_elems=elems)
+    mat = _regular_elements(degree, gens)
+    if mat is not None:
+        elems, table, gen_idx = PermElements(mat), mat.T, gens[:, 0]
+    else:
+        mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
+        n = len(mat)
+        elems = PermElements(mat)
+        base = elems.base
+        table = np.empty((n, n), dtype=np.int32)
+        for rows in _row_blocks(n, n):
+            # mat[:, mat[rows, base]][y, x, k] == (x * y)[base[k]]
+            prods = elems.locate(mat[:, mat[rows, base]].transpose(1, 0, 2))
+            if (prods < 0).any():
+                raise EngineError("a product of permutations fell outside their closure")
+            table[rows] = prods
+        gen_idx = elems.locate(gens[:, base])
+    elems.gen_ids = gen_idx.tolist()
+    return TableGroup(table, None, perm_elems=elems)
 
 
 def build_symmetric(n: int) -> TableGroup:

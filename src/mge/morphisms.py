@@ -28,6 +28,9 @@ An automorphism stream is this same search from a group to itself, with a
 budget on the number of maps.  An elementary abelian group of rank k whose
 |GL(k, p)| is over that budget is refused before the search starts.
 
+An embedding into a dense target is refuted before any search when the source
+has more elements of some order than the target: a monomorphism keeps orders.
+
 Absence results are proofs only when the target is a dense TableGroup, since
 then candidate pools cover the whole group.  Against a TwistedGroup the pool
 is restricted (by support, or by sheer size), so only positive findings count.
@@ -354,6 +357,10 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
         return
     if dense and dst.order % src.order != 0:
         return
+    if dense and not require_iso:
+        need = np.bincount(src.element_orders)
+        if (need > np.bincount(dst.element_orders, minlength=len(need))[: len(need)]).any():
+            return  # a monomorphism maps the elements of each order injectively
     if src.order == 1:
         yield Morphism(src, dst, [], [dst.identity])
         return

@@ -370,15 +370,17 @@ def minimal_embedding_search(
     for m in candidates:
         if not enumerator.order_allowed(m, tier):
             raise TierLimitExceeded(f"candidate order {m} is outside tier {tier}; raise MGE_TIER")
-    checker = contains_all_of_order if kind == "order" else contains_all_upto
     name = f"all-{'of-order' if kind == 'order' else 'upto'} {n}"
     eliminated: dict[int, int] = {}
     found, passing = None, []
+    targets = [t for k in ([n] if kind == "order" else range(1, n + 1))
+               for _, t in _targets_of_order(k, tier)] if candidates else []
     for m in candidates:
         cat = enumerator.enumerate_groups(m, tier=tier)
+        # a catalog group is dense, so each verdict is what contains_all_* decides
         passing = [
             e.recipe_text for e in cat.entries
-            if checker(e.group, n, ambient_text=e.recipe_text, stop_on_fail=True, tier=tier).passed
+            if all(find_embedding(t, e.group) is not None for t in targets)
         ]
         if passing:
             found = m

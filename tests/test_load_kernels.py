@@ -8,7 +8,9 @@ invariant factors by splitting off one largest cyclic subgroup at a time.
 The current routines must give the same values on every bundled catalog
 entry of orders 1-64 and every dense registry group (the order-840 and
 order-3360 containment ambients among them), and the parsers must accept
-and reject the same strings.
+and reject the same strings.  The permutation group build, which now reads
+a regular group off a Schreier tree of point 0, is compared with the build
+that closed every group row by row and named its generators up front.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
@@ -24,7 +26,7 @@ import re
 import numpy as np
 import pytest
 
-from mge import TableGroup, construct, perms, quotient_group, registry
+from mge import TableGroup, construct, groups, perms, quotient_group, registry
 from mge.enumerator import (
     _BUNDLED_DIR,
     Catalog,
@@ -33,9 +35,17 @@ from mge.enumerator import (
     _extension_table,
     _generic_alpha_pairs,
 )
-from mge.errors import ParseError, SubgroupLimitExceeded
+from mge.errors import EngineError, OrderLimitExceeded, ParseError, SubgroupLimitExceeded
 from mge.expressions import PermGroupExpr, _Scanner, parse_expr
-from mge.groups import SUBGROUP_LIMIT, Subgroup, _perm_closure, bfs_closure
+from mge.groups import (
+    SUBGROUP_LIMIT,
+    TABLE_LIMIT,
+    PermElements,
+    Subgroup,
+    _perm_closure,
+    _row_blocks,
+    bfs_closure,
+)
 from mge.morphisms import (
     Fingerprint,
     automorphisms,
@@ -67,6 +77,25 @@ def ref_perm_closure(degree, gens):
         if len(found) > SUBGROUP_LIMIT:
             raise SubgroupLimitExceeded(f"closure exceeded {SUBGROUP_LIMIT} elements")
     return found[_ref_row_order(found)]
+
+
+def ref_build_perm_group(degree, gen_perms):
+    gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
+    mat = _perm_closure(degree, gens)
+    n = len(mat)
+    if n > TABLE_LIMIT:
+        raise OrderLimitExceeded(f"permutation closure has {n} elements")
+    elems = PermElements(mat)
+    base = elems.base
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in _row_blocks(n, n):
+        prods = elems.locate(mat[:, mat[rows, base]].transpose(1, 0, 2))
+        if (prods < 0).any():
+            raise EngineError("a product of permutations fell outside their closure")
+        table[rows] = prods
+    gen_idx = elems.locate(gens[:, base])
+    names = {perms.format_cycles(p): int(i) for p, i in zip(gen_perms, gen_idx)}
+    return TableGroup(table, names, perm_elems=elems)
 
 
 _REF_CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -362,6 +391,41 @@ def test_perm_closure_matches_reference(registry_groups):
         assert np.array_equal(got, ref_perm_closure(g.perm_elems.degree, gens)), label
 
 
+def test_build_perm_group_matches_reference(monkeypatch):
+    closed = []
+    monkeypatch.setattr(groups, "_perm_closure",
+                        lambda degree, gens: closed.append(degree) or _perm_closure(degree, gens))
+
+    def builds(text):
+        got = construct(text)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "build_perm_group", ref_build_perm_group)
+            want = construct(text)
+        return got, want
+
+    def assert_same(text):
+        got, want = builds(text)
+        assert np.array_equal(got.table, want.table), text
+        assert np.array_equal(got.perm_elems.mat, want.perm_elems.mat), text
+        assert list(got.gens.items()) == list(want.gens.items()), text
+
+    for text in _bundled_recipes(BUNDLED_ORDERS):
+        if text.startswith("perm("):
+            closed.clear()
+            assert_same(text)
+            assert closed == [], text  # every bundled recipe is a regular group
+    for label in registry.available_labels():
+        got, _ = builds(f"named({label})")
+        if isinstance(got, TableGroup) and got.perm_elems is not None:
+            assert_same(f"named({label})")
+    # a full orbit that is not closed, an intransitive group, and degree 1
+    for text, fallback in (("S(3)", True), ("perm(5; (1 2), (3 4 5))", True),
+                           ("perm(1; ())", False)):
+        closed.clear()
+        assert_same(text)
+        assert bool(closed) == fallback, text
+
+
 def test_perm_closure_limit_matches_reference():
     # S(8) by a transposition and an 8-cycle has 40320 > SUBGROUP_LIMIT elements
     gens = np.asarray([perms.parse_cycles("(1 2)", 8), perms.parse_cycles("(1 2 3 4 5 6 7 8)", 8)],
@@ -635,6 +699,15 @@ def _order48_doc():
 def test_order48_regular_entry_loads():
     cat = Catalog.from_json(_order48_doc())
     assert cat.order == 48
+
+
+def test_checked_load_formats_no_cycle_strings(monkeypatch):
+    formatted = []
+    real = perms.format_cycles
+    monkeypatch.setattr(perms, "format_cycles", lambda p: formatted.append(p) or real(p))
+    cat = Catalog.from_json(_order48_doc())
+    assert len(cat) == 52 and formatted == []
+    assert cat.entries[0].group.gens and formatted  # names are formatted when read
 
 
 def test_swapped_point_in_a_generator_is_rejected():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mge import construct, find_embedding, is_isomorphic, registry
+from mge import construct, find_embedding, is_isomorphic, morphisms, registry
 from mge.enumerator import Catalog, _BUNDLED_DIR
 from mge.errors import AutBudgetExceeded, SearchBudgetExceeded
 from mge.groups import TableGroup, bfs_closure
@@ -97,6 +97,17 @@ def test_embeddings_refuted(h, g):
 
 def test_embedding_respects_divisibility_shortcut():
     assert find_embedding(construct("C(5)"), construct("S(4)")) is None
+
+
+def test_element_order_counts_refute_before_the_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the search kernel was entered")
+
+    monkeypatch.setattr(morphisms, "_kernel", kernel)
+    h, g = construct("EA(2,3)"), construct("D(4)")
+    assert np.bincount(h.element_orders)[2] == 7 and np.bincount(g.element_orders)[2] == 5
+    assert find_embedding(h, g) is None
+    assert list(search_monomorphisms(h, g)) == []
 
 
 def test_twisted_embedding_with_support():
@@ -340,6 +351,18 @@ def test_first_witnesses_match_reference(label):
         want, spent = _reference_first(h, g)
         _assert_same_first(find_embedding(h, g), want, spent,
                            lambda k: find_embedding(h, g, budget=k))
+
+
+def test_embedding_verdicts_match_reference_into_order_24():
+    refuted = found = 0
+    for label in SMALL_REGISTRY:
+        h = construct(f"named({label})")
+        for g in _bundled(24):
+            want = _reference_first(h, g)[0] is not None
+            assert (find_embedding(h, g) is not None) == want, label
+            found += want
+            refuted += not want and 24 % h.order == 0
+    assert found and refuted  # both verdicts occur among pairs the divisibility passes
 
 
 def test_twisted_first_witness_matches_reference():

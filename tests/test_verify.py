@@ -264,6 +264,16 @@ def test_minimal_search_order_collection():
     assert flat == ["C(2) x C(4)", "D(4)"]
 
 
+def test_minimal_search_builds_no_witness_labels(monkeypatch):
+    def label_of(self, x):
+        raise AssertionError("a witness label was built")
+
+    monkeypatch.setattr(verify, "_SEARCH_MEMO", {})
+    monkeypatch.setattr(groups.TableGroup, "label_of", label_of)
+    out = minimal_embedding_search("order", 8, 64)
+    assert out.found_order == 32 and out.candidates == [32, 64]
+
+
 def test_passing_classes_are_matched_to_labels_through_the_catalog():
     out = minimal_embedding_search("order", 4, 16)
     assert verify._passing_classes_problem(out, ["D4", "C2xC4"], 2) is None
