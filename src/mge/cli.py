@@ -76,9 +76,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    if (args.order is None) == (args.upto is None):
-        print("exactly one of --order / --upto is required", file=sys.stderr)
-        return 2
     kind = "order" if args.order is not None else "upto"
     n = args.order if args.order is not None else args.upto
     out = verify.minimal_embedding_search(kind, n, args.max, tier=args.tier)
@@ -96,11 +93,6 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    chosen = [x for x in (args.pbound, args.nbound, args.collection) if x is not None]
-    if len(chosen) != 1:
-        print("exactly one of --pbound / --nbound / --collection is required",
-              file=sys.stderr)
-        return 2
     if args.pbound is not None:
         p, k = args.pbound
         print(registry.pbound(p, k))
@@ -111,24 +103,21 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    rep = verify.verify_certificate(args.certificate)
+def _report(rep, json_path) -> int:
     for line in rep.lines():
         print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(rep.dumps())
     return 0 if rep.passed else 1
+
+
+def _cmd_verify(args) -> int:
+    return _report(verify.verify_certificate(args.certificate), args.json)
 
 
 def _cmd_reproduce(args) -> int:
-    rep = verify.reproduce(args.scenario, tier=args.tier)
-    for line in rep.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(rep.dumps())
-    return 0 if rep.passed else 1
+    return _report(verify.reproduce(args.scenario, tier=args.tier), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,20 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("minimal", help="least order hosting a whole collection")
-    p.add_argument("--order", type=int, help="collection: all groups of this order")
-    p.add_argument("--upto", type=int, help="collection: all groups up to this order")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--order", type=int, help="collection: all groups of this order")
+    mode.add_argument("--upto", type=int, help="collection: all groups up to this order")
     p.add_argument("--max", type=int, required=True, help="largest order to try")
     p.add_argument("--tier", type=int, choices=(1, 2, 3))
     p.add_argument("--json", help="write the search outcome to this path")
     p.set_defaults(fn=_cmd_minimal)
 
     p = sub.add_parser("bounds", help="divisibility lower bounds for embedding orders")
-    p.add_argument("--pbound", nargs=2, type=int, metavar=("P", "K"),
-                   help="bound from hosting C(p^k) and the rank-k power of C(p)")
-    p.add_argument("--nbound", type=int, metavar="N",
-                   help="bound for hosting every group of order at most N")
-    p.add_argument("--collection", type=int, metavar="N",
-                   help="bound for hosting every group of order exactly N")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pbound", nargs=2, type=int, metavar=("P", "K"),
+                      help="bound from hosting C(p^k) and the rank-k power of C(p)")
+    mode.add_argument("--nbound", type=int, metavar="N",
+                      help="bound for hosting every group of order at most N")
+    mode.add_argument("--collection", type=int, metavar="N",
+                      help="bound for hosting every group of order exactly N")
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("verify", help="check every claim of a certificate file")

@@ -419,22 +419,11 @@ def _extension_table(base: TableGroup, amap: np.ndarray, a: int, p: int) -> np.n
     return out.reshape(m * p, m * p)
 
 
-def _fresh_name(taken, want: str) -> str:
-    if want not in taken:
-        return want
-    k = 2
-    while f"{want}{k}" in taken:
-        k += 1
-    return f"{want}{k}"
-
-
 def _extension_candidates(base: TableGroup, p: int):
     q = elem_abelian_prime(base) if base.n > 1 else None
     pairs = (
         _ea_alpha_pairs(base, q, p) if q is not None else _generic_alpha_pairs(base, p)
     )
-    gens = dict(base.gens)
-    gens[_fresh_name(gens, "t")] = base.n
     table = base.table
     centre = np.asarray(base.center_elements)
     for amap, valid_a in pairs:
@@ -444,14 +433,15 @@ def _extension_candidates(base: TableGroup, p: int):
         # the abelian Z(N), so the norms M form a subgroup that alpha fixes, and
         # (alpha, a) and (alpha, b) build isomorphic groups for every b in a*M.
         # valid_a ascends, so keeping only the least element of each coset a*M
-        # keeps the first candidate of every isomorphism class.
+        # keeps the first candidate of every isomorphism class.  Candidates carry
+        # no generator names: nothing that dedupes or pins them reads names.
         y = norms = centre
         for _ in range(p - 1):
             y = amap[y]
             norms = table[norms, y]
         a = np.asarray(valid_a, dtype=np.intp)
         for x in a[table[a[:, None], np.unique(norms)].min(axis=1) == a]:
-            yield TableGroup(_extension_table(base, amap, int(x), p), gens)
+            yield TableGroup(_extension_table(base, amap, int(x), p), {})
 
 
 def cyclic_extensions(base: TableGroup, p: int) -> list[TableGroup]:

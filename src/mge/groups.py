@@ -443,7 +443,7 @@ class TableGroup:
             p = perms.parse_cycles(token, degree=self.perm_elems.degree)
         except ParseError:
             return None
-        i = int(self.perm_elems.index_of(np.asarray(p, dtype=np.int32)))
+        i = int(self.perm_elems.index_of(p))
         return i if i >= 0 else None
 
     @cached_property
@@ -596,6 +596,10 @@ class Subgroup:
 
     @staticmethod
     def from_elements(ambient, elements: list, gen_elems: list) -> "Subgroup":
+        """The subgroup on the sorted ``elements`` (identity first).  In a
+        TableGroup ambient its table is read off the ambient's; any other
+        ambient needs ``gen_elems`` to generate ``elements``, and the table
+        comes from _regular_elements and left multiplication by them."""
         index = {e: i for i, e in enumerate(elements)}
         s = len(elements)
         if isinstance(ambient, TableGroup):
@@ -604,10 +608,11 @@ class Subgroup:
             back[arr] = np.arange(s)
             tab = back[ambient.table[np.ix_(arr, arr)]]
         else:
-            tab = np.zeros((s, s), dtype=np.int64)
-            for i, a in enumerate(elements):
-                for j, b in enumerate(elements):
-                    tab[i, j] = index[ambient.mul(a, b)]
+            left = np.array([[index.get(ambient.mul(g, x), -1) for x in elements]
+                             for g in gen_elems], dtype=np.int64).reshape(-1, s)
+            tab = _regular_elements(s, left) if (left >= 0).all() else None
+            if tab is None:
+                raise EngineError("the generators do not generate the subgroup's elements")
         gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
         grp = TableGroup(tab.astype(np.int32), gens)
         return Subgroup(ambient, elements, gen_elems, grp)
@@ -709,76 +714,48 @@ def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
 
 
 class PermElements:
-    """The elements of a permutation group as rows of images, located by
-    their images of a base.
-
-    A base is a list of points whose images tell all elements apart (the
-    base of Schreier-Sims; Seress, *Permutation Group Algorithms*, 2003).  It
-    is chosen greedily: a point is kept when its column splits the elements
-    further.  For a regular group point 0 alone is a base.  The images of the
-    base points fold into one key per element, re-ranked after each point so
-    that every key stays below the group order and nothing can overflow.
-
-    Each base point has a dense table ``(key so far, image) -> next key``,
-    flattened row-major, with -1 where no element continues that way; its
-    extra last row is all -1, so after a miss the key indexes that row from
-    the end and stays -1.  The number of keys at least doubles per base
-    point, so the tables together hold about as many cells as ``mat``.
-    """
+    """The elements of a permutation group as rows of images, ``mat``, with
+    the element ids of the generating permutations, ``gen_ids``."""
 
     def __init__(self, mat: np.ndarray):
-        n, degree = mat.shape
         self.mat = mat
-        self.degree = degree
-        self.gen_ids: list[int] = []  # the generating permutations' element ids
-        self.base: list[int] = []
-        self._steps: list[np.ndarray] = []  # one flat (keys + 1) x degree table per base point
-        key = np.zeros(n, dtype=np.int64)
-        classes = 1
-        for b in range(degree):
-            if classes == n:
-                break
-            vals, ranks = np.unique(key * degree + mat[:, b], return_inverse=True)
-            if len(vals) > classes:
-                step = np.full((classes + 1) * degree, -1, dtype=np.intp)
-                step[vals] = np.arange(len(vals))
-                self.base.append(b)
-                self._steps.append(step)
-                key, classes = ranks.reshape(n), len(vals)
-        self._elem_of_key = np.full(n + 1, -1, dtype=np.int64)  # key -1 -> -1
-        self._elem_of_key[key] = np.arange(n)
+        self.degree = mat.shape[1]
+        self.gen_ids: list[int] = []
 
-    def locate(self, images: np.ndarray) -> np.ndarray:
-        """Element index for each stack of base images (the last axis runs
-        over ``base``); -1 where no element has those images.  A hit is
-        the group's only candidate, not yet proof of membership."""
-        if not self._steps:  # the trivial group
-            return np.zeros(images.shape[:-1], dtype=np.int64)
-        key = self._steps[0].take(images[..., 0])
-        for k, step in enumerate(self._steps[1:], start=1):
-            key = step.take(key * self.degree + images[..., k])
-        return self._elem_of_key.take(key)
+    @cached_property
+    def _ids(self) -> dict[bytes, int]:
+        return dict(zip(_row_keys(self.mat).tolist(), range(len(self.mat))))
 
-    def index_of(self, rows: np.ndarray) -> np.ndarray:
-        """Element index of each permutation row; -1 for non-members."""
-        idx = self.locate(rows[..., self.base])
-        return np.where((idx >= 0) & (self.mat[idx] == rows).all(axis=-1), idx, -1)
+    def index_of(self, rows) -> np.ndarray:
+        """Element id of each permutation row (the last axis runs over the
+        points); -1 for non-members."""
+        rows = np.asarray(rows, dtype=self.mat.dtype)
+        keys = _row_keys(rows.reshape(-1, self.degree)).tolist()
+        ids = [self._ids.get(k, -1) for k in keys]
+        return np.array(ids, dtype=np.int64).reshape(rows.shape[:-1])
 
 
 def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
     """Row ``p`` is the element taking point 0 to ``p`` if the rows of ``gens``
-    generate a regular group, else None.  Rows are filled along a Schreier tree
-    of point 0 and accepted when ``U[j] * s == U[s[j]]`` for all points j and
-    generators s: U then holds 1, is closed under the generators and is made of
-    their products, so it is the whole group."""
+    (permutations of ``range(degree)``, ``x * s == s[x]``) generate a regular
+    group, else None.  Rows are filled along a Schreier tree of point 0 and
+    accepted when ``U[j] * s == U[s[j]]`` for all points j and generators s: U
+    then holds 1, is closed under the generators and is made of their
+    products, so it is the whole group.
+
+    Every group acts regularly on its own elements, so this also tabulates a
+    group from left multiplication by its generators (``s[i]`` the id of
+    ``g * x_i``, the identity at 0): row ``p`` is then multiplication by
+    ``x_p`` on the left, which is row ``p`` of the table."""
     if degree > TABLE_LIMIT:
         return None
+    gens = np.asarray(gens, dtype=np.int32)  # the dtype of u: int64 rows triple the check's time
     u = np.empty((degree, degree), dtype=np.int32)
     u[0] = np.arange(degree)
     flat, rows, seen = gens.ravel(), gens.tolist(), bytearray(degree)
     seen[0] = 1
     frontier = [0]
-    while frontier:  # one tree level, filled by one flat take
+    while frontier:  # one tree level, filled in row blocks
         level = []
         for j in frontier:
             for k, s in enumerate(rows):
@@ -787,7 +764,8 @@ def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
                     level.append((s[j], j, k))
         if level:  # (point s[j], parent j, generator s) triples
             points, parents, by = np.array(level).T
-            u[points] = flat[by[:, None] * degree + u[parents]]  # u[j] * s, as x * s == s[x]
+            for b in _row_blocks(len(level), degree):  # u[j] * s, as x * s == s[x]
+                u[points[b]] = flat[by[b, None] * degree + u[parents[b]]]
         frontier = [q for q, _, _ in level]
     if 0 in seen:
         return None
@@ -804,9 +782,8 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     puts the identity at index 0.  A regular group's rows ``U`` from
     _regular_elements are in that order (row ``p`` starts with ``p``), and
     ``(U[x] * U[y])[0] == U[y][x]`` makes its table ``U.T``.  Any other group
-    is closed by _perm_closure, and the product ``x * y`` is located by the
-    base-key method of PermElements from ``(x * y)[b] == y[x[b]]``, for a
-    block of rows ``x`` against every ``y`` at once.
+    is closed by _perm_closure and tabulated by _regular_elements from left
+    multiplication on its elements: ``g * x`` has the row ``x[g]``.
     """
     gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
     mat = _regular_elements(degree, gens)
@@ -814,17 +791,11 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
         elems, table, gen_idx = PermElements(mat), mat.T, gens[:, 0]
     else:
         mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
-        n = len(mat)
         elems = PermElements(mat)
-        base = elems.base
-        table = np.empty((n, n), dtype=np.int32)
-        for rows in _row_blocks(n, n):
-            # mat[:, mat[rows, base]][y, x, k] == (x * y)[base[k]]
-            prods = elems.locate(mat[:, mat[rows, base]].transpose(1, 0, 2))
-            if (prods < 0).any():
-                raise EngineError("a product of permutations fell outside their closure")
-            table[rows] = prods
-        gen_idx = elems.locate(gens[:, base])
+        left = elems.index_of(mat[:, gens]).T  # left[k, i] is the id of g_k * x_i
+        if (left < 0).any():
+            raise EngineError("a product of permutations fell outside their closure")
+        table, gen_idx = _regular_elements(len(mat), left), left[:, 0]
     elems.gen_ids = gen_idx.tolist()
     return TableGroup(table, None, perm_elems=elems)
 

@@ -481,20 +481,15 @@ def elem_abelian_prime(g: TableGroup) -> int | None:
 
 
 def ea_basis_and_coords(g: TableGroup, p: int):
-    """A basis of an elementary abelian group plus both coordinate maps."""
-    k = factorization(g.order)[p]
-    basis: list[int] = []
-    span = {0}
-    for x in range(g.order):
-        if x in span:
-            continue
-        basis.append(x)
-        span = set(bfs_closure(0, basis, g.mul)[0])
-        if len(basis) == k:
-            break
+    """A basis of an elementary abelian group plus both coordinate maps.
+
+    The basis is ``greedy_gens``: any element outside a subgroup H generates,
+    with H, a group of order p*|H|, so each greedy round takes the least
+    element outside the span of the ones before it."""
+    basis = list(g.greedy_gens)
     elem_of: dict[tuple[int, ...], int] = {}
     vec_of: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(range(p), repeat=k):
+    for combo in itertools.product(range(p), repeat=len(basis)):
         e = 0
         for c, b in zip(combo, basis):
             e = g.mul(e, g.power(b, c))

@@ -164,6 +164,17 @@ def test_dedupe_builds_no_search_on_a_duplicate():
         assert "_search_levels" not in g.__dict__
 
 
+def test_candidates_carry_no_generator_names():
+    # a permutation base's names are cycle strings formatted on first read;
+    # listing its extensions must not read them
+    entries = json.loads((_BUNDLED_DIR / "order16.json").read_text())["entries"]
+    for e in entries:
+        base = construct(e["recipe"])
+        assert base.perm_elems is not None and "gens" not in base.__dict__
+        assert all(g.gens == {} for g in _extension_candidates(base, 2))
+        assert "gens" not in base.__dict__, e["recipe"]
+
+
 def _alpha_pairs(base, p):
     q = elem_abelian_prime(base) if base.n > 1 else None
     return _ea_alpha_pairs(base, q, p) if q else _generic_alpha_pairs(base, p)

@@ -9,8 +9,10 @@ The current routines must give the same values on every bundled catalog
 entry of orders 1-64 and every dense registry group (the order-840 and
 order-3360 containment ambients among them), and the parsers must accept
 and reject the same strings.  The permutation group build, which now reads
-a regular group off a Schreier tree of point 0, is compared with the build
-that closed every group row by row and named its generators up front.
+every group off a Schreier tree (of point 0, or of the identity under left
+multiplication), is compared with the build that closed every group row by
+row, located each product by its images of a base, and named its
+generators up front.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
@@ -40,7 +42,6 @@ from mge.expressions import PermGroupExpr, _Scanner, parse_expr
 from mge.groups import (
     SUBGROUP_LIMIT,
     TABLE_LIMIT,
-    PermElements,
     Subgroup,
     _perm_closure,
     _row_blocks,
@@ -79,13 +80,52 @@ def ref_perm_closure(degree, gens):
     return found[_ref_row_order(found)]
 
 
+class RefPermElements:
+    """Rows of images located by their images of a greedy base (the base of
+    Schreier-Sims), one dense ``(key so far, image) -> next key`` table per
+    base point, -1 where no element continues that way."""
+
+    def __init__(self, mat):
+        n, degree = mat.shape
+        self.mat = mat
+        self.degree = degree
+        self.base = []
+        self._steps = []
+        key = np.zeros(n, dtype=np.int64)
+        classes = 1
+        for b in range(degree):
+            if classes == n:
+                break
+            vals, ranks = np.unique(key * degree + mat[:, b], return_inverse=True)
+            if len(vals) > classes:
+                step = np.full((classes + 1) * degree, -1, dtype=np.intp)
+                step[vals] = np.arange(len(vals))
+                self.base.append(b)
+                self._steps.append(step)
+                key, classes = ranks.reshape(n), len(vals)
+        self._elem_of_key = np.full(n + 1, -1, dtype=np.int64)  # key -1 -> -1
+        self._elem_of_key[key] = np.arange(n)
+
+    def locate(self, images):
+        if not self._steps:  # the trivial group
+            return np.zeros(images.shape[:-1], dtype=np.int64)
+        key = self._steps[0].take(images[..., 0])
+        for k, step in enumerate(self._steps[1:], start=1):
+            key = step.take(key * self.degree + images[..., k])
+        return self._elem_of_key.take(key)
+
+    def index_of(self, rows):
+        idx = self.locate(rows[..., self.base])
+        return np.where((idx >= 0) & (self.mat[idx] == rows).all(axis=-1), idx, -1)
+
+
 def ref_build_perm_group(degree, gen_perms):
     gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
     mat = _perm_closure(degree, gens)
     n = len(mat)
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"permutation closure has {n} elements")
-    elems = PermElements(mat)
+    elems = RefPermElements(mat)
     base = elems.base
     table = np.empty((n, n), dtype=np.int32)
     for rows in _row_blocks(n, n):
@@ -418,8 +458,9 @@ def test_build_perm_group_matches_reference(monkeypatch):
         got, _ = builds(f"named({label})")
         if isinstance(got, TableGroup) and got.perm_elems is not None:
             assert_same(f"named({label})")
-    # a full orbit that is not closed, an intransitive group, and degree 1
-    for text, fallback in (("S(3)", True), ("perm(5; (1 2), (3 4 5))", True),
+    # full orbits that are not closed, an intransitive group, and degree 1
+    for text, fallback in (("S(3)", True), ("S(5)", True), ("A(5)", True), ("A(6)", True),
+                           ("S(6)", True), ("A(7)", True), ("perm(5; (1 2), (3 4 5))", True),
                            ("perm(1; ())", False)):
         closed.clear()
         assert_same(text)
@@ -473,20 +514,16 @@ def test_derived_subgroup_larger_than_the_commutator_set():
     assert larger == 2
 
 
-def test_locate_misses_give_minus_one():
+def test_index_of_misses_give_minus_one():
     g = construct("perm(10; (1 2 3 4), (1 2), (5 6 7)(9 10))")
     elems = g.perm_elems
-    assert elems.base == [0, 1, 2, 4, 8]
-    hits = elems.locate(elems.mat[:, elems.base])
-    assert hits.tolist() == list(range(g.n))
-    misses = np.array([
-        [5, 1, 2, 4, 8],  # point 0 never goes to 5: a miss at the first base point
-        [0, 0, 2, 4, 8],  # two base points to one image: a miss at the second
-        [0, 1, 2, 4, 4],  # a miss at the last base point
-    ])
-    assert elems.locate(misses).tolist() == [-1, -1, -1]
-    odd = np.array(perms.parse_cycles("(5 6)", 10))  # not in the group
+    assert elems.index_of(elems.mat).tolist() == list(range(g.n))
+    stack = elems.mat[[[3, 1], [0, g.n - 1]]]  # a 2 x 2 stack of rows
+    assert elems.index_of(stack).tolist() == [[3, 1], [0, g.n - 1]]
+    assert elems.index_of(elems.mat.astype(np.int64)).tolist() == list(range(g.n))
+    odd = perms.parse_cycles("(5 6)", 10)  # not in the group
     assert elems.index_of(odd) == -1
+    assert elems.index_of([odd, elems.mat[5]]).tolist() == [-1, 5]
 
 
 def test_class_reps_are_class_minima(compared_groups):

@@ -2,6 +2,7 @@
 fingerprint invariant, against hand-checked classifications."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mge import construct, find_embedding, is_isomorphic, morphisms, registry
 from mge.enumerator import Catalog, _BUNDLED_DIR
 from mge.errors import AutBudgetExceeded, SearchBudgetExceeded
+from mge.numtheory import factorization
 from mge.groups import TableGroup, bfs_closure
 from mge.morphisms import (
     DEFAULT_SEARCH_BUDGET,
@@ -174,6 +176,36 @@ def test_ea_coordinates():
     assert len(elem_of) == 8
     for e in g.elements():
         assert elem_of[tuple(int(c) for c in vec_of[e])] == e
+
+
+def ref_ea_basis(g, p):
+    """The basis as it was found before it was ``greedy_gens``: the least
+    element outside the span, one closure per element taken."""
+    k = factorization(g.order)[p]
+    basis, span = [], {0}
+    for x in range(g.order):
+        if x in span:
+            continue
+        basis.append(x)
+        span = set(bfs_closure(0, basis, g.mul)[0])
+        if len(basis) == k:
+            break
+    return basis
+
+
+def test_ea_basis_matches_reference():
+    texts = [e["recipe"] for path in sorted(_BUNDLED_DIR.glob("order*.json"))
+             for e in json.loads(path.read_text())["entries"]
+             if json.loads(e["fingerprint"])["abelian_invariants"] is not None]
+    texts += sorted(set(re.findall(r"EA\(\d+,\d+\)", registry._DATA_PATH.read_text())))
+    checked = 0
+    for text in texts + ["EA(3,5)"]:
+        g = construct(text)
+        p = elem_abelian_prime(g)
+        if p is not None:
+            assert ea_basis_and_coords(g, p)[0] == ref_ea_basis(g, p), text
+            checked += 1
+    assert checked == 33  # 29 bundled entries, EA(2,2), EA(3,2), EA(5,2) and EA(3,5)
 
 
 # --- the search kernel against the dict-based loop it replaced -----------------
