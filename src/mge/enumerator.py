@@ -39,8 +39,8 @@ from .errors import (
     OutOfRange,
     TierLimitExceeded,
 )
-from .expressions import GroupExpr, parse_expr
-from .groups import TableGroup, _row_closure, construct
+from .expressions import Cyclic, GroupExpr, PermGroupExpr, parse_expr
+from .groups import TableGroup, _row_closure, build_cyclic, construct, right_regular
 from .morphisms import (
     Fingerprint,
     automorphisms,
@@ -89,14 +89,20 @@ _BUNDLED_DIR = Path(__file__).parent / "data" / "catalogs"
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog group with the recipe that builds it and its fingerprint;
+    its table hash is the group's own."""
+
     recipe: GroupExpr
     group: TableGroup
     fingerprint: Fingerprint
-    table_hash: str
 
     @property
     def recipe_text(self) -> str:
         return self.recipe.text()
+
+    @property
+    def table_hash(self) -> str:
+        return self.group.table_hash
 
     def to_json(self) -> dict:
         return {
@@ -161,27 +167,21 @@ class Catalog:
             fp = Fingerprint.of(g)
             if fp.canonical_bytes().decode() != raw["fingerprint"]:
                 raise ValueError(f"catalog entry {raw['recipe']!r} fails its fingerprint")
-            entries.append(CatalogEntry(expr, g, fp, raw["table_hash"]))
+            entries.append(CatalogEntry(expr, g, fp))
         return Catalog(order, entries, doc["method"])
 
 
-def regular_recipe(g: TableGroup) -> str:
-    """A self-contained expression for g: its right-regular representation,
-    generated by the columns of a greedy generating sequence."""
-    if g.n == 1:
-        return "C(1)"
-    cycles = [
-        format_cycles(tuple(int(v) for v in g.table[:, x])) for x in g.greedy_gens
-    ]
-    return f"perm({g.n}; " + ", ".join(cycles) + ")"
-
-
 def _canonical_entry(g: TableGroup) -> CatalogEntry:
-    """g pinned to its regular recipe.  The rebuilt group is isomorphic to g,
-    so it takes g's fingerprint, which bucketing already computed."""
-    expr = parse_expr(regular_recipe(g))
-    canon = construct(expr)
-    return CatalogEntry(expr, canon, Fingerprint.of(g), canon.table_hash)
+    """g pinned to its regular recipe: the right-regular representation,
+    generated by the columns of a greedy generating sequence (``C(1)`` for
+    the trivial group).  Building that recipe gives g's own table back, so
+    the entry's group is right_regular over g's table and nothing is parsed
+    or rebuilt.  It takes g's fingerprint, which bucketing already computed."""
+    if g.n == 1:
+        return CatalogEntry(Cyclic(1), build_cyclic(1), Fingerprint.of(g))
+    gens = list(g.greedy_gens)
+    expr = PermGroupExpr(g.n, tuple(format_cycles(g.table[:, x].tolist()) for x in gens))
+    return CatalogEntry(expr, right_regular(g.table, gens), Fingerprint.of(g))
 
 
 def _dedupe(candidates) -> list[CatalogEntry]:

@@ -510,48 +510,6 @@ class TableGroup:
             have = set(best_closure)
         return tuple(chosen)
 
-    # -- subgroups --
-
-    def sylow(self, p: int) -> "Subgroup":
-        """A Sylow p-subgroup, grown through normalizers; deterministic."""
-        target = 1
-        m = self.n
-        while m % p == 0:
-            target *= p
-            m //= p
-        cur = [0]
-        cur_set = {0}
-        gens_used: list[int] = []
-        while len(cur) < target:
-            found = None
-            for x in self._normalizer_of(cur):
-                if x in cur_set:
-                    continue
-                # order of the coset x<cur> inside the normalizer quotient
-                k, y = 1, x
-                while y not in cur_set:
-                    y = self.mul(y, x)
-                    k += 1
-                if k % p == 0:
-                    found = self.power(x, k // p)
-                    break
-            if found is None:
-                raise RuntimeError("sylow growth stalled; table is inconsistent")
-            gens_used.append(found)
-            cur = sorted(bfs_closure(0, gens_used, self.mul)[0])
-            cur_set = set(cur)
-        return Subgroup.from_elements(self, cur, gens_used or [0])
-
-    def _normalizer_of(self, elems: list[int]) -> list[int]:
-        eset = set(elems)
-        arr = np.asarray(sorted(eset), dtype=np.int64)
-        out = []
-        for g in range(self.n):
-            conj = self.table[self.table[g, arr], self.inv[g]]
-            if all(int(c) in eset for c in conj):
-                out.append(g)
-        return out
-
     @cached_property
     def table_hash(self) -> str:
         """sha256 of the int32 table bytes, row-major."""
@@ -715,12 +673,13 @@ def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
 
 class PermElements:
     """The elements of a permutation group as rows of images, ``mat``, with
-    the element ids of the generating permutations, ``gen_ids``."""
+    the element ids of the generating permutations, ``gen_ids``.  For a
+    regular group ``mat`` is a view of the table (see right_regular)."""
 
-    def __init__(self, mat: np.ndarray):
+    def __init__(self, mat: np.ndarray, gen_ids: list[int]):
         self.mat = mat
         self.degree = mat.shape[1]
-        self.gen_ids: list[int] = []
+        self.gen_ids = gen_ids
 
     @cached_property
     def _ids(self) -> dict[bytes, int]:
@@ -775,29 +734,37 @@ def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
     return u if closed else None
 
 
+def right_regular(table: np.ndarray, gen_ids: list[int]) -> TableGroup:
+    """The group of ``table`` acting on its own elements by right
+    multiplication: element ``x`` is the permutation ``y -> y * x``, whose
+    images are column ``x`` of the table.  The element rows are the view
+    ``table.T``, so the group holds one n x n array; ``gen_ids`` are the
+    element ids of its generators."""
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    return TableGroup(table, None, perm_elems=PermElements(table.T, gen_ids))
+
+
 def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     """Tabulate the group generated by ``gen_perms``.
 
     Elements are numbered in lexicographic order of their image tuples, which
     puts the identity at index 0.  A regular group's rows ``U`` from
     _regular_elements are in that order (row ``p`` starts with ``p``), and
-    ``(U[x] * U[y])[0] == U[y][x]`` makes its table ``U.T``.  Any other group
-    is closed by _perm_closure and tabulated by _regular_elements from left
-    multiplication on its elements: ``g * x`` has the row ``x[g]``.
+    ``(U[x] * U[y])[0] == U[y][x]`` makes it the right-regular group of the
+    table ``U.T``, which keeps no copy of ``U``.  Any other group is closed by
+    _perm_closure and tabulated by _regular_elements from left multiplication
+    on its elements: ``g * x`` has the row ``x[g]``.
     """
     gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
     mat = _regular_elements(degree, gens)
     if mat is not None:
-        elems, table, gen_idx = PermElements(mat), mat.T, gens[:, 0]
-    else:
-        mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
-        elems = PermElements(mat)
-        left = elems.index_of(mat[:, gens]).T  # left[k, i] is the id of g_k * x_i
-        if (left < 0).any():
-            raise EngineError("a product of permutations fell outside their closure")
-        table, gen_idx = _regular_elements(len(mat), left), left[:, 0]
-    elems.gen_ids = gen_idx.tolist()
-    return TableGroup(table, None, perm_elems=elems)
+        return right_regular(mat.T, gens[:, 0].tolist())
+    mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
+    left = PermElements(mat, []).index_of(mat[:, gens]).T  # left[k, i] is the id of g_k * x_i
+    if (left < 0).any():
+        raise EngineError("a product of permutations fell outside their closure")
+    elems = PermElements(mat, left[:, 0].tolist())
+    return TableGroup(_regular_elements(len(mat), left), None, perm_elems=elems)
 
 
 def build_symmetric(n: int) -> TableGroup:
@@ -934,29 +901,22 @@ def build_semidirect(
     for u in aelems[1:]:
         parent, pos = aderiv[u]
         conj_by[u] = conj_of_gen[actor_names[pos]][conj_by[parent]]
-    # the extension must respect the actor's own relations
-    for u in range(q):
-        for s in actor_names:
-            v = actor.mul(u, actor.gens[s])
-            if not (conj_by[v] == conj_of_gen[s][conj_by[u]]).all():
-                raise InvalidAction(
-                    "action clauses are inconsistent with the acting group's relations"
-                )
-    # pair (b, t) <-> index t*m + b stands for the product b*t
-    un_conj = np.zeros((q, m), dtype=np.int64)
-    for t in range(q):
-        un_conj[t, conj_by[t]] = np.arange(m)  # x -> t x t^-1
-    outer = np.zeros((n, n), dtype=np.int64)
-    for t1 in range(q):
-        moved = base.table.astype(np.int64)[:, un_conj[t1]]
-        for t2 in range(q):
-            tt = actor.mul(t1, t2)
-            outer[t1 * m:(t1 + 1) * m, t2 * m:(t2 + 1) * m] = moved + tt * m
+    # the extension must respect the actor's own relations: conj_by[u * s] == s o conj_by[u]
+    for s in actor_names:
+        if not (conj_by[actor.table[:, actor.gens[s]]] == conj_of_gen[s][conj_by]).all():
+            raise InvalidAction(
+                "action clauses are inconsistent with the acting group's relations"
+            )
+    # pair (b, t) <-> index t*m + b stands for the product b*t, and
+    # (b1 t1)(b2 t2) == b1 (t1 b2 t1^-1) t1 t2
+    un_conj = np.argsort(conj_by, axis=1)  # un_conj[t][x] == t x t^-1
+    moved = base.table[:, un_conj].transpose(1, 0, 2)  # [t1, b1, b2]
+    outer = moved[:, :, None, :] + actor.table[:, None, :, None] * np.int32(m)
     renames = _renamed_bindings([base, actor])
     gens = {renames[0][s]: int(e) for s, e in base.gens.items()}
     gens.update({renames[1][s]: int(e) * m for s, e in actor.gens.items()})
     comps = [_Component(base, 1, renames[0]), _Component(actor, m, renames[1])]
-    return TableGroup(outer.astype(np.int32), gens, components=comps)
+    return TableGroup(outer.reshape(n, n), gens, components=comps)
 
 
 def _require_automorphism(g: TableGroup, amap: np.ndarray, what: str) -> None:

@@ -150,6 +150,49 @@ def test_canonical_entry_takes_the_candidates_fingerprint():
     assert entry.fingerprint == Fingerprint.of(construct(entry.recipe))
 
 
+def test_canonical_entry_is_the_group_its_recipe_builds():
+    for n in range(1, 65):
+        for e in enumerate_groups(n).entries:
+            got, want = _canonical_entry(e.group), construct(e.recipe_text)
+            assert got.recipe_text == e.recipe_text
+            assert np.array_equal(got.group.table, want.table), e.recipe_text
+            assert list(got.group.gens.items()) == list(want.gens.items()), e.recipe_text
+            if n == 1:
+                assert got.group.perm_elems is None and want.perm_elems is None
+            else:
+                assert np.array_equal(got.group.perm_elems.mat, want.perm_elems.mat), n
+
+
+def test_regular_groups_hold_one_table():
+    recipes = [e["recipe"] for path in sorted(_BUNDLED_DIR.glob("order*.json"))
+               for e in json.loads(path.read_text())["entries"]
+               if e["recipe"].startswith("perm(")]
+    assert len(recipes) == 1192
+    for text in recipes:
+        g = construct(text)
+        assert np.shares_memory(g.table, g.perm_elems.mat), text
+    fresh = [e.group for e in _compute(12).entries]
+    assert len(fresh) == 5
+    assert all(np.shares_memory(g.table, g.perm_elems.mat) for g in fresh)
+
+
+def test_canonical_entry_builds_nothing_from_text(monkeypatch):
+    from mge import enumerator, groups, perms
+
+    g = construct("sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)")
+    calls = []
+    for module, name in ((enumerator, "construct"), (enumerator, "parse_expr"),
+                         (groups, "construct"), (groups, "build_perm_group"),
+                         (perms, "parse_cycles")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    entry = _canonical_entry(g)
+    assert entry.recipe_text.startswith("perm(21; ") and len(entry.group.gens) == 2
+    assert calls == []
+    assert np.shares_memory(entry.group.table, g.table)
+
+
 def test_dedupe_builds_no_search_on_a_duplicate():
     # the bucket's kept group is the search source, so a candidate rejected
     # as a duplicate gets no generating sequence and no search levels

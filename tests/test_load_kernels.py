@@ -12,7 +12,9 @@ and reject the same strings.  The permutation group build, which now reads
 every group off a Schreier tree (of point 0, or of the identity under left
 multiplication), is compared with the build that closed every group row by
 row, located each product by its images of a base, and named its
-generators up front.
+generators up front.  The semidirect product, now one broadcast, is
+compared with the build that filled one block per pair of actor elements,
+on every registry group that has one and on invalid actions.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
@@ -37,7 +39,13 @@ from mge.enumerator import (
     _extension_table,
     _generic_alpha_pairs,
 )
-from mge.errors import EngineError, OrderLimitExceeded, ParseError, SubgroupLimitExceeded
+from mge.errors import (
+    EngineError,
+    InvalidAction,
+    OrderLimitExceeded,
+    ParseError,
+    SubgroupLimitExceeded,
+)
 from mge.expressions import PermGroupExpr, _Scanner, parse_expr
 from mge.groups import (
     SUBGROUP_LIMIT,
@@ -136,6 +144,69 @@ def ref_build_perm_group(degree, gen_perms):
     gen_idx = elems.locate(gens[:, base])
     names = {perms.format_cycles(p): int(i) for p, i in zip(gen_perms, gen_idx)}
     return TableGroup(table, names, perm_elems=elems)
+
+
+def ref_build_semidirect(base, actor, clauses):
+    m, q = base.n, actor.n
+    n = m * q
+    if n > TABLE_LIMIT:
+        raise OrderLimitExceeded(f"semidirect product of order {n} exceeds table limit")
+    overlap = set(base.gens) & set(actor.gens)
+    if overlap:
+        raise InvalidAction(
+            f"generator names {sorted(overlap)} appear on both sides; rename with gens()"
+        )
+    per_gen = {t: {} for t in actor.gens}
+    for cl in clauses:
+        t = cl.actor_gen
+        if t is None:
+            if len(actor.gens) != 1:
+                raise InvalidAction(
+                    f"clause {cl.text()!r} omits the acting generator but the actor has several"
+                )
+            t = next(iter(actor.gens))
+        if t not in actor.gens:
+            raise InvalidAction(f"unknown acting generator {t!r}")
+        if cl.base_gen not in base.gens:
+            raise InvalidAction(f"unknown base generator {cl.base_gen!r}")
+        if cl.base_gen in per_gen[t]:
+            raise InvalidAction(f"duplicate clause for {t}.{cl.base_gen}")
+        per_gen[t][cl.base_gen] = cl.word
+    conj_of_gen = {}
+    for t in actor.gens:
+        amap = groups.gen_image_map(base, per_gen[t])
+        groups._require_automorphism(base, amap, f"action of {t!r}")
+        conj_of_gen[t] = amap
+    actor_names = list(actor.gens)
+    aelems, aderiv = bfs_closure(0, [actor.gens[s] for s in actor_names], actor.mul)
+    if len(aelems) != q:
+        raise InvalidAction("acting generators do not generate the acting group")
+    conj_by = np.zeros((q, m), dtype=np.int64)
+    conj_by[0] = np.arange(m)
+    for u in aelems[1:]:
+        parent, pos = aderiv[u]
+        conj_by[u] = conj_of_gen[actor_names[pos]][conj_by[parent]]
+    for u in range(q):
+        for s in actor_names:
+            v = actor.mul(u, actor.gens[s])
+            if not (conj_by[v] == conj_of_gen[s][conj_by[u]]).all():
+                raise InvalidAction(
+                    "action clauses are inconsistent with the acting group's relations"
+                )
+    un_conj = np.zeros((q, m), dtype=np.int64)
+    for t in range(q):
+        un_conj[t, conj_by[t]] = np.arange(m)
+    outer = np.zeros((n, n), dtype=np.int64)
+    for t1 in range(q):
+        moved = base.table.astype(np.int64)[:, un_conj[t1]]
+        for t2 in range(q):
+            tt = actor.mul(t1, t2)
+            outer[t1 * m:(t1 + 1) * m, t2 * m:(t2 + 1) * m] = moved + tt * m
+    renames = groups._renamed_bindings([base, actor])
+    gens = {renames[0][s]: int(e) for s, e in base.gens.items()}
+    gens.update({renames[1][s]: int(e) * m for s, e in actor.gens.items()})
+    comps = [groups._Component(base, 1, renames[0]), groups._Component(actor, m, renames[1])]
+    return TableGroup(outer.astype(np.int32), gens, components=comps)
 
 
 _REF_CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -465,6 +536,52 @@ def test_build_perm_group_matches_reference(monkeypatch):
         closed.clear()
         assert_same(text)
         assert bool(closed) == fallback, text
+
+
+SEMIDIRECT_EXPRS = [
+    "sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)",
+    "sd(gens(C(5), g), gens(C(4), t), t.g=g^2)",
+    "sd(gens(C(5), g), gens(C(4), t), g=g^2)",
+    "sd(gens(EA(2,2), b1, b2), gens(S(3), r, s), r.b1=b2, r.b2=b1*b2, s.b1=b2, s.b2=b1)",
+    "sd(gens(EA(2,2), b1, b2), gens(S(3), r, s), r.b1=b2, r.b2=b1*b2, s.b1=b1, s.b2=b1*b2)",
+    "sd(gens(C(5), a), gens(Q(2), x, y), x.a=a^2, y.a=a^4)",
+    "sd(gens(C(5), a), gens(Q(2), x, y), y.a=a^4)",
+    # each InvalidAction of the builder
+    "sd(C(7), C(3), t.g1=g1^2)",
+    "sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^3)",
+    "sd(gens(C(6), a), gens(C(2), t), t.a=a^2)",
+    "sd(gens(C(7), g1), gens(C(3), t), u.g1=g1^2)",
+    "sd(gens(C(7), g1), gens(C(3), t), t.h=g1)",
+    "sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2, t.g1=g1^4)",
+    "sd(gens(C(8), y), gens(EA(2,2), x1, x2), y=y^5)",
+]
+
+
+def test_build_semidirect_matches_reference(monkeypatch):
+    calls = []
+    build = groups.build_semidirect
+    monkeypatch.setattr(groups, "build_semidirect", lambda *a: calls.append(a) or build(*a))
+
+    def outcome(text):
+        try:
+            g = construct(text)
+        except InvalidAction as exc:
+            return str(exc)
+        parts = g.components if isinstance(g, groups.TwistedGroup) else [g]
+        return [(p.table.tobytes(), list(p.gens.items())) for p in parts]
+
+    texts = [f"named({label})" for label in registry.available_labels()] + SEMIDIRECT_EXPRS
+    compared = 0
+    for text in texts:
+        calls.clear()
+        got = outcome(text)
+        if not calls:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(groups, "build_semidirect", ref_build_semidirect)
+            assert got == outcome(text), text
+        compared += 1
+    assert compared >= 13 + len(SEMIDIRECT_EXPRS)
 
 
 def test_perm_closure_limit_matches_reference():
