@@ -1,6 +1,7 @@
 """Group expression AST and the text grammar for it.
 
-The grammar, with ``x`` as the infix direct-product operator:
+The grammar, with ``x`` as the infix direct-product operator: an ``x`` that
+no name character follows (``C(2)x C(3)`` is a product, ``C(2) x1`` is not).
 
     expr  := atom (" x " atom)*
     atom  := C(n) | EA(p,k) | D(n) | Q(n) | S(n) | A(n)
@@ -21,6 +22,10 @@ generator ``g`` by conjugation: ``t^-1 * g * t`` equals the base word ``w``.
 Words are ``*``-separated factors; each factor is a bound generator name, a
 cycle string such as ``(12)(34)``, or the literal ``1`` for the identity, any
 of which may carry an integer exponent like ``a^-2``.
+
+The one-integer constructors C, D, Q, S and A share the node class
+``_OneInt``, and the parser's head table is built from them.  Every
+``, item`` tail is read by ``_Scanner.read_tail``.
 """
 
 from __future__ import annotations
@@ -43,15 +48,39 @@ class GroupExpr:
 
 
 @dataclass(frozen=True)
-class Cyclic(GroupExpr):
+class _OneInt(GroupExpr):
+    """A constructor of one integer ``n >= 1``, written ``head(n)``.  Each
+    subclass only names its head; equality still tells the classes apart."""
+
     n: int
+    head = ""
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"C(n) needs n >= 1, got {self.n}")
+            raise ValueError(f"{self.head}(n) needs n >= 1, got {self.n}")
 
     def text(self) -> str:
-        return f"C({self.n})"
+        return f"{self.head}({self.n})"
+
+
+class Cyclic(_OneInt):
+    head = "C"
+
+
+class Dihedral(_OneInt):
+    head = "D"
+
+
+class Dicyclic(_OneInt):
+    head = "Q"
+
+
+class Symmetric(_OneInt):
+    head = "S"
+
+
+class Alternating(_OneInt):
+    head = "A"
 
 
 @dataclass(frozen=True)
@@ -67,54 +96,6 @@ class ElemAbelian(GroupExpr):
 
     def text(self) -> str:
         return f"EA({self.p},{self.k})"
-
-
-@dataclass(frozen=True)
-class Dihedral(GroupExpr):
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"D(n) needs n >= 1, got {self.n}")
-
-    def text(self) -> str:
-        return f"D({self.n})"
-
-
-@dataclass(frozen=True)
-class Dicyclic(GroupExpr):
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Q(n) needs n >= 1, got {self.n}")
-
-    def text(self) -> str:
-        return f"Q({self.n})"
-
-
-@dataclass(frozen=True)
-class Symmetric(GroupExpr):
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"S(n) needs n >= 1, got {self.n}")
-
-    def text(self) -> str:
-        return f"S({self.n})"
-
-
-@dataclass(frozen=True)
-class Alternating(GroupExpr):
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"A(n) needs n >= 1, got {self.n}")
-
-    def text(self) -> str:
-        return f"A({self.n})"
 
 
 @dataclass(frozen=True)
@@ -223,7 +204,9 @@ class Renamed(GroupExpr):
 
 # --- word tokenizing ------------------------------------------------------
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_NAME_CHAR = "[A-Za-z0-9_]"
+_NAME_RE = re.compile(f"{_NAME_CHAR}+")
+_INT_RE = re.compile(r"-?\d+")  # \d is str.isdecimal: int() reads every such digit
 
 
 def tokenize_word(word: str) -> list[tuple[str, int]]:
@@ -259,7 +242,11 @@ def tokenize_word(word: str) -> list[tuple[str, int]]:
 
 # --- expression parsing ---------------------------------------------------
 
-_ATOM_HEADS = {"C", "EA", "D", "Q", "S", "A", "sd", "cp", "quo", "perm", "named", "gens"}
+_ONE_INT_HEADS = {cls.head: cls for cls in (Cyclic, Dihedral, Dicyclic, Symmetric, Alternating)}
+_ATOM_HEADS = {*_ONE_INT_HEADS, "EA", "sd", "cp", "quo", "perm", "named", "gens"}
+
+# the product operator: an ``x`` that does not start a longer name
+_PRODUCT_OP_RE = re.compile(rf"\s*x(?!{_NAME_CHAR})")
 
 
 # text a raw segment passes over at depth 0: no stopper, groups without nesting
@@ -280,32 +267,35 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
+        got = self.peek()
+        if got != ch:
+            got = got or "end of input"
             raise ParseError(f"expected {ch!r} at position {self.pos}, got {got!r}")
         self.pos += 1
 
     def read_name(self) -> str:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected a name at position {start} in {self.text!r}")
-        return self.text[start:self.pos]
+        name = _NAME_RE.match(self.text, self.pos)
+        if name is None:
+            raise ParseError(f"expected a name at position {self.pos} in {self.text!r}")
+        self.pos = name.end()
+        return name.group()
 
     def read_int(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError(f"expected an integer at position {start}")
-        return int(self.text[start:self.pos])
+        number = _INT_RE.match(self.text, self.pos)
+        if number is None:
+            raise ParseError(f"expected an integer at position {self.pos}")
+        self.pos = number.end()
+        return int(number.group())
+
+    def read_tail(self, read) -> list:
+        """The items of a ``, item, item ...`` tail, each read by ``read()``."""
+        items = []
+        while self.peek() == ",":
+            self.expect(",")
+            items.append(read())
+        return items
 
     def read_raw_segment(self) -> str:
         """Capture raw text (a word or clause) up to a comma, semicolon or
@@ -350,20 +340,9 @@ def parse_expr(text: str) -> GroupExpr:
 
 def _parse_product(sc: _Scanner) -> GroupExpr:
     factors = [_parse_atom(sc)]
-    while True:
-        save = sc.pos
-        sc.skip_ws()
-        mark = sc.pos
-        if mark < len(sc.text) and sc.text[mark] in _NAME_CHARS:
-            name_end = mark
-            while name_end < len(sc.text) and sc.text[name_end] in _NAME_CHARS:
-                name_end += 1
-            if sc.text[mark:name_end] == "x":
-                sc.pos = name_end
-                factors.append(_parse_atom(sc))
-                continue
-        sc.pos = save
-        break
+    while op := _PRODUCT_OP_RE.match(sc.text, sc.pos):
+        sc.pos = op.end()
+        factors.append(_parse_atom(sc))
     if len(factors) == 1:
         return factors[0]
     flat: list[GroupExpr] = []
@@ -393,10 +372,8 @@ def _parse_atom(sc: _Scanner) -> GroupExpr:
         raise ParseError(f"unknown constructor {head!r}")
     sc.expect("(")
     node: GroupExpr
-    if head in ("C", "D", "Q", "S", "A"):
-        n = sc.read_int()
-        cls = {"C": Cyclic, "D": Dihedral, "Q": Dicyclic, "S": Symmetric, "A": Alternating}[head]
-        node = _wrap(cls, n)
+    if head in _ONE_INT_HEADS:
+        node = _wrap(_ONE_INT_HEADS[head], sc.read_int())
     elif head == "EA":
         p = sc.read_int()
         sc.expect(",")
@@ -406,10 +383,7 @@ def _parse_atom(sc: _Scanner) -> GroupExpr:
         base = _parse_product(sc)
         sc.expect(",")
         actor = _parse_product(sc)
-        clauses = []
-        while sc.peek() == ",":
-            sc.expect(",")
-            clauses.append(_parse_clause(sc.read_raw_segment()))
+        clauses = sc.read_tail(lambda: _parse_clause(sc.read_raw_segment()))
         node = _wrap(SemidirectProduct, base, actor, tuple(clauses))
     elif head == "cp":
         left = _parse_product(sc)
@@ -425,27 +399,18 @@ def _parse_atom(sc: _Scanner) -> GroupExpr:
         node = CentralProduct(left, right, lw.strip(), rw.strip())
     elif head == "quo":
         inner = _parse_product(sc)
-        words = []
-        while sc.peek() == ",":
-            sc.expect(",")
-            words.append(sc.read_raw_segment())
+        words = sc.read_tail(sc.read_raw_segment)
         node = _wrap(Quotient, inner, tuple(words))
     elif head == "perm":
         degree = sc.read_int()
         sc.expect(";")
-        gens = [sc.read_raw_segment()]
-        while sc.peek() == ",":
-            sc.expect(",")
-            gens.append(sc.read_raw_segment())
+        gens = [sc.read_raw_segment(), *sc.read_tail(sc.read_raw_segment)]
         node = _wrap(PermGroupExpr, degree, tuple(gens))
     elif head == "named":
         node = Named(sc.read_name())
     else:  # gens
         inner = _parse_product(sc)
-        names = []
-        while sc.peek() == ",":
-            sc.expect(",")
-            names.append(sc.read_name())
+        names = sc.read_tail(sc.read_name)
         node = _wrap(Renamed, inner, tuple(names))
     sc.expect(")")
     return node

@@ -583,25 +583,41 @@ class Subgroup:
 # --- quotients ------------------------------------------------------------------
 
 
+def _coset_table(n: int, mul, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table of G/N, and each element's coset id, for a group G on the
+    ids ``0..n-1`` (0 the identity) and a normal subgroup N given by its ids.
+    ``mul(a, b)`` is G's product as an outer table: the ids of ``a[i] * b[j]``
+    for two id vectors.  A coset's least element is its representative, the
+    cosets are numbered in the order of their representatives, and both N's
+    products and the table are taken in row blocks."""
+    ids = np.arange(n, dtype=np.int64)
+    least = ids.copy()
+    for rows in _row_blocks(len(normal), n):
+        least = np.minimum(least, mul(normal[rows], ids).min(axis=0))
+    reps = np.flatnonzero(least == ids)
+    coset = np.zeros(n, dtype=np.int32)
+    coset[reps] = np.arange(len(reps))
+    coset = coset[least]
+    table = np.empty((len(reps), len(reps)), dtype=np.int32)
+    for rows in _row_blocks(len(reps), len(reps)):
+        table[rows] = coset[mul(reps[rows], reps)]
+    return table, coset
+
+
 def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
-    n = g.n
-    nset = {int(e) for e in normal_elems}
-    arr = np.asarray(sorted(nset), dtype=np.int64)
-    idx = np.arange(n)
-    for a in sorted(nset):
-        conj = g.table[g.table[idx, a], g.inv[idx]]
-        if not all(int(c) in nset for c in conj):
-            raise NotNormal(
-                f"element {g.label_of(a)} has conjugates outside the subgroup"
-            )
-    cosets = g.table[arr[:, None], np.arange(n)[None, :]]
-    rep = cosets.min(axis=0)
-    uniq = np.unique(rep)
-    new_idx = np.zeros(n, dtype=np.int64)
-    new_idx[uniq] = np.arange(len(uniq))
-    tab = new_idx[rep[g.table[np.ix_(uniq, uniq)]]]
-    gens = {name: int(new_idx[rep[e]]) for name, e in g.gens.items()}
-    return TableGroup(tab.astype(np.int32), gens)
+    """G/N for the subgroup N on ``normal_elems``.  N must be normal: the
+    first element of N (in id order) with a conjugate outside N is named in
+    the NotNormal error.  Each generator maps to its coset."""
+    arr = np.unique(np.asarray(normal_elems, dtype=np.int64))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[arr] = True
+    conj = g.table[g.table[:, arr], g.inv[:, None]]  # conj[x, j] = x a_j x^-1
+    escapes = ~inside[conj].all(axis=0)
+    if escapes.any():
+        a = int(arr[np.argmax(escapes)])
+        raise NotNormal(f"element {g.label_of(a)} has conjugates outside the subgroup")
+    table, coset = _coset_table(g.n, lambda a, b: g.table[a][:, b], arr)
+    return TableGroup(table, {name: int(coset[e]) for name, e in g.gens.items()})
 
 
 # --- builders --------------------------------------------------------------------
@@ -929,9 +945,10 @@ def _require_automorphism(g: TableGroup, amap: np.ndarray, what: str) -> None:
 def build_central_product(
     left: TableGroup, right: TableGroup, left_word: str, right_word: str
 ) -> TableGroup:
-    """Quotient of left x right identifying the two central words.  Works
-    pairwise on the factor tables so only the quotient, never the full
-    product, has to fit the dense-table limit."""
+    """Quotient of left x right identifying the two central words u and v:
+    the pair (l, r) has the flat id ``l*nr + r``, N is generated by
+    (u, v^-1), and _coset_table multiplies flat ids pairwise on the factor
+    tables, so only the quotient, never the full product table, is built."""
     u = left.evaluate_word(left_word)
     v = right.evaluate_word(right_word)
     if u not in set(left.center_elements):
@@ -947,31 +964,14 @@ def build_central_product(
     m = nl * nr // d
     if m > TABLE_LIMIT:
         raise OrderLimitExceeded(f"central product of order {m} exceeds table limit")
-    # pair (l, r) <-> flat index l*nr + r; identify (l, r) ~ (l*u, r*v^-1) and
-    # take the least flat index of each orbit as the coset representative
-    lmul = left.table[:, u].astype(np.int64)
-    rmul = right.table[:, right.inv_of(v)].astype(np.int64)
-    cl = np.repeat(np.arange(nl, dtype=np.int64), nr)
-    cr = np.tile(np.arange(nr, dtype=np.int64), nl)
-    canon = cl * nr + cr
-    for _ in range(d - 1):
-        cl = lmul[cl]
-        cr = rmul[cr]
-        canon = np.minimum(canon, cl * nr + cr)
-    reps = np.flatnonzero(canon == np.arange(nl * nr))
-    pos = np.full(nl * nr, -1, dtype=np.int64)
-    pos[reps] = np.arange(m)
-    flat_to_q = pos[canon]
-    la = (reps // nr).astype(np.int64)
-    ra = (reps % nr).astype(np.int64)
-    tab = np.empty((m, m), dtype=np.int32)
-    ltab = left.table.astype(np.int64)
-    rtab = right.table.astype(np.int64)
-    for a in range(m):
-        tab[a] = flat_to_q[ltab[la[a], la] * nr + rtab[ra[a], ra]]
+    ltab, rtab = left.table, right.table  # int32 holds every flat id: nl * nr <= TABLE_LIMIT**2
+    normal = np.array([left.power(u, i) * nr + right.power(v, -i) for i in range(d)])
+    tab, coset = _coset_table(
+        nl * nr, lambda a, b: ltab[a // nr][:, b // nr] * nr + rtab[a % nr][:, b % nr], normal
+    )
     renames = _renamed_bindings([left, right])
-    gens = {renames[0][s]: int(flat_to_q[int(e) * nr]) for s, e in left.gens.items()}
-    gens.update({renames[1][s]: int(flat_to_q[int(e)]) for s, e in right.gens.items()})
+    gens = {renames[0][s]: int(coset[int(e) * nr]) for s, e in left.gens.items()}
+    gens.update({renames[1][s]: int(coset[int(e)]) for s, e in right.gens.items()})
     return TableGroup(tab, gens)
 
 
@@ -1105,12 +1105,12 @@ class TwistedGroup:
     power = _power
 
     def element_order(self, x) -> int:
-        k = 1
-        cur = x
-        while cur != self.identity:
-            cur = self.mul(cur, x)
-            k += 1
-        return k
+        """The lcm of the component orders; with twist bits set, twice the
+        order of ``x*x``, which has none (the twists are commuting involutions)."""
+        b, d = x
+        if d:
+            return 2 * self.element_order(self.mul(x, x))
+        return lcm(*(g.element_order(e) for g, e in zip(self.components, b)))
 
     def elements(self):
         """Every element, ordered by (component tuple, bits).  Only sensible
@@ -1222,19 +1222,16 @@ def construct(expr: GroupExpr | str):
     return _construct(expr)
 
 
+_ONE_INT_BUILDERS = {Cyclic: build_cyclic, Dihedral: build_dihedral, Dicyclic: build_dicyclic,
+                     Symmetric: build_symmetric, Alternating: build_alternating}
+
+
 def _construct(expr: GroupExpr):
-    if isinstance(expr, Cyclic):
-        return build_cyclic(expr.n)
+    build = _ONE_INT_BUILDERS.get(type(expr))
+    if build is not None:
+        return build(expr.n)
     if isinstance(expr, ElemAbelian):
         return build_elem_abelian(expr.p, expr.k)
-    if isinstance(expr, Dihedral):
-        return build_dihedral(expr.n)
-    if isinstance(expr, Dicyclic):
-        return build_dicyclic(expr.n)
-    if isinstance(expr, Symmetric):
-        return build_symmetric(expr.n)
-    if isinstance(expr, Alternating):
-        return build_alternating(expr.n)
     if isinstance(expr, PermGroupExpr):
         gen_perms = [perms.parse_cycles(s, degree=expr.degree) for s in expr.gens]
         return build_perm_group(expr.degree, gen_perms)

@@ -459,6 +459,19 @@ def test_seed_table_refuses_beyond_its_range():
         _seed_entries(300)
 
 
+def test_seed_entries_check_order_and_perfectness(monkeypatch):
+    (a5,) = _seed_entries(60)
+    (double_cover,) = _seed_entries(120)
+    assert a5.order == 60 and len(a5.center_elements) == 1
+    assert double_cover.order == 120 and len(double_cover.center_elements) == 2
+    monkeypatch.setattr("mge.enumerator.perfect_seed_exprs", lambda: {60: ("C(60)",)})
+    with pytest.raises(IncompleteSeedSet, match="seed 'C\\(60\\)' is not perfect"):
+        _seed_entries(60)
+    monkeypatch.setattr("mge.enumerator.perfect_seed_exprs", lambda: {120: ("A(5)",)})
+    with pytest.raises(IncompleteSeedSet, match="has order 60, wanted 120"):
+        _seed_entries(120)
+
+
 def test_cache_chain(tmp_path, monkeypatch):
     monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "nowhere")

@@ -5,10 +5,14 @@ import pytest
 from mge.errors import ParseError
 from mge.expressions import (
     ActionClause,
+    Alternating,
     Cyclic,
+    Dicyclic,
+    Dihedral,
     DirectProduct,
     Named,
     SemidirectProduct,
+    Symmetric,
     parse_expr,
     tokenize_word,
 )
@@ -45,6 +49,31 @@ def test_whitespace_is_free():
     assert parse_expr("C(2)x C(3) x(C(5))") == parse_expr("C(2) x C(3) x C(5)")
     with pytest.raises(ParseError):
         parse_expr("C(2) xC(3)")
+    # a tab or newline around the operator is whitespace too
+    assert parse_expr("C(2)\tx\nC(3)") == parse_expr("C(2) x C(3)")
+    assert parse_expr("C(2)\n x\tC(3)") == parse_expr("C(2) x C(3)")
+    # x1 and x_ are names, not the operator, so they are trailing input
+    for text in ("C(2) x1", "C(2) x_ C(3)"):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_expr(text)
+
+
+ONE_INT_CLASSES = [(Cyclic, "C"), (Dihedral, "D"), (Dicyclic, "Q"), (Symmetric, "S"),
+                   (Alternating, "A")]
+
+
+@pytest.mark.parametrize("cls,head", ONE_INT_CLASSES)
+def test_one_int_constructors_keep_their_identity(cls, head):
+    node = cls(3)
+    assert parse_expr(f"{head}(3)") == node
+    assert node.text() == f"{head}(3)"
+    assert repr(node) == f"{cls.__name__}(n=3)"
+    assert hash(node) == hash(cls(3))
+    for other, _ in ONE_INT_CLASSES:
+        assert (node == other(3)) == (other is cls)
+    assert Cyclic(3) != Dihedral(3)
+    with pytest.raises(ValueError, match=rf"^{head}\(n\) needs n >= 1, got 0$"):
+        cls(0)
 
 
 def test_product_flattens():
@@ -118,3 +147,10 @@ def test_tokenize_word_rejects(bad):
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_expr(bad)
+
+
+@pytest.mark.parametrize("head", [head for _, head in ONE_INT_CLASSES])
+@pytest.mark.parametrize("n", [0, -2])
+def test_parse_rejects_each_head_below_one(head, n):
+    with pytest.raises(ParseError, match=rf"^{head}\(n\) needs n >= 1, got {n}$"):
+        parse_expr(f"{head}({n})")

@@ -379,6 +379,39 @@ def test_twisted_family_has_twist_generators():
     assert big.mul(s, inv) == big.identity
 
 
+def test_twisted_factor_keeps_its_twists_in_a_larger_product():
+    big = construct("named(BIG12_SOL)")
+    g = construct("named(BIG12_SOL) x C(2)")
+    assert isinstance(g, TwistedGroup) and g.order == 1_330_560 == 2 * big.order
+    assert g.comp_names == [*big.comp_names, "C(2)"]
+    sigma = g.evaluate_word("sigma")
+    assert sigma == ((0,) * 7, 1) and g.mul(sigma, sigma) == g.identity
+    (twist,) = g.dgens
+    # the twist's actions are padded with no action on the new component
+    assert len(twist.actions) == 7 and twist.actions[-1] is None
+    for got, want in zip(twist.actions, big.dgens[0].actions):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    a = g.evaluate_word("a")
+    assert g.mul(sigma, a) == g.mul(a, sigma)
+    with pytest.raises(ValueError, match="twist generator name 'sigma' collides"):
+        construct("named(BIG12_SOL) x named(BIG12_NONSOL)")
+
+
+def test_gens_renames_a_twisted_group():
+    plain = construct("named(C5xC7xC9xD3xH1)")
+    tw = construct("gens(named(C5xC7xC9xD3xH1), p, q, r, s, t, u, v)")
+    assert list(tw.gens) == list("pqrstuv")
+    assert list(tw.gens.values()) == list(plain.gens.values())
+    assert tw.label_of(tw.gens["t"]) == "t"
+    assert tw.evaluate_word("p*v") == plain.evaluate_word("a_1*x2")
+    big = construct("gens(named(BIG12_SOL), p1, p2, q1, q2, q3, c, d, e, f, s)")
+    assert big.dgens[0].name == "s" and big.evaluate_word("s") == ((0,) * 6, 1)
+    x = big.evaluate_word("p1*s")
+    assert big.label_of(x) == "p1*s" and big.evaluate_word(big.label_of(x)) == x
+    with pytest.raises(UnknownGenerator):
+        big.evaluate_word("sigma")
+
+
 def test_dense_registry_groups_stay_dense():
     for label, order in [("W3", 243), ("W5", 3125), ("GP6_3", 729), ("S3xS4", 144)]:
         g = construct(f"named({label})")

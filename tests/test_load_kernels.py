@@ -14,7 +14,10 @@ multiplication), is compared with the build that closed every group row by
 row, located each product by its images of a base, and named its
 generators up front.  The semidirect product, now one broadcast, is
 compared with the build that filled one block per pair of actor elements,
-on every registry group that has one and on invalid actions.
+on every registry group that has one and on invalid actions.  The quotient
+and the central product, which now share one coset routine, are compared
+with the builds that checked normality one element at a time and filled
+the central product's table one row at a time.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
@@ -40,8 +43,10 @@ from mge.enumerator import (
     _generic_alpha_pairs,
 )
 from mge.errors import (
+    CentralIdentificationError,
     EngineError,
     InvalidAction,
+    NotNormal,
     OrderLimitExceeded,
     ParseError,
     SubgroupLimitExceeded,
@@ -207,6 +212,69 @@ def ref_build_semidirect(base, actor, clauses):
     gens.update({renames[1][s]: int(e) * m for s, e in actor.gens.items()})
     comps = [groups._Component(base, 1, renames[0]), groups._Component(actor, m, renames[1])]
     return TableGroup(outer.astype(np.int32), gens, components=comps)
+
+
+def ref_quotient_group(g, normal_elems):
+    n = g.n
+    nset = {int(e) for e in normal_elems}
+    arr = np.asarray(sorted(nset), dtype=np.int64)
+    idx = np.arange(n)
+    for a in sorted(nset):
+        conj = g.table[g.table[idx, a], g.inv[idx]]
+        if not all(int(c) in nset for c in conj):
+            raise NotNormal(
+                f"element {g.label_of(a)} has conjugates outside the subgroup"
+            )
+    cosets = g.table[arr[:, None], np.arange(n)[None, :]]
+    rep = cosets.min(axis=0)
+    uniq = np.unique(rep)
+    new_idx = np.zeros(n, dtype=np.int64)
+    new_idx[uniq] = np.arange(len(uniq))
+    tab = new_idx[rep[g.table[np.ix_(uniq, uniq)]]]
+    gens = {name: int(new_idx[rep[e]]) for name, e in g.gens.items()}
+    return TableGroup(tab.astype(np.int32), gens)
+
+
+def ref_build_central_product(left, right, left_word, right_word):
+    u = left.evaluate_word(left_word)
+    v = right.evaluate_word(right_word)
+    if u not in set(left.center_elements):
+        raise CentralIdentificationError(f"{left_word!r} is not central on the left side")
+    if v not in set(right.center_elements):
+        raise CentralIdentificationError(f"{right_word!r} is not central on the right side")
+    d = left.element_order(u)
+    if d != right.element_order(v):
+        raise CentralIdentificationError(
+            f"identified elements have orders {d} != {right.element_order(v)}"
+        )
+    nl, nr = left.n, right.n
+    m = nl * nr // d
+    if m > TABLE_LIMIT:
+        raise OrderLimitExceeded(f"central product of order {m} exceeds table limit")
+    lmul = left.table[:, u].astype(np.int64)
+    rmul = right.table[:, right.inv_of(v)].astype(np.int64)
+    cl = np.repeat(np.arange(nl, dtype=np.int64), nr)
+    cr = np.tile(np.arange(nr, dtype=np.int64), nl)
+    canon = cl * nr + cr
+    for _ in range(d - 1):
+        cl = lmul[cl]
+        cr = rmul[cr]
+        canon = np.minimum(canon, cl * nr + cr)
+    reps = np.flatnonzero(canon == np.arange(nl * nr))
+    pos = np.full(nl * nr, -1, dtype=np.int64)
+    pos[reps] = np.arange(m)
+    flat_to_q = pos[canon]
+    la = (reps // nr).astype(np.int64)
+    ra = (reps % nr).astype(np.int64)
+    tab = np.empty((m, m), dtype=np.int32)
+    ltab = left.table.astype(np.int64)
+    rtab = right.table.astype(np.int64)
+    for a in range(m):
+        tab[a] = flat_to_q[ltab[la[a], la] * nr + rtab[ra[a], ra]]
+    renames = groups._renamed_bindings([left, right])
+    gens = {renames[0][s]: int(flat_to_q[int(e) * nr]) for s, e in left.gens.items()}
+    gens.update({renames[1][s]: int(flat_to_q[int(e)]) for s, e in right.gens.items()})
+    return TableGroup(tab, gens)
 
 
 _REF_CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -582,6 +650,68 @@ def test_build_semidirect_matches_reference(monkeypatch):
             assert got == outcome(text), text
         compared += 1
     assert compared >= 13 + len(SEMIDIRECT_EXPRS)
+
+
+# every quo() and cp() expression of the tests, the order-243 and order-3125
+# central products, and identifications that are not normal or not central
+COSET_EXPRS = [
+    "named(W3)",
+    "named(W5)",
+    "named(GP6_3)",
+    "cp(D(4), gens(D(4), c, d), a^2=c^2)",
+    "quo(Q(2), a^2)",
+    "quo(S(4), (12)(34), (13)(24)) x C(2)",
+    "quo(D(6), a^3)",
+    "quo(S(3) x C(4), a^2)",
+    "cp(Q(2), gens(D(4), c, d), a^2=c^2)",
+    "cp(gens(C(6), x), gens(C(4), y), x^3=y^2)",
+    "quo(S(3), (12))",
+    "quo(S(4), (12)(34))",
+    "quo(A(5), (123))",
+    "cp(D(4), gens(D(4), c, d), a=c)",
+    "cp(C(4), gens(C(8), c), a=c)",
+    "cp(D(4), gens(C(8), c), a^2=c^2)",
+    "cp(gens(C(6), x), D(3), x^3=1)",
+]
+
+
+def _coset_outcome(build, *args):
+    try:
+        g = build(*args)
+    except (NotNormal, CentralIdentificationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return g.table.tobytes(), list(g.gens.items())
+
+
+def test_coset_builds_match_reference(monkeypatch):
+    refused = 0
+    for text in COSET_EXPRS:
+        got = _coset_outcome(construct, text)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "quotient_group", ref_quotient_group)
+            m.setattr(groups, "build_central_product", ref_build_central_product)
+            assert got == _coset_outcome(construct, text), text
+        refused += isinstance(got, str)
+    assert refused == 7  # each expected refusal is compared
+
+
+def test_quotients_by_centre_and_derived_subgroup_match_reference():
+    compared = 0
+    for text in _bundled_recipes(range(1, 33)):
+        g = construct(text)
+        for normal in (g.center_elements, g.derived_elements):
+            want = _coset_outcome(ref_quotient_group, g, normal)
+            assert _coset_outcome(quotient_group, g, normal) == want, text
+            compared += 1
+    assert compared == 2 * 144  # the 144 bundled groups of orders 1-32
+    # subgroups that are not normal: the error names the same first element
+    for text, words in (("S(4)", ["(12)"]), ("S(4)", ["(123)"]), ("D(6)", ["b"]),
+                        ("A(5)", ["(12)(34)", "(13)(24)"])):
+        g = construct(text)
+        elems = g.subgroup(words).elements
+        want = _coset_outcome(ref_quotient_group, g, elems)
+        assert want.startswith("NotNormal")
+        assert _coset_outcome(quotient_group, g, elems) == want, text
 
 
 def test_perm_closure_limit_matches_reference():

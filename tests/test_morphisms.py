@@ -2,7 +2,9 @@
 fingerprint invariant, against hand-checked classifications."""
 
 import json
+import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +122,49 @@ def test_twisted_embedding_with_support():
         assert m(m.source.evaluate_word(src_word)) == tw.evaluate_word(dst_word)
     # absence against a twisted ambient returns None without claiming proof
     assert find_embedding(construct("C(4)"), tw, support=["C(5)"]) is None
+
+
+def _ref_twisted_order(g, x):
+    """The order of x, by multiplying until the identity comes back."""
+    k, cur = 1, x
+    while cur != g.identity:
+        cur, k = g.mul(cur, x), k + 1
+    return k
+
+
+def test_twisted_element_order_matches_the_multiplication_loop():
+    rng = random.Random(5)
+    big = construct("named(BIG12_SOL)")
+    support = list(big.support_elements([0, 1]))
+    assert len(support) == 192 and any(bits for _, bits in support)
+    tw = construct("named(C5xC7xC9xD3xH1)")
+    prod = construct("named(BIGPROD)")  # eight twist bits; K1 and A5 parts only
+    mixed = [((rng.randrange(8), 0, 0, 0, 0, 0, 0, rng.randrange(60)), rng.randrange(1 << 8))
+             for _ in range(100)]
+    for g, elems in ((big, support), (tw, rng.sample(list(tw.elements()), 100)), (prod, mixed)):
+        for x in elems:
+            assert g.element_order(x) == _ref_twisted_order(g, x), x
+
+
+def test_full_pool_twisted_search_is_fast():
+    tw = construct("named(C5xC7xC9xD3xH1)")
+    start = time.perf_counter()
+    m = find_embedding(construct("C(2)"), tw)
+    assert time.perf_counter() - start < 1.0
+    assert m is not None and m.verify()
+
+
+def test_full_pool_over_its_limit_is_refused_before_enumerating(monkeypatch):
+    big = construct("named(BIG15_SOL)")
+    assert big.order > TWISTED_FULL_POOL_LIMIT
+
+    def enumerate_pool(*args):
+        raise AssertionError("the pool was enumerated")
+
+    monkeypatch.setattr(big, "elements", enumerate_pool)
+    monkeypatch.setattr(big, "support_elements", enumerate_pool)
+    with pytest.raises(SearchBudgetExceeded, match="needs a support restriction"):
+        find_embedding(construct("C(2)"), big)
 
 
 def test_search_monomorphisms_resolves_support_names():

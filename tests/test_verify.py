@@ -212,6 +212,22 @@ def test_containment_stop_on_fail():
     assert rep.counts()["fail"] == 1
 
 
+def test_failed_claim_falls_back_to_the_derived_search():
+    s4 = construct("S(4)")
+    wrong = Certificate("S(4)", "a claim whose generator has the wrong order",
+                        [Claim("C(4)", ("(12)",))])
+    rep = contains_all_of_order(s4, 4, wrong, ambient_text="S(4)")
+    (item,) = [it for it in rep.items if it.item_id == "C(4)"]
+    assert item.status == "pass" and item.detail == "order 4, source derived"
+    assert item.witness["source"] == "derived"
+    absent = Certificate("S(4)", "a claim of a target S(4) does not contain",
+                         [Claim("C(6)", ("(123)",))])
+    rep = contains_all_of_order(s4, 6, absent, ambient_text="S(4)")
+    (item,) = [it for it in rep.items if it.item_id == "C(6)"]
+    assert item.status == "fail"
+    assert item.detail == "no embedding of C(6); claim failures: order mismatch 3 != 6"
+
+
 def test_twisted_ambient_needs_certificates():
     tw = construct("named(C5xC7xC9xD3xH1)")
     with pytest.raises(IncompleteCertificates):
