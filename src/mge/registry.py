@@ -57,7 +57,7 @@ class Resolved:
         if "expr" in entry:
             g = construct(entry["expr"])
         elif "family" in entry:
-            g = _twisted_group(entry["family"], {"sigma": entry["family"]["sigma"]})
+            g = family_member(self.label)
         else:
             desc = entry["product"]
             g = _twisted_group(desc, {t: [t] for t in desc["dgens"]})
@@ -143,36 +143,29 @@ def family_thetas(label: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def family_member(label: str, thetas=()) -> TwistedGroup:
     """One member of an extension family: the defining involution multiplied
     by the chosen free twists.  Repeats collapse (the twists are involutory);
-    an empty choice gives the canonical representative."""
-    entry = _named_entry(label)
-    if "family" not in entry:
-        raise UnknownLabel(f"{label!r} is not an extension family")
-    desc = entry["family"]
+    an empty choice gives the canonical representative.  Every member has
+    the order of the canonical one, which ``Resolved.build`` checks."""
+    sigma, free = family_thetas(label)
     extras: list[str] = []
     for t in thetas:
         t = str(t)
-        if t not in desc["free"]:
-            raise UnknownLabel(
-                f"family {label!r} admits extra twists {tuple(desc['free'])}, "
-                f"not {t!r}"
-            )
+        if t not in free:
+            raise UnknownLabel(f"family {label!r} admits extra twists {free}, not {t!r}")
         if t in extras:
             extras.remove(t)
         else:
             extras.append(t)
-    g = _twisted_group(desc, {"sigma": [*desc["sigma"], *extras]})
-    if g.order != entry["order"]:
-        raise RuntimeError(f"family {label!r} built order {g.order}")
-    return g
+    return _twisted_group(_named_entry(label)["family"], {"sigma": [*sigma, *extras]})
 
 
 # --- tabulated data --------------------------------------------------------------
 
 
-def _table_row(table: str, n: int, hi: int = 15):
-    if not 1 <= n <= hi:
-        raise OutOfRange(f"tabulated data covers 1..{hi}, not {n}")
-    return _data()[table][str(n)]
+def _table_row(table: str, n: int):
+    rows = _data()[table]
+    if not 1 <= n <= len(rows):
+        raise OutOfRange(f"tabulated data covers 1..{len(rows)}, not {n}")
+    return rows[str(n)]
 
 
 def group_labels_of_order(n: int) -> list[str]:
@@ -199,7 +192,7 @@ def table4_value(n: int) -> int:
 
 def table5_row(n: int) -> tuple[str, ...]:
     """Labels of the listed minimal hosts for all groups of order <= n."""
-    return tuple(_table_row("table5", n, hi=11))
+    return tuple(_table_row("table5", n))
 
 
 # --- bounds ---------------------------------------------------------------------

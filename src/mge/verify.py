@@ -7,7 +7,11 @@ closes them into a subgroup, and runs the isomorphism test.  Coverage checks
 isomorphism class of a given order, falling back to embedding search when the
 ambient group is dense.  On top of both sits the scenario runner, which
 reproduces the tabulated results end to end and emits deterministic
-machine-readable reports.
+machine-readable reports.  Each check of the tables, the theorems and
+example-p6's host item returns a problem text, None when it holds, and
+``_item`` turns that into the fail or pass item: table 2 and the theorems
+share one minimal-search row (``_search_row``), tables 4 and 5 one host
+check (``_host_problem``).
 """
 
 from __future__ import annotations
@@ -421,7 +425,7 @@ def _replay(w: dict) -> bool:
         cat = enumerator.enumerate_groups(w["order"])
         stated = [list(p) for p in w["pairs"]]
         pairs, problem = _bijection(cat, [lb for lb, _ in stated])
-        return problem is None and pairs == stated and len(pairs) == len(cat)
+        return problem is None and pairs == stated
     if kind == "minimal-search":
         out = minimal_embedding_search(w["search_kind"], w["n"], w["max_order"])
         return out.found_order == w["order"] and sorted(out.groups) == sorted(w["groups"])
@@ -469,10 +473,20 @@ def reproduce(sid: str, *, tier: int | None = None) -> Report:
     return Report(sid, _SCENARIOS[sid](tier))
 
 
+def _item(item_id: str, problem: str | None, detail: str, witness: dict | None) -> ReportItem:
+    """The report item of one check: a fail item stating the problem when
+    there is one, else a pass item with the detail and the witness."""
+    if problem is not None:
+        return ReportItem(item_id, "fail", problem)
+    return ReportItem(item_id, "pass", detail, witness)
+
+
 def _bijection(cat, labels: list[str]) -> tuple[list[list[str]], str | None]:
     """Pair each registry label with the catalog class it is isomorphic to;
-    the problem names the first label that matches no class or a class an
-    earlier label took."""
+    the problem is a count that differs from the catalog's, or the first label
+    that matches no class or a class an earlier label took."""
+    if len(cat) != len(labels):
+        return [], f"enumerated {len(cat)} classes, expected {len(labels)}"
     pairs = []
     seen = set()
     for lb in labels:
@@ -496,28 +510,42 @@ def _passing_classes_problem(out: SearchOutcome, labels: list[str], tier: int) -
     return _bijection(enumerator.Catalog(cat.order, passing, cat.provenance), labels)[1]
 
 
+def _search_row(item_id: str, n: int, max_order: int, order: int, tier: int):
+    """The search for the least order hosting every group of order n, run up
+    to max_order, as (outcome, witness, None) when it finds `order`.  Otherwise
+    the third place holds the item that ends the row: a skip when a candidate
+    order is outside the tier, a fail naming the order the search found."""
+    try:
+        out = minimal_embedding_search("order", n, max_order, tier=tier)
+    except TierLimitExceeded as e:
+        return None, None, ReportItem(item_id, "skip", str(e))
+    if out.found_order != order:
+        problem = f"search found order {out.found_order}, stated {order}"
+        return None, None, _item(item_id, problem, "", None)
+    witness = {"kind": "minimal-search", "search_kind": "order", "n": n,
+               "max_order": max_order, "order": order, "groups": out.groups}
+    return out, witness, None
+
+
+def _host_problem(ambient: str, order: int, n: int, tier: int | None) -> str | None:
+    """Why the ambient does not have the stated order or does not host every
+    group of order at most n, or None when it does both."""
+    g = construct(ambient)
+    if g.order != order:
+        return f"{ambient} has order {g.order}, stated {order}"
+    rep = contains_all_upto(g, n, bundled_certificates().get(ambient), ambient_text=ambient,
+                            stop_on_fail=True, tier=tier)
+    return None if rep.passed else f"{ambient} does not host {rep.failed_ids()}"
+
+
 @_scenario("table1")
 def _run_table1(tier: int) -> list[ReportItem]:
     items = []
     for n in range(1, 16):
-        cat = enumerator.enumerate_groups(n, tier=tier)
         labels = registry.group_labels_of_order(n)
-        if len(cat) != len(labels):
-            items.append(
-                ReportItem(f"order {n}", "fail",
-                           f"enumerated {len(cat)} classes, expected {len(labels)}")
-            )
-            continue
-        pairs, problem = _bijection(cat, labels)
-        if problem is not None:
-            items.append(ReportItem(f"order {n}", "fail", problem))
-            continue
-        items.append(
-            ReportItem(
-                f"order {n}", "pass", f"{len(labels)} classes, bijective",
-                {"kind": "bijection", "order": n, "pairs": pairs},
-            )
-        )
+        pairs, problem = _bijection(enumerator.enumerate_groups(n, tier=tier), labels)
+        items.append(_item(f"order {n}", problem, f"{len(labels)} classes, bijective",
+                           {"kind": "bijection", "order": n, "pairs": pairs}))
     return items
 
 
@@ -525,31 +553,12 @@ def _run_table1(tier: int) -> list[ReportItem]:
 def _run_table2(tier: int) -> list[ReportItem]:
     items = []
     for n in range(1, 16):
-        stated_order, stated_labels = registry.table2_row(n)
-        try:
-            out = minimal_embedding_search("order", n, stated_order, tier=tier)
-        except TierLimitExceeded as e:
-            items.append(ReportItem(f"n={n}", "skip", str(e)))
-            continue
-        if out.found_order != stated_order:
-            items.append(
-                ReportItem(f"n={n}", "fail",
-                           f"search found order {out.found_order}, stated {stated_order}")
-            )
-            continue
-        why = _passing_classes_problem(out, list(stated_labels), tier)
-        if why is not None:
-            items.append(ReportItem(f"n={n}", "fail", why))
-            continue
-        items.append(
-            ReportItem(
-                f"n={n}", "pass",
-                f"minimal order {stated_order}, groups {{{', '.join(stated_labels)}}}",
-                {"kind": "minimal-search", "search_kind": "order", "n": n,
-                 "max_order": stated_order, "order": out.found_order,
-                 "groups": out.groups},
-            )
-        )
+        order, labels = registry.table2_row(n)
+        out, witness, stop = _search_row(f"n={n}", n, order, order, tier)
+        items.append(stop or _item(
+            f"n={n}", _passing_classes_problem(out, list(labels), tier),
+            f"minimal order {order}, groups {{{', '.join(labels)}}}", witness,
+        ))
     return items
 
 
@@ -560,16 +569,7 @@ def _table4_problem(n: int, factor: int, ambient: str, tier: int | None) -> str 
     nb = registry.nbound(n)
     if stated != factor * nb:
         return f"stated {stated} != {factor} * nbound({n}) = {factor * nb}"
-    g = construct(ambient)
-    if g.order != stated:
-        return f"{ambient} has order {g.order}, stated {stated}"
-    rep = contains_all_upto(
-        g, n, bundled_certificates().get(ambient), ambient_text=ambient,
-        stop_on_fail=True, tier=tier,
-    )
-    if not rep.passed:
-        return f"{ambient} does not host {rep.failed_ids()}"
-    return None
+    return _host_problem(ambient, stated, n, tier)
 
 
 @_scenario("table4")
@@ -579,22 +579,13 @@ def _run_table4(tier: int) -> list[ReportItem]:
         factor = 1 if n <= 11 else 2
         label = registry.table5_row(n)[0] if n <= 11 else "BIG12_SOL" if n == 12 else "BIG15_SOL"
         ambient = f"named({label})"
-        problem = _table4_problem(n, factor, ambient, tier)
-        if problem is not None:
-            items.append(ReportItem(f"n={n}", "fail", problem))
-            continue
-        minimality = (
-            "minimal: equals the collection lower bound"
-            if factor == 1
-            else "attained; lower bound not re-derived here"
-        )
-        items.append(
-            ReportItem(
-                f"n={n}", "pass",
-                f"{registry.table4_value(n)} attained by {label}; {minimality}",
-                {"kind": "table4", "n": n, "factor": factor, "ambient": ambient},
-            )
-        )
+        minimality = ("minimal: equals the collection lower bound" if factor == 1
+                      else "attained; lower bound not re-derived here")
+        items.append(_item(
+            f"n={n}", _table4_problem(n, factor, ambient, tier),
+            f"{registry.table4_value(n)} attained by {label}; {minimality}",
+            {"kind": "table4", "n": n, "factor": factor, "ambient": ambient},
+        ))
     return items
 
 
@@ -604,31 +595,12 @@ def _run_table5(tier: int) -> list[ReportItem]:
     for n in range(1, 12):
         expected = registry.nbound(n)
         for label in registry.table5_row(n):
-            g = construct(registry.named_group(label))
-            if g.order != expected:
-                items.append(
-                    ReportItem(f"n={n}: {label}", "fail",
-                               f"order {g.order} != nbound({n}) = {expected}")
-                )
-                continue
             ambient = f"named({label})"
-            rep = contains_all_upto(
-                g, n, bundled_certificates().get(ambient), ambient_text=ambient,
-                stop_on_fail=True, tier=tier,
-            )
-            if rep.passed:
-                items.append(
-                    ReportItem(
-                        f"n={n}: {label}", "pass",
-                        f"order {expected}, hosts every group of order <= {n}",
-                        {"kind": "containment", "ambient": ambient,
-                         "quantifier": "upto", "n": n},
-                    )
-                )
-            else:
-                items.append(
-                    ReportItem(f"n={n}: {label}", "fail", f"does not host {rep.failed_ids()}")
-                )
+            items.append(_item(
+                f"n={n}: {label}", _host_problem(ambient, expected, n, tier),
+                f"order {expected}, hosts every group of order <= {n}",
+                {"kind": "containment", "ambient": ambient, "quantifier": "upto", "n": n},
+            ))
     return items
 
 
@@ -637,30 +609,19 @@ def _minimal_host_items(
 ) -> list[ReportItem]:
     """The search for the least order hosting every group of order n finds
     `order`, and its passing classes are exactly the labelled groups."""
-    try:
-        out = minimal_embedding_search("order", n, max_order, tier=tier)
-    except TierLimitExceeded as e:
-        return [ReportItem("minimal order", "skip", str(e))]
-    if out.found_order != order:
-        return [ReportItem("minimal order", "fail",
-                           f"found {out.found_order}, expected {order}")]
-    witness = {"kind": "minimal-search", "search_kind": "order", "n": n,
-               "max_order": max_order, "order": order, "groups": out.groups}
+    out, witness, stop = _search_row("minimal order", n, max_order, order, tier)
+    if stop is not None:
+        return [stop]
     detail = str(order)
     if out.eliminated:
         elim = ", ".join(f"{m} ({c} groups)" for m, c in sorted(out.eliminated.items()))
         detail += f" after eliminating {elim}"
-    items = [ReportItem("minimal order", "pass", detail, witness)]
-    why = _passing_classes_problem(out, labels, tier)
-    if why is None:
-        plural = "group" if len(labels) == 1 else "groups"
-        items.append(
-            ReportItem("passing classes", "pass",
-                       f"exactly {len(labels)} {plural}: {' and '.join(labels)}", witness)
-        )
-    else:
-        items.append(ReportItem("passing classes", "fail", why))
-    return items
+    plural = "group" if len(labels) == 1 else "groups"
+    return [
+        _item("minimal order", None, detail, witness),
+        _item("passing classes", _passing_classes_problem(out, labels, tier),
+              f"exactly {len(labels)} {plural}: {' and '.join(labels)}", witness),
+    ]
 
 
 @_scenario("thm-order32")
@@ -781,20 +742,13 @@ def _run_p6(tier: int) -> list[ReportItem]:
     items = []
     g6 = construct(registry.named_group("GP6_3"))
     rep = contains_all_of_order(g6, 27, ambient_text="named(GP6_3)", tier=tier)
+    items.append(_item(
+        "GP6_3 hosts all of order 27", None if rep.passed else f"missing {rep.failed_ids()}",
+        f"order {g6.order}, {len(rep.items)} targets",
+        {"kind": "containment", "ambient": "named(GP6_3)", "quantifier": "order", "n": 27},
+    ))
     if rep.passed:
-        items.append(
-            ReportItem(
-                "GP6_3 hosts all of order 27", "pass",
-                f"order {g6.order}, {len(rep.items)} targets",
-                {"kind": "containment", "ambient": "named(GP6_3)",
-                 "quantifier": "order", "n": 27},
-            )
-        )
         items.extend(rep.items)
-    else:
-        items.append(
-            ReportItem("GP6_3 hosts all of order 27", "fail", f"missing {rep.failed_ids()}")
-        )
     w = construct(registry.named_group("W3"))
     wrep = contains_all_of_order(w, 27, ambient_text="named(W3)", tier=tier)
     missing = wrep.failed_ids()

@@ -1,6 +1,8 @@
 """The named-group registry: label realizations at their declared orders,
 the order-by-order label lists, tabulated rows, and the divisibility bounds."""
 
+import copy
+
 import pytest
 
 from mge import construct, is_isomorphic, registry
@@ -185,6 +187,13 @@ def test_attaining_group_rows():
         registry.table5_row(12)
 
 
+def test_each_table_reads_its_range_from_its_rows():
+    with pytest.raises(OutOfRange, match=r"^tabulated data covers 1\.\.11, not 12$"):
+        registry.table5_row(12)
+    with pytest.raises(OutOfRange, match=r"^tabulated data covers 1\.\.15, not 0$"):
+        registry.group_labels_of_order(0)
+
+
 # --- bounds -----------------------------------------------------------------
 
 
@@ -228,6 +237,21 @@ def test_family_theta_menus():
     required, optional = registry.family_thetas("BIG15_SOL")
     assert required == ("theta1", "theta2", "theta3", "theta4", "theta5")
     assert optional == ("theta6", "theta7")
+
+
+@pytest.mark.parametrize("label", ["C4", "BIG12_SOL", "BIGPROD"])
+def test_a_wrong_declared_order_raises(label, monkeypatch):
+    # one entry of each kind: an expression, an extension family, a product
+    data = copy.deepcopy(registry._data())
+    entry = data["named"][label]
+    built = entry["order"]
+    entry["order"] += 1
+    monkeypatch.setattr(registry, "_data", lambda: data)
+    with pytest.raises(RuntimeError) as err:
+        registry.resolve(label).build()
+    assert str(err.value) == (
+        f"registry entry {label!r} built order {built}, expected {built + 1}"
+    )
 
 
 def test_family_members_all_build():

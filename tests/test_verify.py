@@ -1,6 +1,7 @@
 """Certificates, containment reports, the minimal-order search, witness
 replay, and the reproducible scenarios."""
 
+import copy
 import hashlib
 import json
 import types
@@ -8,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from mge import construct, groups, verify
+from mge import construct, groups, registry, verify
 from mge.enumerator import _BUNDLED_DIR, default_tier
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
@@ -450,3 +451,94 @@ def test_lemma_p3_skips_below_tier3():
     rep = reproduce("lemma-p3", tier=2)
     assert rep.passed
     assert rep.counts()["skip"] >= 1
+
+
+@pytest.fixture
+def registry_copy(monkeypatch):
+    """A deep copy of the registry data that the test may change; the memos
+    that read the registry are cleared afterwards, so no change leaks."""
+    data = copy.deepcopy(registry._data())
+    monkeypatch.setattr(registry, "_data", lambda: data)
+    yield data
+    verify._SEARCH_MEMO.clear()
+    verify._targets_of_order.cache_clear()
+
+
+# (changes to the registry data as {path of keys: new value}, scenario, tier,
+#  the report's items that do not pass as (id, status, detail))
+SCENARIO_FAILURES = {
+    "table1 count mismatch": (
+        {("table1", "8"): ["C8", "C2xC4", "C2xC2xC2", "D4", "Q2", "C4"]}, "table1", 2,
+        [("order 8", "fail", "enumerated 5 classes, expected 6")],
+    ),
+    "table1 duplicate class": (
+        {("table1", "8"): ["C8", "C8", "C2xC2xC2", "D4", "Q2"]}, "table1", 2,
+        [("order 8", "fail", "C8 duplicates the class of perm(8; (15372648))")],
+    ),
+    "table2 wrong order": (
+        {("table2", "6", "order"): 24}, "table2", 2,
+        [("n=6", "fail", "search found order 12, stated 24")],
+    ),
+    "table2 wrong groups": (
+        {("table2", "8", "groups"): ["C2xH1"]}, "table2", 2,
+        [("n=8", "fail", "expected 1 classes, found 2")],
+    ),
+    "table4 wrong value": (
+        {("table4", "6"): 240}, "table4", 2,
+        [("n=6", "fail", "stated 240 != 1 * nbound(6) = 120")],
+    ),
+    "table5 label of the wrong order": (
+        {("table5", "4"): ["C4xD3", "D6"]}, "table5", 2,
+        [("n=4: D6", "fail", "named(D6) has order 12, stated 24")],
+    ),
+    "table5 label that hosts too little": (
+        {("named", "K2T", "expr"): "C(24)", ("table5", "4"): ["C4xD3", "K2T"]}, "table5", 2,
+        [("n=4: K2T", "fail", "named(K2T) does not host ['C(2) x C(2)']")],
+    ),
+    "example-p6 host that misses a target": (
+        {("named", "GP6_3", "expr"): "named(W3)"}, "example-p6", 2,
+        [("GP6_3 hosts all of order 27", "fail",
+          "missing ['perm(27; (1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)(19 20 21)"
+          "(22 23 24)(25 26 27), (1 4 7)(2 5 8)(3 6 9)(10 13 16)(11 14 17)(12 15 18)"
+          "(19 22 25)(20 23 26)(21 24 27), (1 10 19)(2 11 20)(3 12 21)(4 13 22)(5 14 23)"
+          "(6 15 24)(7 16 25)(8 17 26)(9 18 27))']")],
+    ),
+    "table2 at tier 1": (
+        {}, "table2", 1,
+        [("n=12", "skip", "candidate order 72 is outside tier 1; raise MGE_TIER")],
+    ),
+    "thm-order144 at tier 1": (
+        {}, "thm-order144", 1,
+        [("minimal order", "skip", "candidate order 72 is outside tier 1; raise MGE_TIER")],
+    ),
+    "lemma-order96 at tier 1": (
+        {}, "lemma-order96", 1,
+        [("order 96 sweep", "skip", "needs tier 2 enumeration of order 96 (active tier 1)")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_FAILURES))
+def test_scenario_reports_each_failed_or_skipped_check(case, registry_copy):
+    changes, sid, tier, expected = SCENARIO_FAILURES[case]
+    for (*path, key), value in changes.items():
+        row = registry_copy
+        for k in path:
+            row = row[k]
+        row[key] = value
+    items = reproduce(sid, tier=tier).items
+    got = [(it.item_id, it.status, it.detail) for it in items if it.status != "pass"]
+    assert got == expected
+    assert all(it.witness is None for it in items if it.status != "pass")
+
+
+def test_minimal_host_items_fail_on_a_wrong_order_or_wrong_labels():
+    items = verify._minimal_host_items(8, 64, 16, ["C2xH1", "H2"], 2)
+    assert [(it.item_id, it.status, it.detail) for it in items] == [
+        ("minimal order", "fail", "search found order 32, stated 16"),
+    ]
+    items = verify._minimal_host_items(8, 64, 32, ["C2xH1"], 2)
+    assert [(it.item_id, it.status) for it in items] == [
+        ("minimal order", "pass"), ("passing classes", "fail"),
+    ]
+    assert items[1].detail == "expected 1 classes, found 2"
