@@ -28,6 +28,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,17 @@ from .errors import (
     TierLimitExceeded,
 )
 from .expressions import Cyclic, GroupExpr, PermGroupExpr, parse_expr
-from .groups import TableGroup, _row_closure, build_cyclic, construct, right_regular
+from .groups import (
+    TableGroup,
+    _row_closure,
+    along_generators,
+    build_cyclic,
+    construct,
+    right_regular,
+)
 from .morphisms import (
     Fingerprint,
     automorphisms,
-    ea_basis_and_coords,
     elem_abelian_prime,
     is_isomorphic,
     rich_invariant_key,
@@ -309,15 +316,15 @@ def _ea_alpha_matrices(q: int, k: int, p: int) -> list[np.ndarray]:
 
 
 def _ea_alpha_pairs(base: TableGroup, q: int, p: int):
-    """(alpha map, valid a list) pairs for an elementary abelian base."""
-    _, elem_of, vec_of = ea_basis_and_coords(base, q)
-    for mat in _ea_alpha_matrices(q, factorization(base.n)[q], p):
-        amap = np.empty(base.n, dtype=np.int64)
-        for e in range(base.n):
-            v = np.asarray(vec_of[e], dtype=np.int64)
-            amap[e] = elem_of[tuple(int(c) for c in (v @ mat) % q)]
-        fixed = [e for e in range(base.n) if amap[e] == e]
-        yield amap, fixed
+    """(alpha map, valid a list) pairs for an elementary abelian base.  Alpha
+    sends ``basis[i]`` of the basis ``greedy_gens`` to the element with
+    coordinates ``mat[i]`` and extends along the basis; on coordinate vectors
+    that is ``v @ mat``, since the map is linear."""
+    basis = list(base.greedy_gens)
+    for mat in _ea_alpha_matrices(q, len(basis), p):
+        images = [reduce(base.mul, map(base.power, basis, row.tolist()), 0) for row in mat]
+        amap = np.array(along_generators(base, basis, images, base.mul, 0), dtype=np.int64)
+        yield amap, [e for e in range(base.n) if amap[e] == e]
 
 
 # --- extension pairs over arbitrary bases -----------------------------------------

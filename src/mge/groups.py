@@ -10,6 +10,9 @@ pairs and it is never materialized as a table.
 Element handles are plain ints for TableGroup (0 is always the identity) and
 (tuple[int, ...], int) pairs for TwistedGroup.
 
+``along_generators`` is the one routine that extends a map from generator
+images to every element, along the derivations of ``bfs_closure``.
+
 Semidirect action convention: a clause ``t.g=w`` pins conjugation of ``g`` by
 ``t``, i.e. ``t^-1 * g * t = w`` holds in the product.  Base generators with
 no clause for some acting generator are fixed by it.
@@ -131,6 +134,22 @@ def bfs_closure(identity, gens, mul, limit=SUBGROUP_LIMIT):
                         raise SubgroupLimitExceeded(f"closure exceeded {limit} elements")
         frontier = nxt
     return elems, deriv
+
+
+def along_generators(g, gens, images, mul, start):
+    """The image of every element of ``g``, as a list indexed by element id:
+    the identity goes to ``start`` and ``x * gens[k]`` to
+    ``mul(image of x, images[k])``, along the derivations of ``bfs_closure``.
+    None when ``gens`` do not generate ``g``; whether the map respects
+    ``g``'s relations is the caller's check."""
+    elems, deriv = bfs_closure(0, gens, g.mul)
+    if len(elems) != g.n:
+        return None
+    out = [start] * g.n
+    for e in elems[1:]:
+        parent, pos = deriv[e]
+        out[e] = mul(out[parent], images[pos])
+    return out
 
 
 def _power(g, x, k: int):
@@ -456,15 +475,11 @@ class TableGroup:
 
     def _bfs_labels(self) -> list[str]:
         names = list(self.gens)
-        elems, deriv = bfs_closure(0, [self.gens[s] for s in names], self.mul)
-        if len(elems) != self.n:
+        words = along_generators(self, list(self.gens.values()), names, lambda w, s: w + [s], [])
+        if words is None:
             # bindings do not generate; indices are still unambiguous
             return [f"#{i}" for i in range(self.n)]
-        words: dict[int, list[str]] = {0: []}
-        for e in elems[1:]:
-            parent, pos = deriv[e]
-            words[e] = words[parent] + [names[pos]]
-        return [_compress_word(words[i]) for i in range(self.n)]
+        return [_compress_word(w) for w in words]
 
     def label_of(self, x: int) -> str:
         if self.perm_elems is not None:
@@ -856,22 +871,15 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
 
 def gen_image_map(g: TableGroup, images: dict[str, str]) -> np.ndarray:
     """The map of ``g`` pinned by generator-image words; generators without a
-    listed image are fixed.  The map extends over a breadth-first closure, so
-    it is total; whether it is an automorphism is for the caller to check."""
-    gen_names = list(g.gens)
+    listed image are fixed.  The map extends along the generators, so it is
+    total; whether it is an automorphism is for the caller to check."""
     img_elems = [
-        g.gens[nm] if images.get(nm) is None else g.evaluate_word(images[nm])
-        for nm in gen_names
+        e if images.get(nm) is None else g.evaluate_word(images[nm]) for nm, e in g.gens.items()
     ]
-    elems, deriv = bfs_closure(0, [g.gens[nm] for nm in gen_names], g.mul)
-    if len(elems) != g.n:
+    out = along_generators(g, list(g.gens.values()), img_elems, g.mul, 0)
+    if out is None:
         raise InvalidAction("generator images must cover a generating set")
-    out = np.full(g.n, -1, dtype=np.int32)
-    out[0] = 0
-    for e in elems[1:]:
-        parent, pos = deriv[e]
-        out[e] = g.table[out[parent], img_elems[pos]]
-    return out
+    return np.array(out, dtype=np.int32)
 
 
 def build_semidirect(
@@ -908,17 +916,15 @@ def build_semidirect(
         amap = gen_image_map(base, per_gen[t])
         _require_automorphism(base, amap, f"action of {t!r}")
         conj_of_gen[t] = amap
-    actor_names = list(actor.gens)
-    aelems, aderiv = bfs_closure(0, [actor.gens[s] for s in actor_names], actor.mul)
-    if len(aelems) != q:
+    conj_by = along_generators(
+        actor, list(actor.gens.values()), list(conj_of_gen.values()), lambda f, s: s[f],
+        np.arange(m),
+    )
+    if conj_by is None:
         raise InvalidAction("acting generators do not generate the acting group")
-    conj_by = np.zeros((q, m), dtype=np.int64)
-    conj_by[0] = np.arange(m)
-    for u in aelems[1:]:
-        parent, pos = aderiv[u]
-        conj_by[u] = conj_of_gen[actor_names[pos]][conj_by[parent]]
+    conj_by = np.array(conj_by, dtype=np.int64)
     # the extension must respect the actor's own relations: conj_by[u * s] == s o conj_by[u]
-    for s in actor_names:
+    for s in actor.gens:
         if not (conj_by[actor.table[:, actor.gens[s]]] == conj_of_gen[s][conj_by]).all():
             raise InvalidAction(
                 "action clauses are inconsistent with the acting group's relations"

@@ -38,7 +38,6 @@ is restricted (by support, or by sheer size), so only positive findings count.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -478,21 +477,3 @@ def elem_abelian_prime(g: TableGroup) -> int | None:
     if is_prime(e) and list(factorization(g.order)) == [e]:
         return e
     return None
-
-
-def ea_basis_and_coords(g: TableGroup, p: int):
-    """A basis of an elementary abelian group plus both coordinate maps.
-
-    The basis is ``greedy_gens``: any element outside a subgroup H generates,
-    with H, a group of order p*|H|, so each greedy round takes the least
-    element outside the span of the ones before it."""
-    basis = list(g.greedy_gens)
-    elem_of: dict[tuple[int, ...], int] = {}
-    vec_of: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        e = 0
-        for c, b in zip(combo, basis):
-            e = g.mul(e, g.power(b, c))
-        elem_of[combo] = e
-        vec_of[e] = combo
-    return basis, elem_of, vec_of

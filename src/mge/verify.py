@@ -31,7 +31,7 @@ from .errors import (
     TierLimitExceeded,
     UnknownLabel,
 )
-from .groups import Subgroup, TableGroup, bfs_closure, construct
+from .groups import Subgroup, TableGroup, along_generators, construct
 from .morphisms import find_embedding, is_isomorphic
 
 _CERT_DIR = Path(__file__).resolve().parent / "data" / "certs"
@@ -636,18 +636,16 @@ def _run_thm144(tier: int) -> list[ReportItem]:
 
 def _index2_subgroups(g: TableGroup):
     """Element arrays of the index-2 subgroups: the kernels of the maps onto
-    C2.  Each choice of images of ``greedy_gens`` extends along the closure's
-    derivations to a map phi, which is a homomorphism exactly when
+    C2.  Every choice of images of ``greedy_gens`` at once extends along the
+    generators to a map phi, which is a homomorphism exactly when
     ``phi(x * s) == phi(x) ^ phi(s)`` for every element x and generator s."""
     gens = list(g.greedy_gens)
-    elems, deriv = bfs_closure(0, gens, g.mul)
-    for bits in range(1, 1 << len(gens)):
-        phi = np.zeros(g.n, dtype=np.int8)
-        for e in elems[1:]:
-            parent, pos = deriv[e]
-            phi[e] = phi[parent] ^ (bits >> pos & 1)
-        if (phi[g.table[:, gens]] == phi[:, None] ^ phi[gens]).all():
-            yield np.flatnonzero(phi == 0)
+    choices = np.arange(1, 1 << len(gens))
+    bits = [choices >> k & 1 for k in range(len(gens))]
+    phi = np.array(along_generators(g, gens, bits, np.bitwise_xor, 0 * choices)).T  # [choice, x]
+    ok = (phi[:, g.table[:, gens]] == phi[:, :, None] ^ phi[:, None, gens]).all(axis=(1, 2))
+    for row in phi[ok]:
+        yield np.flatnonzero(row == 0)
 
 
 def _has_abelian_exp4_half(g: TableGroup) -> bool:
@@ -669,11 +667,9 @@ def _absence_item(entry, n: int, tier: int, stop_on_fail: bool, note: str, hosts
         entry.group, n, ambient_text=entry.recipe_text, stop_on_fail=stop_on_fail, tier=tier
     )
     missing = rep.failed_ids()
-    if not missing:
-        return ReportItem(entry.recipe_text, "fail", hosts_all)
-    return ReportItem(
-        entry.recipe_text, "pass", f"{note}missing {', '.join(missing)}",
-        {"kind": "absence", "ambient": entry.recipe_text, "target": missing[0]},
+    return _item(
+        entry.recipe_text, None if missing else hosts_all, f"{note}missing {', '.join(missing)}",
+        {"kind": "absence", "ambient": entry.recipe_text, "target": "".join(missing[:1])},
     )
 
 
@@ -752,20 +748,12 @@ def _run_p6(tier: int) -> list[ReportItem]:
     w = construct(registry.named_group("W3"))
     wrep = contains_all_of_order(w, 27, ambient_text="named(W3)", tier=tier)
     missing = wrep.failed_ids()
+    first = "".join(missing[:1])
     ea = _target_group("EA(3, 3)")
-    if len(missing) == 1 and is_isomorphic(_target_group(missing[0]), ea) is not None:
-        items.append(
-            ReportItem(
-                "W3 misses exactly the rank-3 elementary abelian group", "pass",
-                f"missing {missing[0]} only",
-                {"kind": "absence", "ambient": "named(W3)", "target": missing[0]},
-            )
-        )
-    else:
-        items.append(
-            ReportItem(
-                "W3 misses exactly the rank-3 elementary abelian group", "fail",
-                f"missing set was {missing}",
-            )
-        )
+    exact = len(missing) == 1 and is_isomorphic(_target_group(first), ea) is not None
+    items.append(_item(
+        "W3 misses exactly the rank-3 elementary abelian group",
+        None if exact else f"missing set was {missing}", f"missing {first} only",
+        {"kind": "absence", "ambient": "named(W3)", "target": first},
+    ))
     return items

@@ -192,6 +192,18 @@ def test_bfs_closure_generic():
     assert bfs_closure(0, [], lambda a, b: a)[0] == [0]
 
 
+def test_along_generators_names_bindings_that_do_not_generate():
+    c4 = construct("C(4)")
+    assert groups.along_generators(c4, [1], [3], c4.mul, 0) == [0, 3, 2, 1]  # x -> x^3
+    g = TableGroup(c4.table, {"a": 2})  # a = x^2 generates only {1, x^2}
+    assert groups.along_generators(g, [2], [2], g.mul, 0) is None
+    assert g.labels == ["#0", "#1", "#2", "#3"]
+    with pytest.raises(InvalidAction, match="generator images must cover a generating set"):
+        groups.gen_image_map(g, {})
+    with pytest.raises(InvalidAction, match="acting generators do not generate the acting group"):
+        groups.build_semidirect(construct("C(3)"), TableGroup(c4.table, {"t": 2}), ())
+
+
 def test_table_hash_is_stable_and_structural():
     a = construct("D(4)")
     b = construct("D(4)")

@@ -23,9 +23,12 @@ The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
 series through one ``Subgroup`` table per term, the extension table
 filled one block at a time, the generating set of Aut(N) grown by one
-``bfs_closure`` over byte-keyed maps per generator added, and the classes
-of extension automorphisms marked one map at a time."""
+``bfs_closure`` over byte-keyed maps per generator added, the classes
+of extension automorphisms marked one map at a time, and the maps of an
+elementary abelian base read off the coordinate dictionaries of all q^k
+vectors, where they now extend from the images of the basis."""
 
+import itertools
 import json
 import random
 import re
@@ -38,6 +41,7 @@ from mge.enumerator import (
     _BUNDLED_DIR,
     Catalog,
     _aut_listing,
+    _ea_alpha_matrices,
     _ea_alpha_pairs,
     _extension_table,
     _generic_alpha_pairs,
@@ -67,6 +71,7 @@ from mge.morphisms import (
     elem_abelian_prime,
     rich_invariant_key,
 )
+from mge.numtheory import factorization
 
 # --- the earlier routines -----------------------------------------------------
 
@@ -510,6 +515,26 @@ def ref_generic_alpha_pairs(base, p):
         yield alpha, valid_a
 
 
+def ref_ea_alpha_pairs(base, q, p):
+    """(alpha, valid a) pairs for an elementary abelian base: with the basis
+    ``greedy_gens``, ``alpha(e)`` is the element whose coordinates are those
+    of e times the matrix, looked up in dictionaries of all q^k vectors."""
+    basis = list(base.greedy_gens)
+    elem_of, vec_of = {}, {}
+    for combo in itertools.product(range(q), repeat=len(basis)):
+        e = 0
+        for c, b in zip(combo, basis):
+            e = base.mul(e, base.power(b, c))
+        elem_of[combo] = e
+        vec_of[e] = combo
+    for mat in _ea_alpha_matrices(q, factorization(base.n)[q], p):
+        amap = np.empty(base.n, dtype=np.int64)
+        for e in range(base.n):
+            v = np.asarray(vec_of[e], dtype=np.int64)
+            amap[e] = elem_of[tuple(int(c) for c in (v @ mat) % q)]
+        yield amap, [e for e in range(base.n) if amap[e] == e]
+
+
 # --- the groups compared ------------------------------------------------------
 
 
@@ -875,6 +900,22 @@ def test_generic_alpha_pairs_match_reference(bundled_catalogs):
                 pairs += len(got)
             bases += 1
     assert (bases, pairs) == (57, 275)
+
+
+EA_BASES = [(2, k) for k in range(1, 7)] + [(3, k) for k in range(1, 5)]
+EA_BASES += [(5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+def test_ea_alpha_pairs_match_reference():
+    pairs = 0
+    for q, k in EA_BASES:
+        base = construct(f"EA({q},{k})")
+        for p in (2, 3, 5, 7):
+            got = [(a.dtype, a.tobytes(), v) for a, v in _ea_alpha_pairs(base, q, p)]
+            want = [(a.dtype, a.tobytes(), v) for a, v in ref_ea_alpha_pairs(base, q, p)]
+            assert got == want, (q, k, p)
+            pairs += len(got)
+    assert pairs == 121
 
 
 # --- parsing --------------------------------------------------------------------

@@ -98,3 +98,35 @@ def test_package_has_no_local_imports():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
             ]
     assert local == []
+
+
+# the routines that read the derivations bfs_closure returns
+_DERIVATION_READERS = {("groups.py", "along_generators"), ("morphisms.py", "_search_levels")}
+
+
+def _derivation_readers(path: Path) -> set[tuple[str, str]]:
+    """(file, function) for each ``bfs_closure`` call whose derivations are
+    kept: anything but ``bfs_closure(...)[0]`` or ``elems, _ = bfs_closure(...)``."""
+    tree = ast.parse(path.read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    readers = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bfs_closure"):
+            continue
+        up = parent[node]
+        if isinstance(up, ast.Subscript) and getattr(up.slice, "value", None) == 0:
+            continue
+        if isinstance(up, ast.Assign) and all(
+            isinstance(t, ast.Tuple) and getattr(t.elts[-1], "id", None) == "_"
+            for t in up.targets
+        ):
+            continue
+        while not isinstance(up, (ast.FunctionDef, ast.Module)):
+            up = parent[up]
+        readers.add((path.name, getattr(up, "name", "<module>")))
+    return readers
+
+
+def test_only_along_generators_and_the_search_levels_read_derivations():
+    readers = set().union(*(_derivation_readers(path) for path in sorted(SRC.glob("*.py"))))
+    assert readers == _DERIVATION_READERS

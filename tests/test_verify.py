@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mge import construct, groups, registry, verify
-from mge.enumerator import _BUNDLED_DIR, default_tier
+from mge.enumerator import _BUNDLED_DIR, default_tier, enumerate_groups
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
     Certificate,
@@ -503,6 +503,17 @@ SCENARIO_FAILURES = {
           "(19 22 25)(20 23 26)(21 24 27), (1 10 19)(2 11 20)(3 12 21)(4 13 22)(5 14 23)"
           "(6 15 24)(7 16 25)(8 17 26)(9 18 27))']")],
     ),
+    "example-p6 with W3 and GP6_3 swapped": (
+        {("named", "W3", "expr"): "cp(gens(C(27), x), named(B3), x^9=z1) x C(3)",
+         ("named", "GP6_3", "expr"): "cp(gens(C(27), x), named(B3), x^9=z1)"}, "example-p6", 2,
+        [("GP6_3 hosts all of order 27", "fail",
+          "missing ['perm(27; (1 2 3)(4 5 6)(7 8 9)(10 11 12)(13 14 15)(16 17 18)(19 20 21)"
+          "(22 23 24)(25 26 27), (1 4 7)(2 5 8)(3 6 9)(10 13 16)(11 14 17)(12 15 18)"
+          "(19 22 25)(20 23 26)(21 24 27), (1 10 19)(2 11 20)(3 12 21)(4 13 22)(5 14 23)"
+          "(6 15 24)(7 16 25)(8 17 26)(9 18 27))']"),
+         ("W3 misses exactly the rank-3 elementary abelian group", "fail",
+          "missing set was []")],
+    ),
     "table2 at tier 1": (
         {}, "table2", 1,
         [("n=12", "skip", "candidate order 72 is outside tier 1; raise MGE_TIER")],
@@ -530,6 +541,15 @@ def test_scenario_reports_each_failed_or_skipped_check(case, registry_copy):
     got = [(it.item_id, it.status, it.detail) for it in items if it.status != "pass"]
     assert got == expected
     assert all(it.witness is None for it in items if it.status != "pass")
+
+
+def test_absence_item_fails_on_a_host_of_every_target():
+    # thm-order32 finds that H2 hosts every group of order 8
+    entry = enumerate_groups(32, tier=2).find_isomorphic(construct(registry.named_group("H2")))
+    item = verify._absence_item(entry, 8, 2, False, "", "hosts all groups of order 8")
+    assert (item.item_id, item.status, item.detail, item.witness) == (
+        entry.recipe_text, "fail", "hosts all groups of order 8", None,
+    )
 
 
 def test_minimal_host_items_fail_on_a_wrong_order_or_wrong_labels():
