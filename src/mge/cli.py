@@ -5,7 +5,7 @@ isomorphism and embedding tests, catalog enumeration, minimal-order search,
 the bound calculators, certificate verification, and the scenario runner.
 Exit codes: 0 all checks passed, 1 a check failed or a search was negative,
 2 usage or configuration errors.  Skipped scenario items (tier limits) do
-not affect the exit code.
+not affect the exit code.  The tier is read from MGE_TIER alone.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cat = enumerator.enumerate_groups(args.order, tier=args.tier)
+    cat = enumerator.enumerate_groups(args.order)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(cat.dumps() + "\n")
@@ -78,7 +78,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_minimal(args) -> int:
     kind = "order" if args.order is not None else "upto"
     n = args.order if args.order is not None else args.upto
-    out = verify.minimal_embedding_search(kind, n, args.max, tier=args.tier)
+    out = verify.minimal_embedding_search(kind, n, args.max)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(out.to_json(), fh, indent=2, sort_keys=True)
@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    return _report(verify.reproduce(args.scenario, tier=args.tier), args.json)
+    return _report(verify.reproduce(args.scenario), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all groups of an order up to isomorphism")
     p.add_argument("order", type=int)
-    p.add_argument("--tier", type=int, choices=(1, 2, 3))
     p.add_argument("--out", help="write the catalog as JSON to this path")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--order", type=int, help="collection: all groups of this order")
     mode.add_argument("--upto", type=int, help="collection: all groups up to this order")
     p.add_argument("--max", type=int, required=True, help="largest order to try")
-    p.add_argument("--tier", type=int, choices=(1, 2, 3))
     p.add_argument("--json", help="write the search outcome to this path")
     p.set_defaults(fn=_cmd_minimal)
 
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a named verification scenario")
     p.add_argument("scenario", choices=verify.scenario_ids())
-    p.add_argument("--tier", type=int, choices=(1, 2, 3))
     p.add_argument("--json", help="write the report to this path")
     p.set_defaults(fn=_cmd_reproduce)
 

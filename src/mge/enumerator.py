@@ -56,7 +56,7 @@ from .morphisms import (
     is_isomorphic,
     rich_invariant_key,
 )
-from .numtheory import factorization, is_prime
+from .numtheory import factorization
 from .perms import compose, format_cycles
 from .registry import perfect_seed_exprs
 
@@ -451,14 +451,6 @@ def _extension_candidates(base: TableGroup, p: int):
             yield TableGroup(_extension_table(base, amap, int(x), p), {})
 
 
-def cyclic_extensions(base: TableGroup, p: int) -> list[TableGroup]:
-    """All groups of order |base|*p containing a normal copy of the base with
-    quotient of order p, up to isomorphism."""
-    if not is_prime(p):
-        raise OutOfRange(f"{p} is not prime")
-    return [e.group for e in _dedupe(_extension_candidates(base, p))]
-
-
 # --- perfect seeds ----------------------------------------------------------------
 
 
@@ -490,17 +482,14 @@ def clear_memory_cache() -> None:
     _MEMO.clear()
 
 
-def enumerate_groups(n: int, *, tier: int | None = None) -> Catalog:
-    """The complete catalog of isomorphism classes of order n."""
+def enumerate_groups(n: int) -> Catalog:
+    """The complete catalog of isomorphism classes of order n, for an order
+    the active tier (MGE_TIER) allows."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise OutOfRange(f"order must be a positive integer, not {n!r}")
-    t = default_tier() if tier is None else tier
-    if t not in TIER_EXTRA:
-        raise OutOfRange(f"tier must be 1, 2, or 3, not {t!r}")
-    if not order_allowed(n, t):
-        raise TierLimitExceeded(
-            f"order {n} is outside tier {t}; raise MGE_TIER or pass a higher tier"
-        )
+    tier = default_tier()
+    if not order_allowed(n, tier):
+        raise TierLimitExceeded(f"order {n} is outside tier {tier}; raise MGE_TIER")
     return _catalog(n)
 
 
@@ -529,14 +518,15 @@ def _compute(n: int) -> Catalog:
 
 
 def _load_cached(n: int) -> Catalog | None:
-    for path in (cache_dir() / f"order{n}.json", _BUNDLED_DIR / f"order{n}.json"):
-        if not path.is_file():
-            continue
-        try:
-            return Catalog.from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            continue  # stale or foreign; recompute
-    return None
+    """The bundled catalog of order n; the cache is read only for an order
+    the package does not ship, so no cache file can stand in for a bundled one."""
+    path = _BUNDLED_DIR / f"order{n}.json"
+    if not path.is_file():
+        path = cache_dir() / f"order{n}.json"
+    try:
+        return Catalog.from_json(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError):
+        return None  # missing, stale or foreign; recompute
 
 
 def _save_cache(cat: Catalog) -> None:

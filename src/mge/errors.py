@@ -25,7 +25,7 @@ class UnknownLabel(EngineError):
 
 
 class OutOfRange(EngineError):
-    """A registry family was asked for a parameter outside its domain."""
+    """A parameter is outside its domain: a registry argument, an order, or MGE_TIER."""
 
 
 class InvalidAction(EngineError):

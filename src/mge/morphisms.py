@@ -465,10 +465,6 @@ def automorphisms(g: TableGroup):
         yield m
 
 
-def automorphism_count(g: TableGroup) -> int:
-    return sum(1 for _ in automorphisms(g))
-
-
 def elem_abelian_prime(g: TableGroup) -> int | None:
     """The prime p when g is elementary abelian of exponent p, else None."""
     if not g.is_abelian:

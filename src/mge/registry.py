@@ -83,10 +83,6 @@ def named_group(label: str) -> GroupExpr:
     return parse_expr(f"named({label})")
 
 
-def anchor_of(label: str) -> str:
-    return _named_entry(label)["anchor"]
-
-
 # --- twist machinery -----------------------------------------------------------
 
 

@@ -233,11 +233,12 @@ def verify_certificate(cert: Certificate | str | Path) -> Report:
 
 
 @lru_cache(maxsize=64)
-def _targets_of_order(n: int, tier: int) -> tuple[tuple[str, TableGroup], ...]:
-    """(expression text, group) for every isomorphism class of order n."""
+def _targets_of_order(n: int) -> tuple[tuple[str, TableGroup], ...]:
+    """(expression text, group) for every isomorphism class of order n.  Cached
+    by n alone: the tier gates what a catalog costs, not what it holds."""
     if 1 <= n <= 15:
         return tuple((e.text(), _target_group(e.text())) for e in registry.groups_of_order(n))
-    cat = enumerator.enumerate_groups(n, tier=tier)
+    cat = enumerator.enumerate_groups(n)
     return tuple((e.recipe_text, e.group) for e in cat.entries)
 
 
@@ -274,12 +275,11 @@ def _check_target(g, text: str, target: TableGroup, certificate, ambient_text):
     return ReportItem(text, status, detail, witness)
 
 
-def _contains_all(g, orders, scenario, certificate, ambient_text, stop_on_fail, tier) -> Report:
+def _contains_all(g, orders, scenario, certificate, ambient_text, stop_on_fail) -> Report:
     """One item per isomorphism class of each order, in order."""
-    tier = enumerator.default_tier() if tier is None else tier
     items = []
     for n in orders:
-        for text, target in _targets_of_order(n, tier):
+        for text, target in _targets_of_order(n):
             items.append(_check_target(g, text, target, certificate, ambient_text))
             if stop_on_fail and items[-1].status == "fail":
                 return Report(scenario, items)
@@ -293,11 +293,10 @@ def contains_all_of_order(
     *,
     ambient_text: str | None = None,
     stop_on_fail: bool = False,
-    tier: int | None = None,
 ) -> Report:
     """Does every group of order n embed in g?  One item per target."""
     return _contains_all(
-        g, [n], f"contains-all-of-order-{n}", certificate, ambient_text, stop_on_fail, tier
+        g, [n], f"contains-all-of-order-{n}", certificate, ambient_text, stop_on_fail
     )
 
 
@@ -308,12 +307,10 @@ def contains_all_upto(
     *,
     ambient_text: str | None = None,
     stop_on_fail: bool = False,
-    tier: int | None = None,
 ) -> Report:
     """Does every group of order at most n embed in g?"""
     return _contains_all(
-        g, range(1, n + 1), f"contains-all-upto-{n}", certificate, ambient_text,
-        stop_on_fail, tier,
+        g, range(1, n + 1), f"contains-all-upto-{n}", certificate, ambient_text, stop_on_fail
     )
 
 
@@ -351,36 +348,35 @@ class SearchOutcome:
 _SEARCH_MEMO: dict[tuple, SearchOutcome] = {}
 
 
-def minimal_embedding_search(
-    kind: str, n: int, max_order: int, *, tier: int | None = None
-) -> SearchOutcome:
+def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome:
     """Least order admitting a group that hosts the whole collection.
 
     kind "order" quantifies over all groups of order exactly n, kind "upto"
     over all groups of order at most n.  Candidate orders are the multiples
     of the matching lower bound; the first order with a passing group stops
     the search, but every group of that order is still examined so the full
-    set of minimal groups gets reported.
+    set of minimal groups gets reported.  The tier check comes before the
+    memo, so an outcome found under a higher tier never answers a lower one.
     """
     if kind not in ("order", "upto"):
         raise ValueError(f"kind must be 'order' or 'upto', got {kind!r}")
-    tier = enumerator.default_tier() if tier is None else tier
-    key = (kind, n, max_order, tier)
-    hit = _SEARCH_MEMO.get(key)
-    if hit is not None:
-        return hit
     bound = registry.collection_bound(n) if kind == "order" else registry.nbound(n)
     candidates = list(range(bound, max_order + 1, bound))
+    tier = enumerator.default_tier()
     for m in candidates:
         if not enumerator.order_allowed(m, tier):
             raise TierLimitExceeded(f"candidate order {m} is outside tier {tier}; raise MGE_TIER")
+    key = (kind, n, max_order)
+    hit = _SEARCH_MEMO.get(key)
+    if hit is not None:
+        return hit
     name = f"all-{'of-order' if kind == 'order' else 'upto'} {n}"
     eliminated: dict[int, int] = {}
     found, passing = None, []
     targets = [t for k in ([n] if kind == "order" else range(1, n + 1))
-               for _, t in _targets_of_order(k, tier)] if candidates else []
+               for _, t in _targets_of_order(k)] if candidates else []
     for m in candidates:
-        cat = enumerator.enumerate_groups(m, tier=tier)
+        cat = enumerator.enumerate_groups(m)
         # a catalog group is dense, so each verdict is what contains_all_* decides
         passing = [
             e.recipe_text for e in cat.entries
@@ -435,7 +431,7 @@ def _replay(w: dict) -> bool:
         checker = contains_all_of_order if w["quantifier"] == "order" else contains_all_upto
         return checker(g, w["n"], cert, ambient_text=w["ambient"]).passed
     if kind == "table4":
-        return _table4_problem(w["n"], w["factor"], w["ambient"], None) is None
+        return _table4_problem(w["n"], w["factor"], w["ambient"]) is None
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -466,11 +462,10 @@ def scenario_ids() -> list[str]:
     return list(_SCENARIOS)
 
 
-def reproduce(sid: str, *, tier: int | None = None) -> Report:
+def reproduce(sid: str) -> Report:
     if sid not in _SCENARIOS:
         raise UnknownLabel(f"unknown scenario {sid!r}; have {', '.join(_SCENARIOS)}")
-    tier = enumerator.default_tier() if tier is None else tier
-    return Report(sid, _SCENARIOS[sid](tier))
+    return Report(sid, _SCENARIOS[sid]())
 
 
 def _item(item_id: str, problem: str | None, detail: str, witness: dict | None) -> ReportItem:
@@ -500,23 +495,23 @@ def _bijection(cat, labels: list[str]) -> tuple[list[list[str]], str | None]:
     return pairs, None
 
 
-def _passing_classes_problem(out: SearchOutcome, labels: list[str], tier: int) -> str | None:
+def _passing_classes_problem(out: SearchOutcome, labels: list[str]) -> str | None:
     """Why the passing classes of the search's found order are not exactly
     the labelled groups, or None when they are."""
-    cat = enumerator.enumerate_groups(out.found_order, tier=tier)
+    cat = enumerator.enumerate_groups(out.found_order)
     passing = [e for e in cat.entries if e.recipe_text in out.groups]
     if len(passing) != len(labels):
         return f"expected {len(labels)} classes, found {len(passing)}"
     return _bijection(enumerator.Catalog(cat.order, passing, cat.provenance), labels)[1]
 
 
-def _search_row(item_id: str, n: int, max_order: int, order: int, tier: int):
+def _search_row(item_id: str, n: int, max_order: int, order: int):
     """The search for the least order hosting every group of order n, run up
     to max_order, as (outcome, witness, None) when it finds `order`.  Otherwise
     the third place holds the item that ends the row: a skip when a candidate
     order is outside the tier, a fail naming the order the search found."""
     try:
-        out = minimal_embedding_search("order", n, max_order, tier=tier)
+        out = minimal_embedding_search("order", n, max_order)
     except TierLimitExceeded as e:
         return None, None, ReportItem(item_id, "skip", str(e))
     if out.found_order != order:
@@ -527,53 +522,53 @@ def _search_row(item_id: str, n: int, max_order: int, order: int, tier: int):
     return out, witness, None
 
 
-def _host_problem(ambient: str, order: int, n: int, tier: int | None) -> str | None:
+def _host_problem(ambient: str, order: int, n: int) -> str | None:
     """Why the ambient does not have the stated order or does not host every
     group of order at most n, or None when it does both."""
     g = construct(ambient)
     if g.order != order:
         return f"{ambient} has order {g.order}, stated {order}"
     rep = contains_all_upto(g, n, bundled_certificates().get(ambient), ambient_text=ambient,
-                            stop_on_fail=True, tier=tier)
+                            stop_on_fail=True)
     return None if rep.passed else f"{ambient} does not host {rep.failed_ids()}"
 
 
 @_scenario("table1")
-def _run_table1(tier: int) -> list[ReportItem]:
+def _run_table1() -> list[ReportItem]:
     items = []
     for n in range(1, 16):
         labels = registry.group_labels_of_order(n)
-        pairs, problem = _bijection(enumerator.enumerate_groups(n, tier=tier), labels)
+        pairs, problem = _bijection(enumerator.enumerate_groups(n), labels)
         items.append(_item(f"order {n}", problem, f"{len(labels)} classes, bijective",
                            {"kind": "bijection", "order": n, "pairs": pairs}))
     return items
 
 
 @_scenario("table2")
-def _run_table2(tier: int) -> list[ReportItem]:
+def _run_table2() -> list[ReportItem]:
     items = []
     for n in range(1, 16):
         order, labels = registry.table2_row(n)
-        out, witness, stop = _search_row(f"n={n}", n, order, order, tier)
+        out, witness, stop = _search_row(f"n={n}", n, order, order)
         items.append(stop or _item(
-            f"n={n}", _passing_classes_problem(out, list(labels), tier),
+            f"n={n}", _passing_classes_problem(out, list(labels)),
             f"minimal order {order}, groups {{{', '.join(labels)}}}", witness,
         ))
     return items
 
 
-def _table4_problem(n: int, factor: int, ambient: str, tier: int | None) -> str | None:
+def _table4_problem(n: int, factor: int, ambient: str) -> str | None:
     """Why the ambient does not attain table 4's value factor * nbound(n) for
     all groups of order at most n, or None when it does."""
     stated = registry.table4_value(n)
     nb = registry.nbound(n)
     if stated != factor * nb:
         return f"stated {stated} != {factor} * nbound({n}) = {factor * nb}"
-    return _host_problem(ambient, stated, n, tier)
+    return _host_problem(ambient, stated, n)
 
 
 @_scenario("table4")
-def _run_table4(tier: int) -> list[ReportItem]:
+def _run_table4() -> list[ReportItem]:
     items = []
     for n in range(1, 16):
         factor = 1 if n <= 11 else 2
@@ -582,7 +577,7 @@ def _run_table4(tier: int) -> list[ReportItem]:
         minimality = ("minimal: equals the collection lower bound" if factor == 1
                       else "attained; lower bound not re-derived here")
         items.append(_item(
-            f"n={n}", _table4_problem(n, factor, ambient, tier),
+            f"n={n}", _table4_problem(n, factor, ambient),
             f"{registry.table4_value(n)} attained by {label}; {minimality}",
             {"kind": "table4", "n": n, "factor": factor, "ambient": ambient},
         ))
@@ -590,26 +585,24 @@ def _run_table4(tier: int) -> list[ReportItem]:
 
 
 @_scenario("table5")
-def _run_table5(tier: int) -> list[ReportItem]:
+def _run_table5() -> list[ReportItem]:
     items = []
     for n in range(1, 12):
         expected = registry.nbound(n)
         for label in registry.table5_row(n):
             ambient = f"named({label})"
             items.append(_item(
-                f"n={n}: {label}", _host_problem(ambient, expected, n, tier),
+                f"n={n}: {label}", _host_problem(ambient, expected, n),
                 f"order {expected}, hosts every group of order <= {n}",
                 {"kind": "containment", "ambient": ambient, "quantifier": "upto", "n": n},
             ))
     return items
 
 
-def _minimal_host_items(
-    n: int, max_order: int, order: int, labels: list[str], tier: int
-) -> list[ReportItem]:
+def _minimal_host_items(n: int, max_order: int, order: int, labels: list[str]) -> list[ReportItem]:
     """The search for the least order hosting every group of order n finds
     `order`, and its passing classes are exactly the labelled groups."""
-    out, witness, stop = _search_row("minimal order", n, max_order, order, tier)
+    out, witness, stop = _search_row("minimal order", n, max_order, order)
     if stop is not None:
         return [stop]
     detail = str(order)
@@ -619,19 +612,19 @@ def _minimal_host_items(
     plural = "group" if len(labels) == 1 else "groups"
     return [
         _item("minimal order", None, detail, witness),
-        _item("passing classes", _passing_classes_problem(out, labels, tier),
+        _item("passing classes", _passing_classes_problem(out, labels),
               f"exactly {len(labels)} {plural}: {' and '.join(labels)}", witness),
     ]
 
 
 @_scenario("thm-order32")
-def _run_thm32(tier: int) -> list[ReportItem]:
-    return _minimal_host_items(8, 64, 32, ["C2xH1", "H2"], tier)
+def _run_thm32() -> list[ReportItem]:
+    return _minimal_host_items(8, 64, 32, ["C2xH1", "H2"])
 
 
 @_scenario("thm-order144")
-def _run_thm144(tier: int) -> list[ReportItem]:
-    return _minimal_host_items(12, 144, 144, ["S3xS4"], tier)
+def _run_thm144() -> list[ReportItem]:
+    return _minimal_host_items(12, 144, 144, ["S3xS4"])
 
 
 def _index2_subgroups(g: TableGroup):
@@ -660,11 +653,11 @@ def _has_abelian_exp4_half(g: TableGroup) -> bool:
     return False
 
 
-def _absence_item(entry, n: int, tier: int, stop_on_fail: bool, note: str, hosts_all: str):
+def _absence_item(entry, n: int, stop_on_fail: bool, note: str, hosts_all: str):
     """Pass when some group of order n does not embed in a catalog group; the
     first missing target is the witness."""
     rep = contains_all_of_order(
-        entry.group, n, ambient_text=entry.recipe_text, stop_on_fail=stop_on_fail, tier=tier
+        entry.group, n, ambient_text=entry.recipe_text, stop_on_fail=stop_on_fail
     )
     missing = rep.failed_ids()
     return _item(
@@ -674,12 +667,12 @@ def _absence_item(entry, n: int, tier: int, stop_on_fail: bool, note: str, hosts
 
 
 @_scenario("lemma-habex4")
-def _run_habex4(tier: int) -> list[ReportItem]:
-    cat = enumerator.enumerate_groups(32, tier=tier)
+def _run_habex4() -> list[ReportItem]:
+    cat = enumerator.enumerate_groups(32)
     with_hyp = [e for e in cat.entries if _has_abelian_exp4_half(e.group)]
     items = [
         _absence_item(
-            e, 8, tier, False, "",
+            e, 8, False, "",
             "hosts all groups of order 8 despite an abelian half of exponent <= 4",
         )
         for e in with_hyp
@@ -695,14 +688,15 @@ def _run_habex4(tier: int) -> list[ReportItem]:
 
 
 @_scenario("lemma-order96")
-def _run_order96(tier: int) -> list[ReportItem]:
+def _run_order96() -> list[ReportItem]:
+    tier = enumerator.default_tier()
     if not enumerator.order_allowed(96, tier):
         return [ReportItem("order 96 sweep", "skip",
                            f"needs tier 2 enumeration of order 96 (active tier {tier})")]
-    cat = enumerator.enumerate_groups(96, tier=tier)
+    cat = enumerator.enumerate_groups(96)
     a4 = _target_group("A(4)")
     items = [
-        _absence_item(e, 8, tier, False, "hosts A4; ", "hosts A4 and every group of order 8")
+        _absence_item(e, 8, False, "hosts A4; ", "hosts A4 and every group of order 8")
         for e in cat.entries
         if find_embedding(a4, e.group) is not None
     ]
@@ -716,7 +710,8 @@ def _run_order96(tier: int) -> list[ReportItem]:
 
 
 @_scenario("lemma-p3")
-def _run_p3(tier: int) -> list[ReportItem]:
+def _run_p3() -> list[ReportItem]:
+    tier = enumerator.default_tier()
     if not enumerator.order_allowed(243, tier):
         return [
             ReportItem(
@@ -725,19 +720,19 @@ def _run_p3(tier: int) -> list[ReportItem]:
                 "set MGE_TIER=3)",
             )
         ]
-    cat = enumerator.enumerate_groups(243, tier=tier)
+    cat = enumerator.enumerate_groups(243)
     # stopping at the first miss leaves exactly one missing target
     return [
-        _absence_item(e, 27, tier, True, "", "hosts every group of order 27")
+        _absence_item(e, 27, True, "", "hosts every group of order 27")
         for e in cat.entries
     ]
 
 
 @_scenario("example-p6")
-def _run_p6(tier: int) -> list[ReportItem]:
+def _run_p6() -> list[ReportItem]:
     items = []
     g6 = construct(registry.named_group("GP6_3"))
-    rep = contains_all_of_order(g6, 27, ambient_text="named(GP6_3)", tier=tier)
+    rep = contains_all_of_order(g6, 27, ambient_text="named(GP6_3)")
     items.append(_item(
         "GP6_3 hosts all of order 27", None if rep.passed else f"missing {rep.failed_ids()}",
         f"order {g6.order}, {len(rep.items)} targets",
@@ -746,7 +741,7 @@ def _run_p6(tier: int) -> list[ReportItem]:
     if rep.passed:
         items.extend(rep.items)
     w = construct(registry.named_group("W3"))
-    wrep = contains_all_of_order(w, 27, ambient_text="named(W3)", tier=tier)
+    wrep = contains_all_of_order(w, 27, ambient_text="named(W3)")
     missing = wrep.failed_ids()
     first = "".join(missing[:1])
     ea = _target_group("EA(3, 3)")

@@ -41,9 +41,9 @@ def _criterion(num: int, budget: float, t0: float, detail: str) -> None:
 
 def test_criterion_01_order_census_counts():
     t0 = time.monotonic()
-    counts = tuple(len(enumerate_groups(n, tier=2)) for n in range(1, 16))
+    counts = tuple(len(enumerate_groups(n)) for n in range(1, 16))
     assert counts == TABLE1_COUNTS
-    rep = reproduce("table1", tier=2)
+    rep = reproduce("table1")
     REPORTS["table1"] = rep
     assert rep.passed and all(it.status == "pass" for it in rep.items)
     _criterion(1, 10, t0,
@@ -54,7 +54,7 @@ def test_criterion_02_oracle_cross_check():
     t0 = time.monotonic()
     for n in range(1, 11):
         oracle = regular_oracle(n)
-        cat = enumerate_groups(n, tier=2)
+        cat = enumerate_groups(n)
         assert len(oracle) == len(cat), f"count mismatch at order {n}"
         hits = set()
         for e in oracle.entries:
@@ -68,10 +68,10 @@ def test_criterion_02_oracle_cross_check():
 
 def test_criterion_03_order32_minimal_hosts():
     t0 = time.monotonic()
-    rep = reproduce("thm-order32", tier=2)
+    rep = reproduce("thm-order32")
     REPORTS["thm-order32"] = rep
     assert rep.passed
-    out = minimal_embedding_search("order", 8, 64, tier=2)
+    out = minimal_embedding_search("order", 8, 64)
     assert out.found_order == 32
     assert len(out.groups) == 2
     remaining = {lb: construct(f"named({lb})") for lb in ("C2xH1", "H2")}
@@ -87,7 +87,7 @@ def test_criterion_03_order32_minimal_hosts():
 
 def test_criterion_04_abelian_half_obstruction():
     t0 = time.monotonic()
-    rep = reproduce("lemma-habex4", tier=2)
+    rep = reproduce("lemma-habex4")
     REPORTS["lemma-habex4"] = rep
     assert rep.passed
     sweep = [it for it in rep.items if it.item_id != "hypothesis coverage"]
@@ -102,10 +102,10 @@ def test_criterion_04_abelian_half_obstruction():
 
 def test_criterion_05_order144_unique_minimal_host():
     t0 = time.monotonic()
-    rep = reproduce("thm-order144", tier=2)
+    rep = reproduce("thm-order144")
     REPORTS["thm-order144"] = rep
     assert rep.passed
-    out = minimal_embedding_search("order", 12, 144, tier=2)
+    out = minimal_embedding_search("order", 12, 144)
     assert out.found_order == 144
     assert out.eliminated == {24: 15, 48: 52, 72: 50, 96: 231, 120: 47}
     assert len(out.groups) == 1
@@ -120,7 +120,7 @@ def test_minimal_pair_rows_supplementary():
     """Not a numbered criterion: the full minimal-pairs table rides the search
     memos the preceding sweeps just filled, so verify all 15 rows here."""
     t0 = time.monotonic()
-    rep = reproduce("table2", tier=2)
+    rep = reproduce("table2")
     REPORTS["table2"] = rep
     assert rep.passed
     assert len(rep.items) == 15 and all(it.status == "pass" for it in rep.items)
@@ -130,7 +130,7 @@ def test_minimal_pair_rows_supplementary():
 
 def test_criterion_06_a4_hosts_of_order96():
     t0 = time.monotonic()
-    rep = reproduce("lemma-order96", tier=2)
+    rep = reproduce("lemma-order96")
     REPORTS["lemma-order96"] = rep
     assert rep.passed
     sweep = [it for it in rep.items if it.item_id != "hypothesis coverage"]
@@ -161,7 +161,7 @@ def test_criterion_07_bound_formulas():
 
 def test_criterion_08_minimal_hosts_up_to_11():
     t0 = time.monotonic()
-    rep = reproduce("table5", tier=2)
+    rep = reproduce("table5")
     REPORTS["table5"] = rep
     assert rep.passed and all(it.status == "pass" for it in rep.items)
     for n in range(1, 12):
@@ -185,11 +185,10 @@ def test_criterion_09_big_family_constructions():
         g = construct(ambient)
         assert g.order == order, f"{label} has order {g.order}"
         assert verify_certificate(bundled_certificate(ambient)).passed
-        rep = contains_all_upto(g, n, bundled_certificate(ambient),
-                                ambient_text=ambient, tier=2)
+        rep = contains_all_upto(g, n, bundled_certificate(ambient), ambient_text=ambient)
         assert rep.passed, f"{label} fails containment up to {n}"
         REPORTS[f"upto-{label}"] = rep
-    rep4 = reproduce("table4", tier=2)
+    rep4 = reproduce("table4")
     REPORTS["table4"] = rep4
     assert rep4.passed and all(it.status == "pass" for it in rep4.items)
     _criterion(9, 600, t0,
@@ -199,7 +198,7 @@ def test_criterion_09_big_family_constructions():
 
 def test_criterion_10_sylow_tower_examples():
     t0 = time.monotonic()
-    rep = reproduce("example-p6", tier=2)
+    rep = reproduce("example-p6")
     REPORTS["example-p6"] = rep
     assert rep.passed
     by_id = {it.item_id: it for it in rep.items}
@@ -213,7 +212,7 @@ def test_criterion_10_sylow_tower_examples():
 def test_criterion_11_order243_sweep_or_skip():
     t0 = time.monotonic()
     tier = enumerator.default_tier()
-    rep = reproduce("lemma-p3", tier=tier)
+    rep = reproduce("lemma-p3")
     REPORTS["lemma-p3"] = rep
     assert rep.passed
     if tier >= 3:
@@ -254,7 +253,7 @@ def test_criterion_12_property_laws_and_witness_replay():
     # Lagrange, class equation, fingerprint relabeling over every tier-1 catalog
     checked = 0
     for n in range(1, 65):
-        for entry in enumerate_groups(n, tier=1).entries:
+        for entry in enumerate_groups(n).entries:
             g = entry.group
             assert np.all(g.order % g.element_orders == 0)
             sizes = g.class_sizes
@@ -273,7 +272,7 @@ def test_criterion_12_property_laws_and_witness_replay():
 
     # random subgroups still obey Lagrange; commutator centralizing transfers
     small = [e.group for n in range(1, 25)
-             for e in enumerate_groups(n, tier=1).entries]
+             for e in enumerate_groups(n).entries]
     lemma_hits = 0
     for g in small:
         for _ in range(4):
@@ -293,7 +292,7 @@ def test_criterion_12_property_laws_and_witness_replay():
 
     # replay every witness the earlier criteria emitted, from scratch
     for sid in SCENARIO_SEEDS:
-        REPORTS.setdefault(sid, reproduce(sid, tier=2))
+        REPORTS.setdefault(sid, reproduce(sid))
     n_witnesses = 0
     for name, rep in sorted(REPORTS.items()):
         assert rep.passed, f"{name} has failures"

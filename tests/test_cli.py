@@ -82,10 +82,20 @@ def test_enumerate_and_out_file(capsys, tmp_path):
     assert doc["order"] == 8 and len(doc["entries"]) == 5
 
 
-def test_enumerate_tier_error(capsys):
-    code, _, err = run(capsys, "enumerate", "81", "--tier", "2")
+def test_enumerate_tier_error(capsys, monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
+    code, _, err = run(capsys, "enumerate", "81")
     assert code == 2
     assert "tier" in err.lower()
+
+
+def test_no_subcommand_takes_a_tier_flag(capsys):
+    # MGE_TIER is the one way to set the tier
+    for argv in (["reproduce", "table2", "--tier", "1"], ["enumerate", "8", "--tier", "1"],
+                 ["minimal", "--order", "4", "--max", "16", "--tier", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments: --tier 1" in err, argv
 
 
 def test_minimal_search(capsys, tmp_path):

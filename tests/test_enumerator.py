@@ -23,7 +23,6 @@ from mge.enumerator import (
     _seed_entries,
     Catalog,
     clear_memory_cache,
-    cyclic_extensions,
     default_tier,
     enumerate_groups,
     order_allowed,
@@ -48,7 +47,7 @@ def test_class_counts_small(n):
 
 @pytest.mark.parametrize("n", sorted(BIG_COUNTS))
 def test_class_counts_large(n):
-    assert len(enumerate_groups(n, tier=2)) == BIG_COUNTS[n]
+    assert len(enumerate_groups(n)) == BIG_COUNTS[n]
 
 
 def test_catalog_entries_are_distinct_classes():
@@ -313,25 +312,25 @@ def test_bundled_catalog_loads(n):
     assert [e.to_json() for e in cat.entries] == doc["entries"]
 
 
-def test_tier_gates():
+def test_tier_gates(monkeypatch):
     assert order_allowed(64, 1) and not order_allowed(72, 1)
     assert order_allowed(72, 2) and not order_allowed(81, 2)
     assert order_allowed(243, 3)
-    with pytest.raises(TierLimitExceeded):
-        enumerate_groups(72, tier=1)
-    with pytest.raises(TierLimitExceeded):
-        enumerate_groups(81, tier=2)
-    with pytest.raises(TierLimitExceeded):
-        enumerate_groups(300, tier=3)
+    for tier, n in (("1", 72), ("2", 81), ("3", 300)):
+        monkeypatch.setenv("MGE_TIER", tier)
+        with pytest.raises(TierLimitExceeded, match=f"order {n} is outside tier {tier}; "
+                                                    "raise MGE_TIER"):
+            enumerate_groups(n)
 
 
-def test_bad_order_arguments():
+def test_bad_order_arguments(monkeypatch):
     with pytest.raises(OutOfRange):
         enumerate_groups(0)
     with pytest.raises(OutOfRange):
         enumerate_groups(True)
-    with pytest.raises(OutOfRange):
-        enumerate_groups(12, tier=9)
+    monkeypatch.setenv("MGE_TIER", "9")
+    with pytest.raises(OutOfRange, match="MGE_TIER must be 1, 2, or 3, not '9'"):
+        enumerate_groups(12)
 
 
 def test_default_tier_env(monkeypatch):
@@ -345,12 +344,13 @@ def test_default_tier_env(monkeypatch):
 
 
 def test_cyclic_extensions():
-    exts = cyclic_extensions(construct("C(3)"), 2)
+    def extensions(base, p):
+        return [e.group for e in _dedupe(_extension_candidates(base, p))]
+
+    exts = extensions(construct("C(3)"), 2)
     assert len(exts) == 2  # the cyclic and the dihedral extension
     assert {g.is_abelian for g in exts} == {True, False}
-    assert [g.order for g in cyclic_extensions(construct("C(1)"), 5)] == [5]
-    with pytest.raises(OutOfRange):
-        cyclic_extensions(construct("C(3)"), 4)
+    assert [g.order for g in extensions(construct("C(1)"), 5)] == [5]
 
 
 def _poly_rem(f, g, q):
@@ -448,7 +448,7 @@ def test_perfect_seeds_are_injected():
     cat60 = enumerate_groups(60)
     perfect = [g for g in cat60.groups() if len(g.derived_elements) == g.order]
     assert len(perfect) == 1 and perfect[0].order == 60
-    cat120 = enumerate_groups(120, tier=2)
+    cat120 = enumerate_groups(120)
     perfect = [g for g in cat120.groups() if len(g.derived_elements) == g.order]
     # the double cover of the order-60 simple group, with centre of size 2
     assert len(perfect) == 1 and len(perfect[0].center_elements) == 2

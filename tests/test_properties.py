@@ -12,7 +12,7 @@ from mge.groups import TableGroup, bfs_closure
 from mge.morphisms import Fingerprint, find_embedding
 
 POOL_ORDERS = [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 20, 21, 24, 27]
-POOL = [e.group for n in POOL_ORDERS for e in enumerate_groups(n, tier=1).entries]
+POOL = [e.group for n in POOL_ORDERS for e in enumerate_groups(n).entries]
 SMALL = [g for g in POOL if g.order <= 24]
 
 group_idx = st.integers(0, len(POOL) - 1)

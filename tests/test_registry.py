@@ -99,7 +99,7 @@ def test_every_label_builds_at_declared_order():
     hashes = {}
     for label in registry.available_labels():
         g = registry.resolve(label).build()
-        assert registry.anchor_of(label)
+        assert registry._named_entry(label)["anchor"]
         if isinstance(g, TableGroup):
             hashes[label] = g.table_hash
     assert hashes == DENSE_TABLE_HASHES

@@ -130,3 +130,15 @@ def _derivation_readers(path: Path) -> set[tuple[str, str]]:
 def test_only_along_generators_and_the_search_levels_read_derivations():
     readers = set().union(*(_derivation_readers(path) for path in sorted(SRC.glob("*.py"))))
     assert readers == _DERIVATION_READERS
+
+
+def test_only_order_allowed_takes_a_tier():
+    # the active tier is read from MGE_TIER where a gate needs it, never passed down
+    takers = [
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "tier" in {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+    ]
+    assert [t.split(" ")[1] for t in takers] == ["order_allowed"], takers

@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from mge import construct, groups, registry, verify
+from mge import construct, enumerator, groups, registry, verify
 from mge.enumerator import _BUNDLED_DIR, default_tier, enumerate_groups
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
@@ -293,10 +293,9 @@ def test_minimal_search_builds_no_witness_labels(monkeypatch):
 
 def test_passing_classes_are_matched_to_labels_through_the_catalog():
     out = minimal_embedding_search("order", 4, 16)
-    assert verify._passing_classes_problem(out, ["D4", "C2xC4"], 2) is None
-    assert verify._passing_classes_problem(out, ["D4"], 2) == "expected 1 classes, found 2"
-    assert verify._passing_classes_problem(out, ["D4", "Q2"], 2) == \
-        "Q2 matches no enumerated class"
+    assert verify._passing_classes_problem(out, ["D4", "C2xC4"]) is None
+    assert verify._passing_classes_problem(out, ["D4"]) == "expected 1 classes, found 2"
+    assert verify._passing_classes_problem(out, ["D4", "Q2"]) == "Q2 matches no enumerated class"
 
 
 def test_minimal_search_trivial():
@@ -315,9 +314,10 @@ def test_minimal_search_rejects_bad_kind():
         minimal_embedding_search("sideways", 4, 16)
 
 
-def test_minimal_search_tier_guard():
+def test_minimal_search_tier_guard(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "1")
     with pytest.raises(TierLimitExceeded):
-        minimal_embedding_search("order", 5, 200, tier=1)
+        minimal_embedding_search("order", 5, 200)
 
 
 def test_scenarios_registered():
@@ -347,8 +347,9 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("sid", sorted(REPORT_DIGESTS))
-def test_scenario_reports_are_deterministic(sid):
-    text = reproduce(sid, tier=2).dumps()
+def test_scenario_reports_are_deterministic(sid, monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
+    text = reproduce(sid).dumps()
     doc = json.loads(text)
     assert doc["scenario"] == sid and doc["passed"] is True
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[sid]
@@ -362,8 +363,26 @@ LEMMA_P3_TIER3_DIGEST = "ce7aa8d21b61c9545e21d14ace0895c4190755710988623111c9382
 def test_lemma_p3_tier3_report_is_pinned():
     if default_tier() < 3:
         pytest.skip("the order-243 sweep runs only at MGE_TIER=3")
-    text = reproduce("lemma-p3", tier=3).dumps()
+    text = reproduce("lemma-p3").dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_P3_TIER3_DIGEST
+
+
+def test_a_cache_file_cannot_shadow_a_bundled_catalog(tmp_path, monkeypatch):
+    # consistent entry by entry, but one class short of the bundled order-72 catalog
+    doc = json.loads((_BUNDLED_DIR / "order72.json").read_text())
+    doc["entries"] = doc["entries"][1:]
+    (tmp_path / "order72.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("MGE_TIER", "2")
+    monkeypatch.setattr(verify, "_SEARCH_MEMO", {})
+    enumerator.clear_memory_cache()
+    try:
+        assert len(enumerator.Catalog.from_json(doc)) == 49
+        assert len(enumerate_groups(72)) == 50
+        text = reproduce("thm-order144").dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["thm-order144"]
+    finally:
+        enumerator.clear_memory_cache()
 
 
 def test_embedding_witnesses_keep_each_groups_generator_names():
@@ -447,8 +466,9 @@ def test_replay_report_fails_on_one_tampered_witness():
     assert replay_report(verify.Report(rep.scenario, items)) is False
 
 
-def test_lemma_p3_skips_below_tier3():
-    rep = reproduce("lemma-p3", tier=2)
+def test_lemma_p3_skips_below_tier3(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
+    rep = reproduce("lemma-p3")
     assert rep.passed
     assert rep.counts()["skip"] >= 1
 
@@ -530,14 +550,15 @@ SCENARIO_FAILURES = {
 
 
 @pytest.mark.parametrize("case", sorted(SCENARIO_FAILURES))
-def test_scenario_reports_each_failed_or_skipped_check(case, registry_copy):
+def test_scenario_reports_each_failed_or_skipped_check(case, registry_copy, monkeypatch):
     changes, sid, tier, expected = SCENARIO_FAILURES[case]
     for (*path, key), value in changes.items():
         row = registry_copy
         for k in path:
             row = row[k]
         row[key] = value
-    items = reproduce(sid, tier=tier).items
+    monkeypatch.setenv("MGE_TIER", str(tier))
+    items = reproduce(sid).items
     got = [(it.item_id, it.status, it.detail) for it in items if it.status != "pass"]
     assert got == expected
     assert all(it.witness is None for it in items if it.status != "pass")
@@ -545,19 +566,19 @@ def test_scenario_reports_each_failed_or_skipped_check(case, registry_copy):
 
 def test_absence_item_fails_on_a_host_of_every_target():
     # thm-order32 finds that H2 hosts every group of order 8
-    entry = enumerate_groups(32, tier=2).find_isomorphic(construct(registry.named_group("H2")))
-    item = verify._absence_item(entry, 8, 2, False, "", "hosts all groups of order 8")
+    entry = enumerate_groups(32).find_isomorphic(construct(registry.named_group("H2")))
+    item = verify._absence_item(entry, 8, False, "", "hosts all groups of order 8")
     assert (item.item_id, item.status, item.detail, item.witness) == (
         entry.recipe_text, "fail", "hosts all groups of order 8", None,
     )
 
 
 def test_minimal_host_items_fail_on_a_wrong_order_or_wrong_labels():
-    items = verify._minimal_host_items(8, 64, 16, ["C2xH1", "H2"], 2)
+    items = verify._minimal_host_items(8, 64, 16, ["C2xH1", "H2"])
     assert [(it.item_id, it.status, it.detail) for it in items] == [
         ("minimal order", "fail", "search found order 32, stated 16"),
     ]
-    items = verify._minimal_host_items(8, 64, 32, ["C2xH1"], 2)
+    items = verify._minimal_host_items(8, 64, 32, ["C2xH1"])
     assert [(it.item_id, it.status) for it in items] == [
         ("minimal order", "pass"), ("passing classes", "fail"),
     ]
