@@ -23,16 +23,18 @@ only shared machinery with the enumerator is the final dedupe.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
 
+from ._pins import PINS
 from ._version import ENGINE_VERSION
 from .errors import (
     EngineError,
@@ -94,27 +96,43 @@ _BUNDLED_DIR = Path(__file__).parent / "data" / "catalogs"
 # --- catalogs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog group with the recipe that builds it and its fingerprint;
-    its table hash is the group's own."""
+    """A catalog group's recipe, table hash and fingerprint, as stored, so
+    ``to_json`` gives back the stored bytes.  An entry read from a document
+    builds its group on first use, raising ValueError when the group has the
+    wrong order or fails either stored value."""
 
-    recipe: GroupExpr
-    group: TableGroup
-    fingerprint: Fingerprint
+    def __init__(self, recipe: GroupExpr, recipe_text: str, order: int, table_hash: str,
+                 fingerprint_text: str):
+        self.recipe = recipe
+        self.recipe_text = recipe_text
+        self.order = order
+        self.table_hash = table_hash
+        self.fingerprint_text = fingerprint_text
 
-    @property
-    def recipe_text(self) -> str:
-        return self.recipe.text()
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        return Fingerprint.from_json(json.loads(self.fingerprint_text))
 
-    @property
-    def table_hash(self) -> str:
-        return self.group.table_hash
+    @cached_property
+    def group(self) -> TableGroup:
+        text = self.recipe_text
+        try:
+            g = construct(self.recipe)
+        except EngineError as exc:  # e.g. a tampered generator closing past the limit
+            raise ValueError(f"catalog entry {text!r} does not build: {exc}") from exc
+        if g.order != self.order:
+            raise ValueError(f"catalog entry {text!r} has wrong order")
+        if g.table_hash != self.table_hash:
+            raise ValueError(f"catalog entry {text!r} fails its table hash")
+        if Fingerprint.of(g).canonical_bytes().decode() != self.fingerprint_text:
+            raise ValueError(f"catalog entry {text!r} fails its fingerprint")
+        return g
 
     def to_json(self) -> dict:
         return {
             "recipe": self.recipe_text,
-            "fingerprint": self.fingerprint.canonical_bytes().decode(),
+            "fingerprint": self.fingerprint_text,
             "table_hash": self.table_hash,
         }
 
@@ -133,7 +151,7 @@ class Catalog:
 
     def find_isomorphic(self, g: TableGroup) -> CatalogEntry | None:
         fp = Fingerprint.of(g)
-        for e in self.entries:
+        for e in self.entries:  # stored fingerprints: only a match is built
             if e.fingerprint == fp and is_isomorphic(g, e.group) is not None:
                 return e
         return None
@@ -151,6 +169,9 @@ class Catalog:
 
     @staticmethod
     def from_json(doc: dict) -> "Catalog":
+        """A document whose canonical bytes (what ``dumps`` writes) have the
+        sha256 pinned for its order in ``_pins`` loads unbuilt: each entry
+        builds and checks its group on first use.  Any other is checked here."""
         raws = doc.get("entries") if isinstance(doc, dict) else None
         if not (isinstance(raws, list) and isinstance(doc.get("order"), int)
                 and all(isinstance(r, dict) and all(isinstance(r.get(k), str) for k in
@@ -160,21 +181,18 @@ class Catalog:
         if doc.get("engine_version") != ENGINE_VERSION:
             raise ValueError("catalog written by a different engine version")
         order = doc["order"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        pinned = PINS.get(order) == hashlib.sha256(canonical).hexdigest()
         entries = []
         for raw in raws:
             try:
                 expr = parse_expr(raw["recipe"])
-                g = construct(expr)
-            except EngineError as exc:  # e.g. a tampered generator closing past the limit
+            except EngineError as exc:
                 raise ValueError(f"catalog entry {raw['recipe']!r} does not build: {exc}") from exc
-            if g.order != order:
-                raise ValueError(f"catalog entry {raw['recipe']!r} has wrong order")
-            if g.table_hash != raw["table_hash"]:
-                raise ValueError(f"catalog entry {raw['recipe']!r} fails its table hash")
-            fp = Fingerprint.of(g)
-            if fp.canonical_bytes().decode() != raw["fingerprint"]:
-                raise ValueError(f"catalog entry {raw['recipe']!r} fails its fingerprint")
-            entries.append(CatalogEntry(expr, g, fp))
+            entry = CatalogEntry(expr, raw["recipe"], order, raw["table_hash"], raw["fingerprint"])
+            if not pinned:
+                entry.group  # the full checked load
+            entries.append(entry)
         return Catalog(order, entries, doc["method"])
 
 
@@ -183,12 +201,18 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
     generated by the columns of a greedy generating sequence (``C(1)`` for
     the trivial group).  Building that recipe gives g's own table back, so
     the entry's group is right_regular over g's table and nothing is parsed
-    or rebuilt.  It takes g's fingerprint, which bucketing already computed."""
+    or rebuilt.  The entry holds that group and g's fingerprint, which
+    bucketing already computed."""
     if g.n == 1:
-        return CatalogEntry(Cyclic(1), build_cyclic(1), Fingerprint.of(g))
-    gens = list(g.greedy_gens)
-    expr = PermGroupExpr(g.n, tuple(format_cycles(g.table[:, x].tolist()) for x in gens))
-    return CatalogEntry(expr, right_regular(g.table, gens), Fingerprint.of(g))
+        expr, h = Cyclic(1), build_cyclic(1)
+    else:
+        gens = list(g.greedy_gens)
+        expr = PermGroupExpr(g.n, tuple(format_cycles(g.table[:, x].tolist()) for x in gens))
+        h = right_regular(g.table, gens)
+    fp = Fingerprint.of(g)
+    entry = CatalogEntry(expr, expr.text(), g.n, h.table_hash, fp.canonical_bytes().decode())
+    entry.__dict__.update(group=h, fingerprint=fp)
+    return entry
 
 
 def _dedupe(candidates) -> list[CatalogEntry]:
@@ -204,7 +228,7 @@ def _dedupe(candidates) -> list[CatalogEntry]:
         reps.append(g)
         found.append(g)
     entries = [_canonical_entry(g) for g in found]
-    entries.sort(key=lambda e: (e.fingerprint.canonical_bytes(), e.recipe_text))
+    entries.sort(key=lambda e: (e.fingerprint_text, e.recipe_text))
     return entries
 
 
@@ -496,10 +520,20 @@ def enumerate_groups(n: int) -> Catalog:
 def _catalog(n: int) -> Catalog:
     if n in _MEMO:
         return _MEMO[n]
-    cat = _load_cached(n)
+    # the cache is read, and written, only for an order the package does not
+    # ship, so no cache file can stand in for a bundled catalog
+    path = _BUNDLED_DIR / f"order{n}.json"
+    bundled = path.is_file()
+    if not bundled:
+        path = cache_dir() / f"order{n}.json"
+    try:
+        cat = Catalog.from_json(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError):
+        cat = None  # missing, stale or foreign; recompute
     if cat is None:
         cat = _compute(n)
-        _save_cache(cat)
+        if not bundled:
+            _save_cache(cat, path)
     _MEMO[n] = cat
     return cat
 
@@ -517,20 +551,7 @@ def _compute(n: int) -> Catalog:
     return Catalog(n, _dedupe(candidates()), "cyclic-extension")
 
 
-def _load_cached(n: int) -> Catalog | None:
-    """The bundled catalog of order n; the cache is read only for an order
-    the package does not ship, so no cache file can stand in for a bundled one."""
-    path = _BUNDLED_DIR / f"order{n}.json"
-    if not path.is_file():
-        path = cache_dir() / f"order{n}.json"
-    try:
-        return Catalog.from_json(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError):
-        return None  # missing, stale or foreign; recompute
-
-
-def _save_cache(cat: Catalog) -> None:
-    target = cache_dir() / f"order{cat.order}.json"
+def _save_cache(cat: Catalog, target: Path) -> None:
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")

@@ -76,7 +76,7 @@ class Fingerprint:
         fp = Fingerprint(
             order=g.order,
             abelian=g.is_abelian,
-            element_orders=_histogram(g.element_orders),
+            element_orders=order_counts(g),
             center_order=len(g.center_elements),
             derived_order=len(g.derived_elements),
             exponent=g.exponent,
@@ -85,6 +85,14 @@ class Fingerprint:
         )
         g.__dict__["_fingerprint"] = fp
         return fp
+
+    @staticmethod
+    def from_json(doc: dict) -> "Fingerprint":
+        """The fingerprint that ``to_json`` wrote, equal to the one ``of`` gave."""
+        pairs = {k: tuple(map(tuple, doc[k])) for k in ("element_orders", "class_sizes")}
+        inv = doc["abelian_invariants"]
+        inv = None if inv is None else tuple(inv)
+        return Fingerprint(**{**doc, **pairs, "abelian_invariants": inv})
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
@@ -107,6 +115,22 @@ class Fingerprint:
 def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     counts = np.bincount(values)  # (value, multiplicity) for each value present
     return tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
+
+
+def order_counts(g: TableGroup) -> tuple[tuple[int, int], ...]:
+    """g's element orders as (order, multiplicity) pairs, as its fingerprint
+    stores them; cached on ``g``."""
+    counts = g.__dict__.get("_order_counts")
+    if counts is None:
+        counts = g.__dict__["_order_counts"] = _histogram(g.element_orders)
+    return counts
+
+
+def order_counts_fit(src, dst) -> bool:
+    """Whether a group with order counts ``src`` may embed in one with ``dst``:
+    a monomorphism maps the elements of each order injectively."""
+    have = dict(dst)
+    return all(k <= have.get(o, 0) for o, k in src)
 
 
 def derived_series_orders(g: TableGroup) -> list[int]:
@@ -356,10 +380,8 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
         return
     if dense and dst.order % src.order != 0:
         return
-    if dense and not require_iso:
-        need = np.bincount(src.element_orders)
-        if (need > np.bincount(dst.element_orders, minlength=len(need))[: len(need)]).any():
-            return  # a monomorphism maps the elements of each order injectively
+    if dense and not require_iso and not order_counts_fit(order_counts(src), order_counts(dst)):
+        return
     if src.order == 1:
         yield Morphism(src, dst, [], [dst.identity])
         return

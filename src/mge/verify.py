@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabel,
 )
 from .groups import Subgroup, TableGroup, along_generators, construct
-from .morphisms import find_embedding, is_isomorphic
+from .morphisms import find_embedding, is_isomorphic, order_counts, order_counts_fit
 
 _CERT_DIR = Path(__file__).resolve().parent / "data" / "certs"
 
@@ -345,9 +345,6 @@ class SearchOutcome:
         }
 
 
-_SEARCH_MEMO: dict[tuple, SearchOutcome] = {}
-
-
 def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome:
     """Least order admitting a group that hosts the whole collection.
 
@@ -355,8 +352,8 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     over all groups of order at most n.  Candidate orders are the multiples
     of the matching lower bound; the first order with a passing group stops
     the search, but every group of that order is still examined so the full
-    set of minimal groups gets reported.  The tier check comes before the
-    memo, so an outcome found under a higher tier never answers a lower one.
+    set of minimal groups gets reported.  A candidate is built and searched
+    only when its stored element-order counts refute no target.
     """
     if kind not in ("order", "upto"):
         raise ValueError(f"kind must be 'order' or 'upto', got {kind!r}")
@@ -366,29 +363,25 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     for m in candidates:
         if not enumerator.order_allowed(m, tier):
             raise TierLimitExceeded(f"candidate order {m} is outside tier {tier}; raise MGE_TIER")
-    key = (kind, n, max_order)
-    hit = _SEARCH_MEMO.get(key)
-    if hit is not None:
-        return hit
     name = f"all-{'of-order' if kind == 'order' else 'upto'} {n}"
     eliminated: dict[int, int] = {}
     found, passing = None, []
     targets = [t for k in ([n] if kind == "order" else range(1, n + 1))
                for _, t in _targets_of_order(k)] if candidates else []
+    needs = [order_counts(t) for t in targets]
     for m in candidates:
         cat = enumerator.enumerate_groups(m)
         # a catalog group is dense, so each verdict is what contains_all_* decides
         passing = [
             e.recipe_text for e in cat.entries
-            if all(find_embedding(t, e.group) is not None for t in targets)
+            if all(order_counts_fit(need, e.fingerprint.element_orders) for need in needs)
+            and all(find_embedding(t, e.group) is not None for t in targets)
         ]
         if passing:
             found = m
             break
         eliminated[m] = len(cat.entries)
-    outcome = SearchOutcome(name, n, bound, max_order, candidates, found, passing, eliminated)
-    _SEARCH_MEMO[key] = outcome
-    return outcome
+    return SearchOutcome(name, n, bound, max_order, candidates, found, passing, eliminated)
 
 
 # --- witness replay ---------------------------------------------------------------

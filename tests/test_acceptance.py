@@ -100,7 +100,8 @@ def test_criterion_04_abelian_half_obstruction():
                "miss some order-8 group")
 
 
-def test_criterion_05_order144_unique_minimal_host():
+def test_criterion_05_order144_unique_minimal_host(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
     t0 = time.monotonic()
     rep = reproduce("thm-order144")
     REPORTS["thm-order144"] = rep
@@ -116,9 +117,10 @@ def test_criterion_05_order144_unique_minimal_host():
                "S3xS4, after eliminating 24/48/72/96/120")
 
 
-def test_minimal_pair_rows_supplementary():
-    """Not a numbered criterion: the full minimal-pairs table rides the search
-    memos the preceding sweeps just filled, so verify all 15 rows here."""
+def test_minimal_pair_rows_supplementary(monkeypatch):
+    """Not a numbered criterion: the full minimal-pairs table rides the
+    catalogs the preceding sweeps just loaded, so verify all 15 rows here."""
+    monkeypatch.setenv("MGE_TIER", "2")
     t0 = time.monotonic()
     rep = reproduce("table2")
     REPORTS["table2"] = rep
@@ -128,7 +130,8 @@ def test_minimal_pair_rows_supplementary():
           "all 15 minimal-pair rows confirmed with uniqueness sweeps")
 
 
-def test_criterion_06_a4_hosts_of_order96():
+def test_criterion_06_a4_hosts_of_order96(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
     t0 = time.monotonic()
     rep = reproduce("lemma-order96")
     REPORTS["lemma-order96"] = rep
@@ -246,7 +249,10 @@ SCENARIO_SEEDS = ("table1", "thm-order32", "lemma-habex4", "thm-order144",
                   "table2", "lemma-order96", "table4", "table5", "example-p6")
 
 
-def test_criterion_12_property_laws_and_witness_replay():
+def test_criterion_12_property_laws_and_witness_replay(monkeypatch):
+    # the reports it replays were made at tier 2 or above (criteria 5, 6 and
+    # the minimal-pair rows set it), and replay reads the same tier
+    monkeypatch.setenv("MGE_TIER", str(max(enumerator.default_tier(), 2)))
     t0 = time.monotonic()
     rng = np.random.default_rng(64)
 

@@ -1,13 +1,17 @@
 """Catalog completeness against the classification of small groups, the
 regular-representation oracle, serialization safety, and tier gating."""
 
+import hashlib
 import itertools
 import json
+import random
+import re
 
 import numpy as np
 import pytest
 
 from mge import construct, is_isomorphic
+from mge._pins import PINS
 from mge._version import ENGINE_VERSION
 from mge.enumerator import (
     _BUNDLED_DIR,
@@ -28,8 +32,9 @@ from mge.enumerator import (
     order_allowed,
     regular_oracle,
 )
-from mge.errors import IncompleteSeedSet, OutOfRange, TierLimitExceeded
+from mge.errors import EngineError, IncompleteSeedSet, OutOfRange, TierLimitExceeded
 from mge.groups import TableGroup
+from mge.expressions import parse_expr
 from mge.morphisms import Fingerprint, automorphisms, elem_abelian_prime, rich_invariant_key
 from mge.numtheory import is_prime
 
@@ -46,7 +51,8 @@ def test_class_counts_small(n):
 
 
 @pytest.mark.parametrize("n", sorted(BIG_COUNTS))
-def test_class_counts_large(n):
+def test_class_counts_large(n, monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
     assert len(enumerate_groups(n)) == BIG_COUNTS[n]
 
 
@@ -303,13 +309,139 @@ def test_malformed_cache_file_is_stale(tmp_path, monkeypatch):
             clear_memory_cache()
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 72, 81, 96, 120, 144, 243])
-def test_bundled_catalog_loads(n):
-    # from_json rebuilds every recipe and checks its table hash and fingerprint
+BUNDLED_ORDERS = [*range(1, 65), 72, 81, 96, 120, 144, 243]
+
+
+def _canonical_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", BUNDLED_ORDERS)
+def test_bundled_catalog_loads(n, monkeypatch):
+    # the pinned document loads unbuilt; each entry's first .group rebuilds its
+    # recipe and checks its order, table hash and fingerprint, so every entry
+    # is built and checked here, and equals the fully checked load's entry
     doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
     cat = Catalog.from_json(doc)
     assert cat.order == n
+    assert not any("group" in e.__dict__ for e in cat.entries)
     assert [e.to_json() for e in cat.entries] == doc["entries"]
+    monkeypatch.setattr("mge.enumerator.PINS", {})
+    full = Catalog.from_json(doc)
+    assert all("group" in e.__dict__ for e in full.entries)
+    assert len(cat.entries) == len(full.entries)
+    for lazy, eager in zip(cat.entries, full.entries):
+        assert lazy.fingerprint == eager.fingerprint == Fingerprint.of(lazy.group)
+        assert lazy.table_hash == eager.table_hash == lazy.group.table_hash
+        assert lazy.to_json() == eager.to_json()
+        assert np.array_equal(lazy.group.table, eager.group.table)
+
+
+def test_pins_match_every_bundled_file():
+    files = {int(path.stem[5:]): path for path in _BUNDLED_DIR.glob("order*.json")}
+    assert sorted(PINS) == sorted(files) == BUNDLED_ORDERS
+    for n, path in files.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[n], n
+        assert _canonical_digest(json.loads(path.read_text())) == PINS[n], n
+
+
+def _reference_load(doc) -> list[dict]:
+    """The checked load that every unpinned document gets: each entry parsed,
+    built and checked in turn, raising at the first that fails."""
+    raws = doc.get("entries") if isinstance(doc, dict) else None
+    if not (isinstance(raws, list) and isinstance(doc.get("order"), int)
+            and all(isinstance(r, dict) and all(isinstance(r.get(k), str) for k in
+                    ("recipe", "fingerprint", "table_hash")) for r in raws)):
+        raise ValueError("a catalog needs an int 'order' and a list 'entries' of "
+                         "string 'recipe', 'fingerprint' and 'table_hash'")
+    if doc.get("engine_version") != ENGINE_VERSION:
+        raise ValueError("catalog written by a different engine version")
+    for raw in raws:
+        try:
+            g = construct(parse_expr(raw["recipe"]))
+        except EngineError as exc:
+            raise ValueError(f"catalog entry {raw['recipe']!r} does not build: {exc}") from exc
+        if g.order != doc["order"]:
+            raise ValueError(f"catalog entry {raw['recipe']!r} has wrong order")
+        if g.table_hash != raw["table_hash"]:
+            raise ValueError(f"catalog entry {raw['recipe']!r} fails its table hash")
+        if Fingerprint.of(g).canonical_bytes().decode() != raw["fingerprint"]:
+            raise ValueError(f"catalog entry {raw['recipe']!r} fails its fingerprint")
+    doc["method"]  # read last, so a missing key raises KeyError after the entries
+    return raws
+
+
+def _one_byte_changed(text: str, rng: random.Random):
+    """text with one letter or digit replaced by another of its kind, at a
+    random place where the result still parses as JSON."""
+    places = [i for i, c in enumerate(text) if c.isalnum()]
+    while True:
+        i = rng.choice(places)
+        kind = ("0123456789" if text[i].isdigit() else
+                "abcdefghijklmnopqrstuvwxyz" if text[i].islower() else
+                "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        changed = text[:i] + rng.choice(kind.replace(text[i], "")) + text[i + 1:]
+        try:
+            return json.loads(changed)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("n", BUNDLED_ORDERS)
+def test_a_changed_byte_takes_the_full_load(n):
+    # a document one byte off its pin fails as the checked load fails, or
+    # loads with every entry already built and checked
+    doc = _one_byte_changed((_BUNDLED_DIR / f"order{n}.json").read_text(), random.Random(n))
+    assert _canonical_digest(doc) != PINS[n]
+    try:
+        want = _reference_load(doc)
+    except (ValueError, KeyError) as exc:
+        with pytest.raises(type(exc)) as got:
+            Catalog.from_json(doc)
+        assert str(got.value) == str(exc)
+        return
+    cat = Catalog.from_json(doc)
+    assert all("group" in e.__dict__ for e in cat.entries)
+    assert [e.to_json() for e in cat.entries] == want
+
+
+def test_a_pinned_entry_checks_its_group_on_first_use(monkeypatch):
+    doc = json.loads((_BUNDLED_DIR / "order12.json").read_text())
+    recipe = doc["entries"][1]["recipe"]
+    wrong_hash = json.loads(json.dumps(doc))
+    wrong_hash["entries"][1]["table_hash"] = "0" * 64
+    wrong_fp = json.loads(json.dumps(doc))
+    wrong_fp["entries"][1]["fingerprint"] = doc["entries"][0]["fingerprint"]
+    wrong_order = {**doc, "order": 24}
+    for bad, problem in ((wrong_hash, "fails its table hash"),
+                         (wrong_fp, "fails its fingerprint"),
+                         (wrong_order, "has wrong order")):
+        monkeypatch.setattr("mge.enumerator.PINS", {bad["order"]: _canonical_digest(bad)})
+        cat = Catalog.from_json(bad)  # pinned, so nothing is built or checked yet
+        assert cat.dumps() == json.dumps(bad, sort_keys=True, separators=(",", ":"))
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(ValueError, match=re.escape(f"catalog entry {recipe!r} {problem}")):
+                cat.entries[1].group
+        with pytest.raises(ValueError):
+            Catalog.from_json({**bad, "method": "oracle"})  # unpinned: checked at load
+
+
+def test_a_broken_bundled_file_is_recomputed_but_not_cached(tmp_path, monkeypatch):
+    # the cache is read only for an order with no bundled file, so it is
+    # written only for such an order too
+    doc = json.loads((_BUNDLED_DIR / "order6.json").read_text())
+    doc["entries"][0]["table_hash"] = "0" * 64
+    (tmp_path / "bundled").mkdir()
+    (tmp_path / "bundled" / "order6.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
+    clear_memory_cache()
+    try:
+        assert enumerate_groups(6).dumps() == (_BUNDLED_DIR / "order6.json").read_text().strip()
+        assert (tmp_path / "cache" / "order3.json").is_file()  # not shipped here
+        assert not (tmp_path / "cache" / "order6.json").exists()
+    finally:
+        clear_memory_cache()
 
 
 def test_tier_gates(monkeypatch):
@@ -444,7 +576,8 @@ def test_ea_alpha_matrices_are_one_per_class_of_order_dividing_p(q, k):
         assert hit == list(range(classes)), (q, k, p)
 
 
-def test_perfect_seeds_are_injected():
+def test_perfect_seeds_are_injected(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
     cat60 = enumerate_groups(60)
     perfect = [g for g in cat60.groups() if len(g.derived_elements) == g.order]
     assert len(perfect) == 1 and perfect[0].order == 60

@@ -285,10 +285,31 @@ def test_minimal_search_builds_no_witness_labels(monkeypatch):
     def label_of(self, x):
         raise AssertionError("a witness label was built")
 
-    monkeypatch.setattr(verify, "_SEARCH_MEMO", {})
     monkeypatch.setattr(groups.TableGroup, "label_of", label_of)
     out = minimal_embedding_search("order", 8, 64)
     assert out.found_order == 32 and out.candidates == [32, 64]
+
+
+def test_thm_order144_builds_only_candidates_its_stored_counts_leave(monkeypatch):
+    # a candidate with fewer elements of some order than an order-12 target
+    # hosts no such target, and it is refuted from its stored fingerprint
+    monkeypatch.setenv("MGE_TIER", "2")
+    needs = [np.bincount(t.element_orders) for _, t in verify._targets_of_order(12)]
+    left = 0
+    for m in (24, 48, 72, 96, 120, 144):
+        for e in json.loads((_BUNDLED_DIR / f"order{m}.json").read_text())["entries"]:
+            have = dict(json.loads(e["fingerprint"])["element_orders"])
+            left += all(k <= have.get(o, 0) for need in needs for o, k in enumerate(need))
+    built = []
+    real = enumerator.construct
+    monkeypatch.setattr(enumerator, "construct", lambda expr: built.append(expr) or real(expr))
+    enumerator.clear_memory_cache()
+    try:
+        text = reproduce("thm-order144").dumps()
+    finally:
+        enumerator.clear_memory_cache()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["thm-order144"]
+    assert left == 95 and len(built) == left
 
 
 def test_passing_classes_are_matched_to_labels_through_the_catalog():
@@ -374,7 +395,6 @@ def test_a_cache_file_cannot_shadow_a_bundled_catalog(tmp_path, monkeypatch):
     (tmp_path / "order72.json").write_text(json.dumps(doc))
     monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("MGE_TIER", "2")
-    monkeypatch.setattr(verify, "_SEARCH_MEMO", {})
     enumerator.clear_memory_cache()
     try:
         assert len(enumerator.Catalog.from_json(doc)) == 49
@@ -480,7 +500,6 @@ def registry_copy(monkeypatch):
     data = copy.deepcopy(registry._data())
     monkeypatch.setattr(registry, "_data", lambda: data)
     yield data
-    verify._SEARCH_MEMO.clear()
     verify._targets_of_order.cache_clear()
 
 
