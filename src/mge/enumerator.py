@@ -42,7 +42,7 @@ from .errors import (
     OutOfRange,
     TierLimitExceeded,
 )
-from .expressions import Cyclic, GroupExpr, PermGroupExpr, parse_expr
+from .expressions import PermGroupExpr
 from .groups import (
     TableGroup,
     _row_closure,
@@ -97,14 +97,13 @@ _BUNDLED_DIR = Path(__file__).parent / "data" / "catalogs"
 
 
 class CatalogEntry:
-    """A catalog group's recipe, table hash and fingerprint, as stored, so
-    ``to_json`` gives back the stored bytes.  An entry read from a document
-    builds its group on first use, raising ValueError when the group has the
-    wrong order or fails either stored value."""
+    """A catalog group as its document stores it: recipe text, order, table
+    hash and fingerprint text, so ``to_json`` gives back the stored bytes.
+    The group is built from the recipe text on first use, raising ValueError
+    when the recipe does not build or the group has the wrong order or fails
+    either stored value."""
 
-    def __init__(self, recipe: GroupExpr, recipe_text: str, order: int, table_hash: str,
-                 fingerprint_text: str):
-        self.recipe = recipe
+    def __init__(self, recipe_text: str, order: int, table_hash: str, fingerprint_text: str):
         self.recipe_text = recipe_text
         self.order = order
         self.table_hash = table_hash
@@ -118,8 +117,8 @@ class CatalogEntry:
     def group(self) -> TableGroup:
         text = self.recipe_text
         try:
-            g = construct(self.recipe)
-        except EngineError as exc:  # e.g. a tampered generator closing past the limit
+            g = construct(text)
+        except EngineError as exc:  # e.g. a bad parse, or a generator closing past the limit
             raise ValueError(f"catalog entry {text!r} does not build: {exc}") from exc
         if g.order != self.order:
             raise ValueError(f"catalog entry {text!r} has wrong order")
@@ -169,31 +168,25 @@ class Catalog:
 
     @staticmethod
     def from_json(doc: dict) -> "Catalog":
-        """A document whose canonical bytes (what ``dumps`` writes) have the
-        sha256 pinned for its order in ``_pins`` loads unbuilt: each entry
-        builds and checks its group on first use.  Any other is checked here."""
+        """Nothing is parsed or built at load when ``dumps()`` of the loaded
+        catalog has the sha256 pinned for its order in ``_pins``: each entry
+        builds and checks its group on first use.  Any other catalog has
+        every group built and checked here."""
         raws = doc.get("entries") if isinstance(doc, dict) else None
         if not (isinstance(raws, list) and isinstance(doc.get("order"), int)
+                and isinstance(doc.get("method"), str)
                 and all(isinstance(r, dict) and all(isinstance(r.get(k), str) for k in
                         ("recipe", "fingerprint", "table_hash")) for r in raws)):
-            raise ValueError("a catalog needs an int 'order' and a list 'entries' of "
-                             "string 'recipe', 'fingerprint' and 'table_hash'")
+            raise ValueError("a catalog needs an int 'order', a string 'method' and a list "
+                             "'entries' of string 'recipe', 'fingerprint' and 'table_hash'")
         if doc.get("engine_version") != ENGINE_VERSION:
             raise ValueError("catalog written by a different engine version")
         order = doc["order"]
-        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        pinned = PINS.get(order) == hashlib.sha256(canonical).hexdigest()
-        entries = []
-        for raw in raws:
-            try:
-                expr = parse_expr(raw["recipe"])
-            except EngineError as exc:
-                raise ValueError(f"catalog entry {raw['recipe']!r} does not build: {exc}") from exc
-            entry = CatalogEntry(expr, raw["recipe"], order, raw["table_hash"], raw["fingerprint"])
-            if not pinned:
-                entry.group  # the full checked load
-            entries.append(entry)
-        return Catalog(order, entries, doc["method"])
+        cat = Catalog(order, [CatalogEntry(r["recipe"], order, r["table_hash"], r["fingerprint"])
+                              for r in raws], doc["method"])
+        if hashlib.sha256(cat.dumps().encode()).hexdigest() != PINS.get(order):
+            cat.groups()  # the full checked load
+        return cat
 
 
 def _canonical_entry(g: TableGroup) -> CatalogEntry:
@@ -204,13 +197,14 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
     or rebuilt.  The entry holds that group and g's fingerprint, which
     bucketing already computed."""
     if g.n == 1:
-        expr, h = Cyclic(1), build_cyclic(1)
+        text, h = "C(1)", build_cyclic(1)
     else:
         gens = list(g.greedy_gens)
-        expr = PermGroupExpr(g.n, tuple(format_cycles(g.table[:, x].tolist()) for x in gens))
+        cycles = tuple(format_cycles(g.table[:, x].tolist()) for x in gens)
+        text = PermGroupExpr(g.n, cycles).text()
         h = right_regular(g.table, gens)
     fp = Fingerprint.of(g)
-    entry = CatalogEntry(expr, expr.text(), g.n, h.table_hash, fp.canonical_bytes().decode())
+    entry = CatalogEntry(text, g.n, h.table_hash, fp.canonical_bytes().decode())
     entry.__dict__.update(group=h, fingerprint=fp)
     return entry
 
@@ -528,7 +522,7 @@ def _catalog(n: int) -> Catalog:
         path = cache_dir() / f"order{n}.json"
     try:
         cat = Catalog.from_json(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         cat = None  # missing, stale or foreign; recompute
     if cat is None:
         cat = _compute(n)

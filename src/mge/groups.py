@@ -1262,7 +1262,7 @@ def _construct(expr: GroupExpr):
         g = construct(expr.inner)
         if not isinstance(g, TableGroup):
             raise OrderLimitExceeded("quo() needs a dense-table group")
-        return quotient_group(g, g.subgroup(list(expr.words)).elements)
+        return quotient_group(g, bfs_closure(0, [g.evaluate_word(w) for w in expr.words], g.mul)[0])
     if isinstance(expr, Renamed):
         return _apply_renames(construct(expr.inner), expr.names)
     if isinstance(expr, Named):

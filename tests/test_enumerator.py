@@ -2,15 +2,17 @@
 regular-representation oracle, serialization safety, and tier gating."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mge import construct, is_isomorphic
+from mge import construct, enumerator, expressions, is_isomorphic
 from mge._pins import PINS
 from mge._version import ENGINE_VERSION
 from mge.enumerator import (
@@ -83,7 +85,7 @@ def test_find_isomorphic():
     cat = enumerate_groups(8)
     hit = cat.find_isomorphic(construct("D(4)"))
     assert hit is not None
-    assert is_isomorphic(construct(hit.recipe), construct("D(4)")) is not None
+    assert is_isomorphic(construct(hit.recipe_text), construct("D(4)")) is not None
     assert cat.find_isomorphic(construct("C(16)")) is None
 
 
@@ -152,7 +154,7 @@ def test_canonical_entry_takes_the_candidates_fingerprint():
     rich_invariant_key(g)  # bucketing caches g's fingerprint
     entry = _canonical_entry(g)
     assert entry.fingerprint is Fingerprint.of(g)
-    assert entry.fingerprint == Fingerprint.of(construct(entry.recipe))
+    assert entry.fingerprint == Fingerprint.of(construct(entry.recipe_text))
 
 
 def test_canonical_entry_is_the_group_its_recipe_builds():
@@ -186,9 +188,8 @@ def test_canonical_entry_builds_nothing_from_text(monkeypatch):
 
     g = construct("sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)")
     calls = []
-    for module, name in ((enumerator, "construct"), (enumerator, "parse_expr"),
-                         (groups, "construct"), (groups, "build_perm_group"),
-                         (perms, "parse_cycles")):
+    for module, name in ((enumerator, "construct"), (groups, "construct"),
+                         (groups, "build_perm_group"), (perms, "parse_cycles")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
                             calls.append(_n) or _f(*a, **k))
@@ -298,8 +299,9 @@ def test_malformed_cache_file_is_stale(tmp_path, monkeypatch):
     bundled = (_BUNDLED_DIR / "order6.json").read_text().strip()
     wrong_entries = {"order": 6, "engine_version": ENGINE_VERSION,
                      "method": "cyclic-extension", "entries": [1]}
-    for doc in ([], wrong_entries, {**wrong_entries, "order": "6", "entries": []}):
-        with pytest.raises(ValueError):
+    no_method = {"order": 6, "engine_version": ENGINE_VERSION, "entries": []}
+    for doc in ([], wrong_entries, {**wrong_entries, "order": "6", "entries": []}, no_method):
+        with pytest.raises(ValueError, match="a catalog needs an int 'order', a string 'method'"):
             Catalog.from_json(doc)
         (tmp_path / "order6.json").write_text(json.dumps(doc))
         clear_memory_cache()
@@ -345,15 +347,56 @@ def test_pins_match_every_bundled_file():
         assert _canonical_digest(json.loads(path.read_text())) == PINS[n], n
 
 
+def test_pin_writer_reproduces_the_committed_pins(tmp_path, monkeypatch):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "gen_catalogs.py"
+    spec = importlib.util.spec_from_file_location("gen_catalogs", tool)
+    gen_catalogs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_catalogs)
+    monkeypatch.setattr(gen_catalogs, "PINS_PATH", tmp_path / "_pins.py")
+    gen_catalogs.write_pins({int(path.stem[5:]): path.read_text()
+                             for path in _BUNDLED_DIR.glob("order*.json")})
+    committed = Path(enumerator.__file__).with_name("_pins.py")
+    assert (tmp_path / "_pins.py").read_bytes() == committed.read_bytes()
+
+
+def test_a_pinned_load_parses_no_recipe(monkeypatch):
+    scanners = []
+
+    class Counted(expressions._Scanner):  # parse_expr makes one per call
+        def __init__(self, text):
+            scanners.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(expressions, "_Scanner", Counted)
+    cat = Catalog.from_json(json.loads((_BUNDLED_DIR / "order144.json").read_text()))
+    assert scanners == []
+    cat.entries[0].group
+    assert scanners == [cat.entries[0].recipe_text]
+
+
+def test_the_pin_covers_what_the_catalog_stores():
+    # a key the catalog does not read leaves dumps() on its pin; a changed
+    # entry value moves it off, so the document takes the checked load
+    text = (_BUNDLED_DIR / "order144.json").read_text()
+    extra = {**json.loads(text), "note": "not read"}
+    cat = Catalog.from_json(extra)
+    assert not any("group" in e.__dict__ for e in cat.entries)
+    assert cat.dumps() == text
+    extra["entries"][0]["table_hash"] = "0" * 64
+    with pytest.raises(ValueError, match="fails its table hash"):
+        Catalog.from_json(extra)
+
+
 def _reference_load(doc) -> list[dict]:
     """The checked load that every unpinned document gets: each entry parsed,
     built and checked in turn, raising at the first that fails."""
     raws = doc.get("entries") if isinstance(doc, dict) else None
     if not (isinstance(raws, list) and isinstance(doc.get("order"), int)
+            and isinstance(doc.get("method"), str)
             and all(isinstance(r, dict) and all(isinstance(r.get(k), str) for k in
                     ("recipe", "fingerprint", "table_hash")) for r in raws)):
-        raise ValueError("a catalog needs an int 'order' and a list 'entries' of "
-                         "string 'recipe', 'fingerprint' and 'table_hash'")
+        raise ValueError("a catalog needs an int 'order', a string 'method' and a list "
+                         "'entries' of string 'recipe', 'fingerprint' and 'table_hash'")
     if doc.get("engine_version") != ENGINE_VERSION:
         raise ValueError("catalog written by a different engine version")
     for raw in raws:
@@ -367,7 +410,6 @@ def _reference_load(doc) -> list[dict]:
             raise ValueError(f"catalog entry {raw['recipe']!r} fails its table hash")
         if Fingerprint.of(g).canonical_bytes().decode() != raw["fingerprint"]:
             raise ValueError(f"catalog entry {raw['recipe']!r} fails its fingerprint")
-    doc["method"]  # read last, so a missing key raises KeyError after the entries
     return raws
 
 

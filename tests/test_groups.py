@@ -178,6 +178,18 @@ def test_quotient_groups():
         construct("quo(S(3), (12))")  # the words generate a subgroup, not its normal closure
 
 
+def test_quotient_tabulates_no_subgroup(monkeypatch):
+    init, orders = TableGroup.__init__, []
+
+    def counted(self, table, *a, **k):
+        orders.append(len(table))
+        init(self, table, *a, **k)
+
+    monkeypatch.setattr(TableGroup, "__init__", counted)
+    assert construct("quo(S(4), (12)(34), (13)(24))").order == 6
+    assert orders == [24, 6]
+
+
 def test_central_product_rejects_bad_identification():
     with pytest.raises(CentralIdentificationError):
         construct("cp(D(4), gens(D(4), c, d), a=c)")  # a is not central
