@@ -190,10 +190,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except EngineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (EngineError, OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

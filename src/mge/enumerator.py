@@ -98,10 +98,11 @@ _BUNDLED_DIR = Path(__file__).parent / "data" / "catalogs"
 
 class CatalogEntry:
     """A catalog group as its document stores it: recipe text, order, table
-    hash and fingerprint text, so ``to_json`` gives back the stored bytes.
-    The group is built from the recipe text on first use, raising ValueError
-    when the recipe does not build or the group has the wrong order or fails
-    either stored value."""
+    hash and fingerprint text (``Fingerprint.canonical_bytes``), so
+    ``to_json`` gives back the stored bytes.  The group is built from the
+    recipe text on first use, raising ValueError when the recipe does not
+    build or the group has the wrong order or fails either stored value;
+    ``order_counts`` reads the stored element orders without building it."""
 
     def __init__(self, recipe_text: str, order: int, table_hash: str, fingerprint_text: str):
         self.recipe_text = recipe_text
@@ -110,8 +111,9 @@ class CatalogEntry:
         self.fingerprint_text = fingerprint_text
 
     @cached_property
-    def fingerprint(self) -> Fingerprint:
-        return Fingerprint.from_json(json.loads(self.fingerprint_text))
+    def order_counts(self) -> tuple[tuple[int, int], ...]:
+        """The stored element orders, shaped as ``morphisms.order_counts``."""
+        return tuple(map(tuple, json.loads(self.fingerprint_text)["element_orders"]))
 
     @cached_property
     def group(self) -> TableGroup:
@@ -149,9 +151,9 @@ class Catalog:
         return [e.group for e in self.entries]
 
     def find_isomorphic(self, g: TableGroup) -> CatalogEntry | None:
-        fp = Fingerprint.of(g)
+        text = Fingerprint.of(g).canonical_bytes().decode()
         for e in self.entries:  # stored fingerprints: only a match is built
-            if e.fingerprint == fp and is_isomorphic(g, e.group) is not None:
+            if e.fingerprint_text == text and is_isomorphic(g, e.group) is not None:
                 return e
         return None
 
@@ -194,8 +196,8 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
     generated by the columns of a greedy generating sequence (``C(1)`` for
     the trivial group).  Building that recipe gives g's own table back, so
     the entry's group is right_regular over g's table and nothing is parsed
-    or rebuilt.  The entry holds that group and g's fingerprint, which
-    bucketing already computed."""
+    or rebuilt.  The entry holds that group, and its fingerprint text comes
+    from g's fingerprint, which bucketing already computed."""
     if g.n == 1:
         text, h = "C(1)", build_cyclic(1)
     else:
@@ -203,9 +205,8 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
         cycles = tuple(format_cycles(g.table[:, x].tolist()) for x in gens)
         text = PermGroupExpr(g.n, cycles).text()
         h = right_regular(g.table, gens)
-    fp = Fingerprint.of(g)
-    entry = CatalogEntry(text, g.n, h.table_hash, fp.canonical_bytes().decode())
-    entry.__dict__.update(group=h, fingerprint=fp)
+    entry = CatalogEntry(text, g.n, h.table_hash, Fingerprint.of(g).canonical_bytes().decode())
+    entry.__dict__["group"] = h
     return entry
 
 

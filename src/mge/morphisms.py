@@ -86,30 +86,10 @@ class Fingerprint:
         g.__dict__["_fingerprint"] = fp
         return fp
 
-    @staticmethod
-    def from_json(doc: dict) -> "Fingerprint":
-        """The fingerprint that ``to_json`` wrote, equal to the one ``of`` gave."""
-        pairs = {k: tuple(map(tuple, doc[k])) for k in ("element_orders", "class_sizes")}
-        inv = doc["abelian_invariants"]
-        inv = None if inv is None else tuple(inv)
-        return Fingerprint(**{**doc, **pairs, "abelian_invariants": inv})
-
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "abelian": self.abelian,
-            "element_orders": [list(t) for t in self.element_orders],
-            "center_order": self.center_order,
-            "derived_order": self.derived_order,
-            "exponent": self.exponent,
-            "class_sizes": [list(t) for t in self.class_sizes],
-            "abelian_invariants": (
-                None if self.abelian_invariants is None else list(self.abelian_invariants)
-            ),
-        }
+        """The fields as compact JSON with sorted keys, pairs as arrays: the
+        text a catalog entry stores."""
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:

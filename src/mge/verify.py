@@ -358,11 +358,12 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     if kind not in ("order", "upto"):
         raise ValueError(f"kind must be 'order' or 'upto', got {kind!r}")
     bound = registry.collection_bound(n) if kind == "order" else registry.nbound(n)
-    candidates = list(range(bound, max_order + 1, bound))
     tier = enumerator.default_tier()
-    for m in candidates:
+    orders = range(bound, max_order + 1, bound)
+    for m in orders:  # a range past the tier is refused before it is listed
         if not enumerator.order_allowed(m, tier):
             raise TierLimitExceeded(f"candidate order {m} is outside tier {tier}; raise MGE_TIER")
+    candidates = list(orders)
     name = f"all-{'of-order' if kind == 'order' else 'upto'} {n}"
     eliminated: dict[int, int] = {}
     found, passing = None, []
@@ -374,7 +375,7 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
         # a catalog group is dense, so each verdict is what contains_all_* decides
         passing = [
             e.recipe_text for e in cat.entries
-            if all(order_counts_fit(need, e.fingerprint.element_orders) for need in needs)
+            if all(order_counts_fit(need, e.order_counts) for need in needs)
             and all(find_embedding(t, e.group) is not None for t in targets)
         ]
         if passing:
@@ -392,7 +393,7 @@ def replay_witness(w: dict) -> bool:
     witness that is malformed, of an unknown kind, or asks for more than the
     engine builds does not hold, so one tampered witness fails only its item."""
     try:
-        return _replay(w)
+        return isinstance(w, dict) and _replay(w)
     except (EngineError, KeyError, TypeError, ValueError):
         return False
 

@@ -229,3 +229,34 @@ def test_trace_hooks_install_in_a_fresh_interpreter():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_COUNT_WRAPPED = """
+import sys, spans
+spans.install()
+wrapped = 0
+for mod, path, _, _ in spans.TARGETS:
+    owner, *member = path.split(".")
+    if member:
+        raw = vars(getattr(sys.modules["mge." + mod], owner))[member[0]]
+        fn = (getattr(raw, "__func__", None) or getattr(raw, "func", None)
+              or getattr(raw, "fget", None) or raw)  # staticmethod, cached_property, property
+    else:
+        fn = getattr(sys.modules["mge." + mod], owner)
+    wrapped += fn.__code__.co_name == "wrapper"
+print(wrapped, len(spans.TARGETS))
+"""
+
+
+def test_trace_hooks_bind_every_target():
+    # a renamed engine function breaks the traced benchmark iteration, so
+    # each of the layer boundaries perfbench names must end up wrapped
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_WRAPPED],
+        cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["21", "21"]

@@ -37,7 +37,13 @@ from mge.enumerator import (
 from mge.errors import EngineError, IncompleteSeedSet, OutOfRange, TierLimitExceeded
 from mge.groups import TableGroup
 from mge.expressions import parse_expr
-from mge.morphisms import Fingerprint, automorphisms, elem_abelian_prime, rich_invariant_key
+from mge.morphisms import (
+    Fingerprint,
+    automorphisms,
+    elem_abelian_prime,
+    order_counts,
+    rich_invariant_key,
+)
 from mge.numtheory import is_prime
 
 # isomorphism class counts, orders 1..32
@@ -87,6 +93,17 @@ def test_find_isomorphic():
     assert hit is not None
     assert is_isomorphic(construct(hit.recipe_text), construct("D(4)")) is not None
     assert cat.find_isomorphic(construct("C(16)")) is None
+
+
+def test_find_isomorphic_builds_only_entries_whose_stored_text_matches():
+    doc = json.loads((_BUNDLED_DIR / "order144.json").read_text())
+    cat = Catalog.from_json(doc)  # pinned: no entry is built at load
+    g = construct("named(S3xS4)")
+    assert cat.find_isomorphic(g) is not None
+    text = Fingerprint.of(g).canonical_bytes().decode()
+    built = [e for e in cat.entries if "group" in e.__dict__]
+    assert len(cat.entries) == 197
+    assert len(built) == 1 and built[0].fingerprint_text == text
 
 
 def test_catalog_round_trip_and_tamper_detection():
@@ -149,12 +166,19 @@ def test_cold_catalogs_above_32_match_bundled_bytes(tmp_path, monkeypatch):
         clear_memory_cache()
 
 
-def test_canonical_entry_takes_the_candidates_fingerprint():
+def _no_new_fingerprint(*args, **kwargs):
+    raise AssertionError("a fingerprint was computed again")
+
+
+def test_canonical_entry_takes_the_candidates_fingerprint(monkeypatch):
     g = construct("sd(gens(C(7), g1), gens(C(3), t), t.g1=g1^2)")
     rich_invariant_key(g)  # bucketing caches g's fingerprint
-    entry = _canonical_entry(g)
-    assert entry.fingerprint is Fingerprint.of(g)
-    assert entry.fingerprint == Fingerprint.of(construct(entry.recipe_text))
+    with monkeypatch.context() as m:
+        m.setattr(Fingerprint, "__init__", _no_new_fingerprint)
+        entry = _canonical_entry(g)
+    text = entry.fingerprint_text
+    assert text == Fingerprint.of(g).canonical_bytes().decode()
+    assert text == Fingerprint.of(construct(entry.recipe_text)).canonical_bytes().decode()
 
 
 def test_canonical_entry_is_the_group_its_recipe_builds():
@@ -205,8 +229,8 @@ def test_dedupe_builds_no_search_on_a_duplicate():
     candidates = [g for base in enumerate_groups(16).groups()
                   for g in _extension_candidates(base, 2)]
     entries = _dedupe(candidates)
-    kept = {id(e.fingerprint) for e in entries}
-    dupes = [g for g in candidates if id(Fingerprint.of(g)) not in kept]
+    kept = {id(e.group.table) for e in entries}  # right_regular shares the kept table
+    dupes = [g for g in candidates if id(g.table) not in kept]
     assert len(entries) == 51 and len(dupes) == len(candidates) - 51 > 20
     for g in dupes:
         assert "greedy_gens" not in g.__dict__
@@ -333,7 +357,9 @@ def test_bundled_catalog_loads(n, monkeypatch):
     assert all("group" in e.__dict__ for e in full.entries)
     assert len(cat.entries) == len(full.entries)
     for lazy, eager in zip(cat.entries, full.entries):
-        assert lazy.fingerprint == eager.fingerprint == Fingerprint.of(lazy.group)
+        assert (lazy.fingerprint_text == eager.fingerprint_text
+                == Fingerprint.of(lazy.group).canonical_bytes().decode())
+        assert lazy.order_counts == eager.order_counts == order_counts(lazy.group)
         assert lazy.table_hash == eager.table_hash == lazy.group.table_hash
         assert lazy.to_json() == eager.to_json()
         assert np.array_equal(lazy.group.table, eager.group.table)

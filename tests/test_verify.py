@@ -4,6 +4,7 @@ replay, and the reproducible scenarios."""
 import copy
 import hashlib
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -341,6 +342,17 @@ def test_minimal_search_tier_guard(monkeypatch):
         minimal_embedding_search("order", 5, 200)
 
 
+def test_minimal_search_checks_the_tier_before_listing_candidates():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TierLimitExceeded, match="candidate order 65 is outside tier"):
+            minimal_embedding_search("order", 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_scenarios_registered():
     ids = scenario_ids()
     for sid in ("table1", "table2", "table4", "table5", "thm-order32",
@@ -472,6 +484,11 @@ def test_replay_fails_a_malformed_witness_instead_of_raising():
         {k: v for k, v in search.items() if k != "search_kind"},
         {"kind": "no-such-kind"},
     ):
+        assert replay_witness(bad) is False, bad
+
+
+def test_replay_fails_a_witness_that_is_not_a_dict():
+    for bad in ([], "x", 5, None):
         assert replay_witness(bad) is False, bad
 
 
