@@ -272,12 +272,13 @@ class TableGroup:
             raise OrderLimitExceeded(f"order {n} exceeds table limit {TABLE_LIMIT}")
         if not (table[0] == np.arange(n)).all() or not (table[:, 0] == np.arange(n)).all():
             raise ValueError("index 0 must be the identity")
-        table.flags.writeable = False  # table_hash is computed once
-        self.table = table
-        self.n = n
+        # argmin copies a read-only input whole, so inverses are found first
         self.inv = np.ascontiguousarray(np.argmin(table, axis=1).astype(np.int32))
         if (table[np.arange(n), self.inv] != 0).any():
             raise ValueError("table has an element without an inverse")
+        table.flags.writeable = False  # table_hash is computed once
+        self.table = table
+        self.n = n
         # zero-copy views: indexing one yields a Python int without a numpy scalar
         self._cells = memoryview(table)
         self._flat_cells = self._cells.cast("B").cast(self._cells.format)
@@ -352,7 +353,9 @@ class TableGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        """Whether every conjugacy class is one element, read off the class
+        scan that the fingerprint and the search need anyway."""
+        return len(self.class_reps) == self.n
 
     @cached_property
     def exponent(self) -> int:

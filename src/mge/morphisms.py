@@ -286,7 +286,10 @@ def _kernel(levels, pools, row, size: int, budget: int):
                 used[img[e]] = 0
             used[cand] = 0
 
-    yield from place(0)
+    try:
+        yield from place(0)
+    finally:
+        del place  # place holds itself, and through its cells the target's rows
 
 
 class _TwistedRow:

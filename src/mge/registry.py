@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -215,21 +216,36 @@ def collection_bound(n: int) -> int:
     return out
 
 
-def nbound(n: int) -> int:
-    """Every group containing all groups of order n or less has order
-    divisible by this: the product of pbound(p, k_p) over primes p <= n with
-    p^k_p the largest power of p not exceeding n."""
+def collection_bound_factors(n: int):
+    """n, then collection_bound(n) // n, whose product is collection_bound(n):
+    p^a divides pbound(p, a) = p^(2a-1), so n divides the bound.  Lazy, so a
+    caller that stops after n never factors it."""
+    if n < 1:
+        raise OutOfRange(f"collection_bound needs n >= 1, got {n}")
+    yield n
+    yield collection_bound(n) // n
+
+
+def nbound_factors(n: int):
+    """pbound(p, k_p) for each prime p <= n in increasing order, with p^k_p
+    the largest power of p not exceeding n; nbound(n) is their product.
+    Lazy, so a caller may stop once a partial product is large enough."""
     if n < 1:
         raise OutOfRange(f"nbound needs n >= 1, got {n}")
-    out = 1
     for p in range(2, n + 1):
         if not is_prime(p):
             continue
         k = 1
         while p ** (k + 1) <= n:
             k += 1
-        out *= pbound(p, k)
-    return out
+        yield pbound(p, k)
+
+
+def nbound(n: int) -> int:
+    """Every group containing all groups of order n or less has order
+    divisible by this: the product of pbound(p, k_p) over primes p <= n with
+    p^k_p the largest power of p not exceeding n."""
+    return prod(nbound_factors(n))
 
 
 # --- enumeration seeds -----------------------------------------------------------

@@ -354,10 +354,19 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     the search, but every group of that order is still examined so the full
     set of minimal groups gets reported.  A candidate is built and searched
     only when its stored element-order counts refute no target.
+
+    The bound is multiplied out only until it passes max_order: every host
+    order is a multiple of each partial product, so none is a candidate then,
+    and ``bound`` is that partial product.
     """
     if kind not in ("order", "upto"):
         raise ValueError(f"kind must be 'order' or 'upto', got {kind!r}")
-    bound = registry.collection_bound(n) if kind == "order" else registry.nbound(n)
+    bound = 1
+    factors = registry.collection_bound_factors if kind == "order" else registry.nbound_factors
+    for f in factors(n):
+        bound *= f
+        if bound > max_order:
+            break
     tier = enumerator.default_tier()
     orders = range(bound, max_order + 1, bound)
     for m in orders:  # a range past the tier is refused before it is listed

@@ -4,6 +4,7 @@ evaluation for every constructor, checked against hand-computed values."""
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mge import (
     groups,
     perms,
     quotient_group,
+    registry,
     verify,
 )
 from mge.errors import (
@@ -246,6 +248,27 @@ def test_group_table_is_read_only():
     with pytest.raises(ValueError):
         g.table.fill(0)
     assert (g.table == before).all()
+
+
+def test_table_group_keeps_its_table_without_a_copy():
+    n = 1200
+    table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int32)
+    tracemalloc.start()
+    try:
+        g = TableGroup(table, {"a": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(g.table, table)
+    assert peak < table.nbytes / 10
+    assert g.inv_of(1) == n - 1
+
+
+def test_is_abelian_agrees_with_the_full_table_comparison():
+    exprs = ["S(4)"] + [e for n in range(1, 16) for e in registry.groups_of_order(n)]
+    for e in exprs:
+        g = construct(e)
+        assert g.is_abelian == bool((g.table == g.table.T).all()), e
 
 
 # factors, then each factor's generator renaming inside the product

@@ -1,10 +1,12 @@
 """Isomorphism testing, embedding search, automorphism counts, and the
 fingerprint invariant, against hand-checked classifications."""
 
+import gc
 import json
 import random
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -468,3 +470,53 @@ def test_budget_runs_out_at_the_reference_unit():
     assert sum(1 for _ in search_monomorphisms(a5, a5, require_iso=True, budget=b)) == 120
     with pytest.raises(SearchBudgetExceeded):
         list(search_monomorphisms(a5, a5, require_iso=True, budget=b - 1))
+
+
+@pytest.fixture
+def no_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _embeds(g):
+    assert find_embedding(construct("C(4)"), g) is not None
+
+
+def _embeds_not(g):
+    # the counts of element orders fit, so the kernel runs before it finds nothing
+    assert find_embedding(construct("Q(2)"), g) is None
+
+
+def _isomorphic(g):
+    assert is_isomorphic(construct("D(3)"), g) is not None
+
+
+def _one_automorphism(g):
+    stream = automorphisms(g)
+    assert next(stream).verify()
+    stream.close()
+
+
+def _over_budget(g):
+    try:
+        find_embedding(construct("C(6)"), g, budget=1)
+    except SearchBudgetExceeded:
+        return
+    pytest.fail("the search finished inside a budget of 1")
+
+
+@pytest.mark.parametrize("search, target", [
+    (_embeds, "D(12)"),
+    (_embeds_not, "C(4) x C(2) x C(2)"),
+    (_isomorphic, "S(3)"),
+    (_one_automorphism, "D(6)"),
+    (_over_budget, "D(12)"),
+])
+def test_a_finished_search_frees_its_target(no_gc, search, target):
+    g = construct(target)
+    dead = weakref.ref(g)
+    search(g)
+    del g
+    assert dead() is None

@@ -4,8 +4,13 @@ replay, and the reproducible scenarios."""
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +358,42 @@ def test_minimal_search_checks_the_tier_before_listing_candidates():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("kind, n", [("upto", 2 * 10**6), ("upto", 10**5), ("order", 2**61 - 1)])
+def test_minimal_search_stops_multiplying_a_bound_past_max_order(kind, n):
+    start = time.perf_counter()
+    out = minimal_embedding_search(kind, n, 10)
+    assert time.perf_counter() - start < 1
+    assert out.candidates == [] and not out.found and out.bound > 10
+    json.dumps(out.to_json())  # what `mge minimal --json` writes
+
+
+def test_minimal_search_keeps_a_bound_that_fits():
+    assert minimal_embedding_search("upto", 4, 24).bound == registry.nbound(4) == 24
+    assert minimal_embedding_search("order", 8, 32).bound == registry.collection_bound(8) == 32
+
+
+def _peak_rss_kb(tmp_path, code: str) -> int:
+    """Peak RSS in kB of a fresh tier-2 interpreter that imports the engine
+    and runs ``code``.  It is read from VmHWM, the peak of the child's own
+    address space: Linux carries the spawning process's peak into the
+    child's ru_maxrss, so a large test process would hide the difference."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "MGE_TIER": "2", "MGE_CACHE_DIR": str(tmp_path)}
+    script = ("import mge, mge.verify, mge.cli\n" + code + "\n"
+              "print(next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-2])
+
+
+def test_table5_holds_each_dense_host_once(tmp_path):
+    # table 5's hosts of order 3360 are int32 tables of 43 MB each; holding one
+    # at a time, built without a copy, stays under one and a half of them
+    base = _peak_rss_kb(tmp_path, "")
+    run = _peak_rss_kb(tmp_path, "assert mge.verify.reproduce('table5').passed")
+    assert (run - base) * 1024 < 1.5 * 3360 * 3360 * 4
+
+
 def test_scenarios_registered():
     ids = scenario_ids()
     for sid in ("table1", "table2", "table4", "table5", "thm-order32",
@@ -490,6 +531,15 @@ def test_replay_fails_a_malformed_witness_instead_of_raising():
 def test_replay_fails_a_witness_that_is_not_a_dict():
     for bad in ([], "x", 5, None):
         assert replay_witness(bad) is False, bad
+
+
+def test_replay_fails_a_minimal_search_witness_with_a_huge_n():
+    w = {"kind": "minimal-search", "search_kind": "upto", "n": 2 * 10**6,
+         "max_order": 10, "order": 1, "groups": []}
+    start = time.perf_counter()
+    assert replay_witness(w) is False
+    assert replay_witness({**w, "search_kind": "order", "n": 2**61 - 1}) is False
+    assert time.perf_counter() - start < 1
 
 
 def test_replay_report_fails_on_one_tampered_witness():
