@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import enumerator, registry, verify
 from ._version import ENGINE_VERSION
-from .errors import EngineError
+from .errors import EngineError, OutOfRange
 from .groups import TableGroup, construct
 from .morphisms import find_embedding, is_isomorphic
 
@@ -92,11 +93,28 @@ def _cmd_minimal(args) -> int:
     return 0
 
 
+BOUND_DIGITS = 4000  # below the 4300 digits Python prints an int with by default
+
+
+def _require_printable(digits: float) -> None:
+    """Refuse a bound whose decimal length, estimated from its logarithm
+    before anything is multiplied, is over BOUND_DIGITS."""
+    if digits > BOUND_DIGITS:
+        raise OutOfRange(f"the bound has more than {BOUND_DIGITS} digits, "
+                         f"the most `mge bounds` prints")
+
+
 def _cmd_bounds(args) -> int:
     if args.pbound is not None:
         p, k = args.pbound
+        if p > 1:
+            _require_printable((2 * k - 1) * math.log10(p))
         print(registry.pbound(p, k))
     elif args.nbound is not None:
+        digits = 0.0
+        for factor in registry.nbound_factors(args.nbound):  # stops at the first refusal
+            digits += math.log10(factor)
+            _require_printable(digits)
         print(registry.nbound(args.nbound))
     else:
         print(registry.collection_bound(args.collection))

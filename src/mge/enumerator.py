@@ -44,6 +44,7 @@ from .errors import (
 )
 from .expressions import PermGroupExpr
 from .groups import (
+    ELEMENT,
     TableGroup,
     _row_closure,
     along_generators,
@@ -439,9 +440,9 @@ def _extension_table(base: TableGroup, amap: np.ndarray, a: int, p: int) -> np.n
     for _ in range(1, p):
         pows.append(amap[pows[-1]])
     blk = t[:, np.stack(pows)].transpose(1, 0, 2)[:, :, None, :]  # [i, x, ., y]
-    i = np.arange(p, dtype=np.int32)
+    i = np.arange(p, dtype=ELEMENT)  # every cell stays ELEMENT, like the table
     s = i[:, None, None, None] + i[:, None]  # i + j, as [i, ., j, .]
-    out = np.where(s >= p, t[:, a][blk], blk) + (s % p) * np.int32(m)
+    out = np.where(s >= p, t[:, a][blk], blk) + (s % p) * m
     return out.reshape(m * p, m * p)
 
 

@@ -62,9 +62,17 @@ from .expressions import (
 from .numtheory import factorization
 
 TABLE_LIMIT = 5000
+# The dtype of every table cell and element id.  Builders compute in it (an
+# ELEMENT array times a Python int stays ELEMENT) and add two ids before
+# reducing them, so 2 * TABLE_LIMIT must fit; a flat cell index a * n + b
+# does not, and is formed in np.intp.
+ELEMENT = np.dtype(np.int16)
+assert 2 * TABLE_LIMIT <= np.iinfo(ELEMENT).max
 SUBGROUP_LIMIT = 5000
 CHECK_TABLE_LIMIT = 512
-_BLOCK_CELLS = 1 << 18  # cells per block when an n x n product array is built in parts
+# cells per block when an n x n array is built or read in parts: a block's
+# temporaries (an np.intp index is 8 bytes a cell) stay small beside the table
+_BLOCK_CELLS = 1 << 16
 
 
 def _row_blocks(rows: int, cols: int):
@@ -264,7 +272,7 @@ class TableGroup:
         perm_elems: PermElements | None = None,
         components: list[_Component] | None = None,
     ):
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        table = np.ascontiguousarray(table, dtype=ELEMENT)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("table must be square")
@@ -273,7 +281,7 @@ class TableGroup:
         if not (table[0] == np.arange(n)).all() or not (table[:, 0] == np.arange(n)).all():
             raise ValueError("index 0 must be the identity")
         # argmin copies a read-only input whole, so inverses are found first
-        self.inv = np.ascontiguousarray(np.argmin(table, axis=1).astype(np.int32))
+        self.inv = np.argmin(table, axis=1).astype(ELEMENT)
         if (table[np.arange(n), self.inv] != 0).any():
             raise ValueError("table has an element without an inverse")
         table.flags.writeable = False  # table_hash is computed once
@@ -327,11 +335,16 @@ class TableGroup:
         out = None
         while k:
             if k & 1:
-                out = x if out is None else cells.take(out * self.n + x)
+                out = x if out is None else cells.take(self._flat(out, x))
             k >>= 1
             if k:
-                x = cells.take(x * self.n + x)
+                x = cells.take(self._flat(x, x))
         return out
+
+    def _flat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The flat cell index ``a * n + b`` of each pair, in np.intp: an
+        ELEMENT product would wrap."""
+        return a.astype(np.intp) * self.n + b
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -530,8 +543,13 @@ class TableGroup:
 
     @cached_property
     def table_hash(self) -> str:
-        """sha256 of the int32 table bytes, row-major."""
-        return hashlib.sha256(self.table).hexdigest()
+        """sha256 of the table's bytes as int32, row-major: the digest every
+        catalog and pin stores.  The ELEMENT table is widened one row block
+        at a time, so no int32 copy of the whole table is made."""
+        h = hashlib.sha256()
+        for rows in _row_blocks(self.n, self.n):
+            h.update(self.table[rows].astype(np.int32))
+        return h.hexdigest()
 
     def __repr__(self) -> str:
         return f"<TableGroup order={self.n}>"
@@ -575,22 +593,22 @@ class Subgroup:
         """The subgroup on the sorted ``elements`` (identity first).  In a
         TableGroup ambient its table is read off the ambient's; any other
         ambient needs ``gen_elems`` to generate ``elements``, and the table
-        comes from _regular_elements and left multiplication by them."""
+        comes from _regular_table and right multiplication by them."""
         index = {e: i for i, e in enumerate(elements)}
         s = len(elements)
         if isinstance(ambient, TableGroup):
             arr = np.asarray(elements, dtype=np.int64)
-            back = np.zeros(ambient.n, dtype=np.int64)
+            back = np.zeros(ambient.n, dtype=ELEMENT)
             back[arr] = np.arange(s)
             tab = back[ambient.table[np.ix_(arr, arr)]]
         else:
-            left = np.array([[index.get(ambient.mul(g, x), -1) for x in elements]
-                             for g in gen_elems], dtype=np.int64).reshape(-1, s)
-            tab = _regular_elements(s, left) if (left >= 0).all() else None
+            right = np.array([[index.get(ambient.mul(x, g), -1) for x in elements]
+                              for g in gen_elems], dtype=np.int64).reshape(-1, s)
+            tab = _regular_table(s, right) if (right >= 0).all() else None
             if tab is None:
                 raise EngineError("the generators do not generate the subgroup's elements")
         gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
-        grp = TableGroup(tab.astype(np.int32), gens)
+        grp = TableGroup(tab, gens)
         return Subgroup(ambient, elements, gen_elems, grp)
 
     @property
@@ -613,10 +631,10 @@ def _coset_table(n: int, mul, normal: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for rows in _row_blocks(len(normal), n):
         least = np.minimum(least, mul(normal[rows], ids).min(axis=0))
     reps = np.flatnonzero(least == ids)
-    coset = np.zeros(n, dtype=np.int32)
+    coset = np.zeros(n, dtype=ELEMENT)
     coset[reps] = np.arange(len(reps))
     coset = coset[least]
-    table = np.empty((len(reps), len(reps)), dtype=np.int32)
+    table = np.empty((len(reps), len(reps)), dtype=ELEMENT)
     for rows in _row_blocks(len(reps), len(reps)):
         table[rows] = coset[mul(reps[rows], reps)]
     return table, coset
@@ -644,34 +662,33 @@ def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
 def build_cyclic(n: int) -> TableGroup:
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"C({n}) exceeds table limit")
-    idx = np.arange(n, dtype=np.int64)
-    table = (idx[:, None] + idx[None, :]) % n
-    return TableGroup(table.astype(np.int32), {"a": 1 % n})
+    idx = np.arange(n, dtype=ELEMENT)
+    return TableGroup((idx[:, None] + idx[None, :]) % n, {"a": 1 % n})
 
 
 def build_elem_abelian(p: int, k: int) -> TableGroup:
     n = p**k
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"EA({p},{k}) exceeds table limit")
-    idx = np.arange(n, dtype=np.int64)
-    table = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(n, dtype=ELEMENT)
+    table = np.zeros((n, n), dtype=ELEMENT)
     for i in range(k):
         d = (idx // p**i) % p
         table += ((d[:, None] + d[None, :]) % p) * p**i
     gens = {f"a{i + 1}": p**i for i in range(k)}
-    return TableGroup(table.astype(np.int32), gens)
+    return TableGroup(table, gens)
 
 
 def build_dihedral(n: int) -> TableGroup:
     m = 2 * n
     if m > TABLE_LIMIT:
         raise OrderLimitExceeded(f"D({n}) exceeds table limit")
-    i = np.arange(m, dtype=np.int64)
+    i = np.arange(m, dtype=ELEMENT)
     rot, flip = i % n, i // n
     ri, rj = rot[:, None], rot[None, :]
     fi, fj = flip[:, None], flip[None, :]
     table = (fi ^ fj) * n + np.where(fi == 0, ri + rj, ri - rj) % n
-    return TableGroup(table.astype(np.int32), {"a": 1 % n, "b": n})
+    return TableGroup(table, {"a": 1 % n, "b": n})
 
 
 def build_dicyclic(n: int) -> TableGroup:
@@ -679,13 +696,13 @@ def build_dicyclic(n: int) -> TableGroup:
     if m > TABLE_LIMIT:
         raise OrderLimitExceeded(f"Q({n}) exceeds table limit")
     tn = 2 * n
-    i = np.arange(m, dtype=np.int64)
+    i = np.arange(m, dtype=ELEMENT)
     rot, flip = i % tn, i // tn
     ri, rj = rot[:, None], rot[None, :]
     fi, fj = flip[:, None], flip[None, :]
-    newrot = (np.where(fi == 0, ri + rj, ri - rj) + ((fi & fj) == 1) * n) % tn
+    newrot = (np.where(fi == 0, ri + rj, ri - rj) + (fi & fj) * n) % tn
     table = (fi ^ fj) * tn + newrot
-    return TableGroup(table.astype(np.int32), {"a": 1, "b": tn})
+    return TableGroup(table, {"a": 1, "b": tn})
 
 
 def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
@@ -725,25 +742,28 @@ class PermElements:
         rows = np.asarray(rows, dtype=self.mat.dtype)
         keys = _row_keys(rows.reshape(-1, self.degree)).tolist()
         ids = [self._ids.get(k, -1) for k in keys]
-        return np.array(ids, dtype=np.int64).reshape(rows.shape[:-1])
+        return np.array(ids, dtype=ELEMENT).reshape(rows.shape[:-1])
 
 
-def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
-    """Row ``p`` is the element taking point 0 to ``p`` if the rows of ``gens``
-    (permutations of ``range(degree)``, ``x * s == s[x]``) generate a regular
-    group, else None.  Rows are filled along a Schreier tree of point 0 and
-    accepted when ``U[j] * s == U[s[j]]`` for all points j and generators s: U
-    then holds 1, is closed under the generators and is made of their
-    products, so it is the whole group.
+def _regular_table(degree: int, gens: np.ndarray) -> np.ndarray | None:
+    """The table of the group that the rows of ``gens`` (permutations of
+    ``range(degree)``, ``x * s == s[x]``) generate, if it acts regularly, else
+    None.  Element ``p`` is the permutation ``U[p]`` taking point 0 to ``p``.
+    ``U[p][i]`` is the point of ``U[i] * U[p]``, so row ``p`` of U is column
+    ``p`` of the table: U is filled as the transposed view of the table, and
+    the build holds one n x n array.  Rows are filled along a Schreier tree of
+    point 0 and accepted when ``U[j] * s == U[s[j]]`` for all points j and
+    generators s: U then holds 1, is closed under the generators and is made
+    of their products, so it is the whole group.
 
     Every group acts regularly on its own elements, so this also tabulates a
-    group from left multiplication by its generators (``s[i]`` the id of
-    ``g * x_i``, the identity at 0): row ``p`` is then multiplication by
-    ``x_p`` on the left, which is row ``p`` of the table."""
+    group from right multiplication by its generators (``s[i]`` the id of
+    ``x_i * g``, the identity at 0)."""
     if degree > TABLE_LIMIT:
         return None
-    gens = np.asarray(gens, dtype=np.int32)  # the dtype of u: int64 rows triple the check's time
-    u = np.empty((degree, degree), dtype=np.int32)
+    gens = np.asarray(gens, dtype=ELEMENT)  # the dtype of u: wider rows slow the check
+    table = np.empty((degree, degree), dtype=ELEMENT)
+    u = table.T
     u[0] = np.arange(degree)
     flat, rows, seen = gens.ravel(), gens.tolist(), bytearray(degree)
     seen[0] = 1
@@ -762,10 +782,11 @@ def _regular_elements(degree: int, gens: np.ndarray) -> np.ndarray | None:
         frontier = [q for q, _, _ in level]
     if 0 in seen:
         return None
+    # U[j] * s == U[s[j]] reads s[table[i, j]] == table[i, s[j]] on the table;
     # one generator and one row block at a time: no array larger than the table
-    closed = all((s.take(u[b]) == u.take(s[b], axis=0)).all()
+    closed = all((s.take(table[b]) == table[b].take(s, axis=1)).all()
                  for s in gens for b in _row_blocks(degree, degree))
-    return u if closed else None
+    return table if closed else None
 
 
 def right_regular(table: np.ndarray, gen_ids: list[int]) -> TableGroup:
@@ -774,7 +795,7 @@ def right_regular(table: np.ndarray, gen_ids: list[int]) -> TableGroup:
     images are column ``x`` of the table.  The element rows are the view
     ``table.T``, so the group holds one n x n array; ``gen_ids`` are the
     element ids of its generators."""
-    table = np.ascontiguousarray(table, dtype=np.int32)
+    table = np.ascontiguousarray(table, dtype=ELEMENT)
     return TableGroup(table, None, perm_elems=PermElements(table.T, gen_ids))
 
 
@@ -782,23 +803,22 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     """Tabulate the group generated by ``gen_perms``.
 
     Elements are numbered in lexicographic order of their image tuples, which
-    puts the identity at index 0.  A regular group's rows ``U`` from
-    _regular_elements are in that order (row ``p`` starts with ``p``), and
-    ``(U[x] * U[y])[0] == U[y][x]`` makes it the right-regular group of the
-    table ``U.T``, which keeps no copy of ``U``.  Any other group is closed by
-    _perm_closure and tabulated by _regular_elements from left multiplication
-    on its elements: ``g * x`` has the row ``x[g]``.
+    puts the identity at index 0.  A regular group's elements ``U`` from
+    _regular_table are in that order (``U[p]`` starts with ``p``), and it is
+    the right-regular group of the table, whose transpose is ``U``.  Any
+    other group is closed by _perm_closure and tabulated by _regular_table
+    from right multiplication on its elements: ``x * g`` has the row ``g[x]``.
     """
     gens = np.asarray(gen_perms, dtype=np.int32).reshape(len(gen_perms), degree)
-    mat = _regular_elements(degree, gens)
-    if mat is not None:
-        return right_regular(mat.T, gens[:, 0].tolist())
+    table = _regular_table(degree, gens)
+    if table is not None:
+        return right_regular(table, gens[:, 0].tolist())
     mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
-    left = PermElements(mat, []).index_of(mat[:, gens]).T  # left[k, i] is the id of g_k * x_i
-    if (left < 0).any():
+    right = PermElements(mat, []).index_of(gens[:, mat])  # right[k, i] is the id of x_i * g_k
+    if (right < 0).any():
         raise EngineError("a product of permutations fell outside their closure")
-    elems = PermElements(mat, left[:, 0].tolist())
-    return TableGroup(_regular_elements(len(mat), left), None, perm_elems=elems)
+    elems = PermElements(mat, right[:, 0].tolist())
+    return TableGroup(_regular_table(len(mat), right), None, perm_elems=elems)
 
 
 def build_symmetric(n: int) -> TableGroup:
@@ -855,10 +875,10 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
         n *= f.n
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"direct product of order {n} exceeds table limit")
-    table = np.zeros((1, 1), dtype=np.int32)
-    for f in factors:
+    table = np.zeros((1, 1), dtype=ELEMENT)
+    for f in factors:  # every cell is below n, so each fold stays ELEMENT
         a, b = len(table), f.n
-        grid = table[:, None, :, None] * np.int32(b) + f.table[None, :, None, :]
+        grid = table[:, None, :, None] * b + f.table[None, :, None, :]
         table = grid.reshape(a * b, a * b)
     renames = _renamed_bindings(factors)
     gens: dict[str, int] = {}
@@ -882,7 +902,7 @@ def gen_image_map(g: TableGroup, images: dict[str, str]) -> np.ndarray:
     out = along_generators(g, list(g.gens.values()), img_elems, g.mul, 0)
     if out is None:
         raise InvalidAction("generator images must cover a generating set")
-    return np.array(out, dtype=np.int32)
+    return np.array(out, dtype=ELEMENT)
 
 
 def build_semidirect(
@@ -936,7 +956,7 @@ def build_semidirect(
     # (b1 t1)(b2 t2) == b1 (t1 b2 t1^-1) t1 t2
     un_conj = np.argsort(conj_by, axis=1)  # un_conj[t][x] == t x t^-1
     moved = base.table[:, un_conj].transpose(1, 0, 2)  # [t1, b1, b2]
-    outer = moved[:, :, None, :] + actor.table[:, None, :, None] * np.int32(m)
+    outer = moved[:, :, None, :] + actor.table[:, None, :, None] * m
     renames = _renamed_bindings([base, actor])
     gens = {renames[0][s]: int(e) for s, e in base.gens.items()}
     gens.update({renames[1][s]: int(e) * m for s, e in actor.gens.items()})
@@ -973,11 +993,13 @@ def build_central_product(
     m = nl * nr // d
     if m > TABLE_LIMIT:
         raise OrderLimitExceeded(f"central product of order {m} exceeds table limit")
-    ltab, rtab = left.table, right.table  # int32 holds every flat id: nl * nr <= TABLE_LIMIT**2
+    ltab, rtab = left.table, right.table
     normal = np.array([left.power(u, i) * nr + right.power(v, -i) for i in range(d)])
-    tab, coset = _coset_table(
-        nl * nr, lambda a, b: ltab[a // nr][:, b // nr] * nr + rtab[a % nr][:, b % nr], normal
-    )
+
+    def mul(a, b):  # flat ids reach nl * nr, past ELEMENT, so they are np.intp
+        return np.multiply(ltab[a // nr][:, b // nr], nr, dtype=np.intp) + rtab[a % nr][:, b % nr]
+
+    tab, coset = _coset_table(nl * nr, mul, normal)
     renames = _renamed_bindings([left, right])
     gens = {renames[0][s]: int(coset[int(e) * nr]) for s, e in left.gens.items()}
     gens.update({renames[1][s]: int(coset[int(e)]) for s, e in right.gens.items()})

@@ -8,7 +8,7 @@ prefix closure is a genuine homomorphism of that closure, so pruning is
 sound; a completed map is a verified monomorphism without any separate pass.
 
 The kernel keeps the map in a list and the used images in a bytearray, reads
-products from read-only memoryviews of the rows of the target's int32 table
+products from read-only memoryviews of the rows of the target's int16 table
 (no copy; a row view is made when its id is first placed), and counts work
 units inline.  A TwistedGroup target has no table: a thin adapter interns
 its candidate elements to ids and multiplies on demand.

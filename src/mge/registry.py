@@ -92,12 +92,12 @@ def _conj_map(g: TableGroup, cycles: str) -> np.ndarray:
     permutation of the same degree (written in cycle notation)."""
     if g.perm_elems is None:
         raise InvalidAction("conjugation twists need a permutation group")
-    t = np.asarray(perms.parse_cycles(cycles, degree=g.perm_elems.degree), dtype=np.int32)
+    t = np.asarray(perms.parse_cycles(cycles, degree=g.perm_elems.degree))
     mat = g.perm_elems.mat
     out = g.perm_elems.index_of(t[mat[:, np.argsort(t)]])  # rows t^-1 * p * t
     if (out < 0).any():
         raise InvalidAction(f"conjugation by {cycles} does not normalize the group")
-    return out.astype(np.int32)
+    return out
 
 
 def _theta_action(theta: dict, comp: TableGroup) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,15 @@ def test_bounds(capsys):
     assert code == 0 and out.strip() == "32"
     code, _, _ = run(capsys, "bounds")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("--nbound", "100000"), ("--pbound", "2", "100000")])
+def test_bounds_refuses_a_bound_too_long_to_print(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "more than 4000 digits" in err
 
 
 def test_verify_certificate_file(capsys, tmp_path):

@@ -32,7 +32,7 @@ from mge.errors import (
     UnknownGenerator,
 )
 from mge.enumerator import _BUNDLED_DIR
-from mge.groups import _remap_word, bfs_closure, build_product
+from mge.groups import ELEMENT, _remap_word, bfs_closure, build_product
 
 # constructor text, order, abelian, exponent, centre size
 BASIC_FACTS = [
@@ -252,7 +252,7 @@ def test_group_table_is_read_only():
 
 def test_table_group_keeps_its_table_without_a_copy():
     n = 1200
-    table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int32)
+    table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int16)
     tracemalloc.start()
     try:
         g = TableGroup(table, {"a": 1})
@@ -262,6 +262,47 @@ def test_table_group_keeps_its_table_without_a_copy():
     assert np.shares_memory(g.table, table)
     assert peak < table.nbytes / 10
     assert g.inv_of(1) == n - 1
+
+
+def test_regular_permutation_group_is_built_in_one_table():
+    cycle = "(" + " ".join(str(i) for i in range(1, 1201)) + ")"
+    tracemalloc.start()
+    try:
+        g = construct(f"perm(1200; {cycle})")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.table.dtype == ELEMENT
+    assert np.shares_memory(g.perm_elems.mat, g.table)
+    assert peak < 1.5 * g.table.nbytes
+
+
+def test_central_product_flat_ids_past_the_element_dtype():
+    # the pair (l, r) of C(200) x C(200) has the flat id 200*l + r, up to
+    # 39,999, which an ELEMENT product would wrap; the quotient is rebuilt
+    # here from least coset representatives in int64
+    g = construct("cp(C(200), C(200), a=a)")
+    n = 200
+    flat = np.arange(n * n, dtype=np.int64)
+    l, r = flat // n, flat % n
+    least = np.min([(l + i) % n * n + (r - i) % n for i in range(n)], axis=0)
+    reps = np.flatnonzero(least == flat)
+    coset = np.searchsorted(reps, least)
+    rl, rr = reps // n, reps % n
+    want = coset[(rl[:, None] + rl) % n * n + (rr[:, None] + rr) % n]
+    assert g.order == n and (g.table == want).all()
+    assert g.table_hash == "1e4379b57bd6889d52b98ae706c67975086093eb0e532d47ce20ce642cd95884"
+
+
+def test_product_element_orders_are_the_lcm_of_factor_orders():
+    # at order 3360 a flat cell index x * n + x passes the ELEMENT range
+    g = construct("named(C5xC7xD3xH1)")
+    ids = np.arange(g.n)
+    want = np.ones(g.n, dtype=np.int64)
+    for c in g.components:
+        want = np.lcm(want, c.group.element_orders[ids // c.stride % c.group.n])
+    assert len(g.components) == 4
+    assert (g.element_orders == want).all()
 
 
 def test_is_abelian_agrees_with_the_full_table_comparison():

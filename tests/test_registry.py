@@ -8,7 +8,7 @@ import pytest
 from mge import construct, is_isomorphic, registry
 from mge.enumerator import enumerate_groups
 from mge.errors import OutOfRange, UnknownLabel
-from mge.groups import TableGroup
+from mge.groups import ELEMENT, TableGroup
 
 TABLE1_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1)
 
@@ -103,6 +103,13 @@ def test_every_label_builds_at_declared_order():
         if isinstance(g, TableGroup):
             hashes[label] = g.table_hash
     assert hashes == DENSE_TABLE_HASHES
+
+
+def test_every_dense_label_is_held_in_the_element_dtype():
+    for label in registry.available_labels():
+        g = registry.resolve(label).build()
+        for t in [g] if isinstance(g, TableGroup) else g.components:
+            assert t.table.dtype == ELEMENT and t.inv.dtype == ELEMENT, label
 
 
 @pytest.mark.parametrize("label, order", sorted(LABEL_ORDERS.items()))

@@ -387,11 +387,13 @@ def _peak_rss_kb(tmp_path, code: str) -> int:
 
 
 def test_table5_holds_each_dense_host_once(tmp_path):
-    # table 5's hosts of order 3360 are int32 tables of 43 MB each; holding one
-    # at a time, built without a copy, stays under one and a half of them
+    # the hosts of order 3360 of tables 4 and 5 are int16 tables of 21.5 MB
+    # each; holding one at a time, built without a copy, stays under one and
+    # a half of them
     base = _peak_rss_kb(tmp_path, "")
-    run = _peak_rss_kb(tmp_path, "assert mge.verify.reproduce('table5').passed")
-    assert (run - base) * 1024 < 1.5 * 3360 * 3360 * 4
+    for sid in ("table4", "table5"):
+        run = _peak_rss_kb(tmp_path, f"assert mge.verify.reproduce({sid!r}).passed")
+        assert (run - base) * 1024 < 1.5 * 3360 * 3360 * 2, sid
 
 
 def test_scenarios_registered():
