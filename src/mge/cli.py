@@ -94,6 +94,7 @@ def _cmd_minimal(args) -> int:
 
 
 BOUND_DIGITS = 4000  # below the 4300 digits Python prints an int with by default
+BOUND_ARGUMENT = 10**12  # trial division factors a number up to this in well under a second
 
 
 def _require_printable(digits: float) -> None:
@@ -105,6 +106,10 @@ def _require_printable(digits: float) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    arg = args.pbound[0] if args.pbound is not None else (
+        args.nbound if args.nbound is not None else args.collection)
+    if arg > BOUND_ARGUMENT:
+        raise OutOfRange(f"{arg} is over {BOUND_ARGUMENT}, the most `mge bounds` factors")
     if args.pbound is not None:
         p, k = args.pbound
         if p > 1:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -556,17 +557,8 @@ class TableGroup:
 
 
 def _compress_word(names: list[str]) -> str:
-    if not names:
-        return "1"
-    out = []
-    i = 0
-    while i < len(names):
-        j = i
-        while j < len(names) and names[j] == names[i]:
-            j += 1
-        out.append(names[i] if j - i == 1 else f"{names[i]}^{j - i}")
-        i = j
-    return "*".join(out)
+    runs = [(name, len(list(run))) for name, run in itertools.groupby(names)]
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs) or "1"
 
 
 def _remap_word(word: str, rename: dict[str, str]) -> str:
@@ -590,25 +582,14 @@ class Subgroup:
 
     @staticmethod
     def from_elements(ambient, elements: list, gen_elems: list) -> "Subgroup":
-        """The subgroup on the sorted ``elements`` (identity first).  In a
-        TableGroup ambient its table is read off the ambient's; any other
-        ambient needs ``gen_elems`` to generate ``elements``, and the table
-        comes from _regular_table and right multiplication by them."""
+        """The subgroup on the sorted ``elements`` (identity first), which
+        ``gen_elems`` must generate: the table comes from _regular_table and
+        right multiplication by them."""
         index = {e: i for i, e in enumerate(elements)}
         s = len(elements)
-        if isinstance(ambient, TableGroup):
-            arr = np.asarray(elements, dtype=np.int64)
-            back = np.zeros(ambient.n, dtype=ELEMENT)
-            back[arr] = np.arange(s)
-            tab = back[ambient.table[np.ix_(arr, arr)]]
-        else:
-            right = np.array([[index.get(ambient.mul(x, g), -1) for x in elements]
-                              for g in gen_elems], dtype=np.int64).reshape(-1, s)
-            tab = _regular_table(s, right) if (right >= 0).all() else None
-            if tab is None:
-                raise EngineError("the generators do not generate the subgroup's elements")
-        gens = {f"g{k + 1}": index[e] for k, e in enumerate(gen_elems)}
-        grp = TableGroup(tab, gens)
+        right = np.array([[index.get(ambient.mul(x, g), -1) for x in elements]
+                          for g in gen_elems], dtype=np.int64).reshape(-1, s)
+        grp = _acting_group(right, {f"g{k + 1}": int(e) for k, e in enumerate(right[:, 0])})
         return Subgroup(ambient, elements, gen_elems, grp)
 
     @property
@@ -616,34 +597,27 @@ class Subgroup:
         return len(self.elements)
 
 
-# --- quotients ------------------------------------------------------------------
+# --- groups given by an action ---------------------------------------------------
 
 
-def _coset_table(n: int, mul, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table of G/N, and each element's coset id, for a group G on the
-    ids ``0..n-1`` (0 the identity) and a normal subgroup N given by its ids.
-    ``mul(a, b)`` is G's product as an outer table: the ids of ``a[i] * b[j]``
-    for two id vectors.  A coset's least element is its representative, the
-    cosets are numbered in the order of their representatives, and both N's
-    products and the table are taken in row blocks."""
-    ids = np.arange(n, dtype=np.int64)
-    least = ids.copy()
-    for rows in _row_blocks(len(normal), n):
-        least = np.minimum(least, mul(normal[rows], ids).min(axis=0))
-    reps = np.flatnonzero(least == ids)
-    coset = np.zeros(n, dtype=ELEMENT)
-    coset[reps] = np.arange(len(reps))
-    coset = coset[least]
-    table = np.empty((len(reps), len(reps)), dtype=ELEMENT)
-    for rows in _row_blocks(len(reps), len(reps)):
-        table[rows] = coset[mul(reps[rows], reps)]
-    return table, coset
+def _acting_group(right: np.ndarray, gens: dict[str, int]) -> TableGroup:
+    """The group tabulated by _regular_table from a right action: ``right[k, i]``
+    is the id of ``x_i * g_k`` for elements or cosets ``x_i`` (the identity
+    at 0) and a generating sequence ``g_k``, -1 where a product leaves them;
+    ``gens`` names generator ids."""
+    table = _regular_table(right.shape[1], right) if (right >= 0).all() else None
+    if table is None:
+        raise EngineError("the generators do not generate the elements they act on")
+    return TableGroup(table, gens)
 
 
 def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
     """G/N for the subgroup N on ``normal_elems``.  N must be normal: the
     first element of N (in id order) with a conjugate outside N is named in
-    the NotNormal error.  Each generator maps to its coset."""
+    the NotNormal error.  A coset's least element is its representative,
+    the cosets are numbered in the order of their representatives, and G's
+    generators act on them by right multiplication.  Each generator maps to
+    its coset."""
     arr = np.unique(np.asarray(normal_elems, dtype=np.int64))
     inside = np.zeros(g.n, dtype=bool)
     inside[arr] = True
@@ -652,8 +626,13 @@ def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
     if escapes.any():
         a = int(arr[np.argmax(escapes)])
         raise NotNormal(f"element {g.label_of(a)} has conjugates outside the subgroup")
-    table, coset = _coset_table(g.n, lambda a, b: g.table[a][:, b], arr)
-    return TableGroup(table, {name: int(coset[e]) for name, e in g.gens.items()})
+    least = np.arange(g.n)
+    for rows in _row_blocks(len(arr), g.n):  # N's products, in row blocks
+        least = np.minimum(least, g.table[arr[rows]].min(axis=0))
+    reps, coset = np.unique(least, return_inverse=True)
+    gens = np.array(list(g.gens.values()), dtype=np.intp)
+    right = coset[g.table[reps[:, None], gens]].T  # the coset of reps[c] * gens[k]
+    return _acting_group(right, {name: int(coset[e]) for name, e in g.gens.items()})
 
 
 # --- builders --------------------------------------------------------------------
@@ -723,9 +702,10 @@ def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
 
 
 class PermElements:
-    """The elements of a permutation group as rows of images, ``mat``, with
-    the element ids of the generating permutations, ``gen_ids``.  For a
-    regular group ``mat`` is a view of the table (see right_regular)."""
+    """The elements of a permutation group as rows of images in lexicographic
+    order, ``mat``, with the element ids of the generating permutations,
+    ``gen_ids``.  For a regular group ``mat`` is a view of the table (see
+    right_regular)."""
 
     def __init__(self, mat: np.ndarray, gen_ids: list[int]):
         self.mat = mat
@@ -733,16 +713,27 @@ class PermElements:
         self.gen_ids = gen_ids
 
     @cached_property
-    def _ids(self) -> dict[bytes, int]:
-        return dict(zip(_row_keys(self.mat).tolist(), range(len(self.mat))))
+    def _ids(self) -> tuple[int, dict[bytes, int]]:
+        """(b, each element's id keyed by its images of points 0..b-1), for
+        the fewest leading points b that tell the elements apart: 1 for a
+        regular group.  The rows are sorted, so b is one more than the last
+        point at which a row first differs from the row before it."""
+        b = 1
+        for rows in _row_blocks(len(self.mat) - 1, self.degree):
+            differs = self.mat[1:][rows] != self.mat[:-1][rows]
+            b = max(b, int(differs.argmax(axis=1).max()) + 1)
+        return b, dict(zip(_row_keys(self.mat[:, :b]).tolist(), range(len(self.mat))))
 
     def index_of(self, rows) -> np.ndarray:
         """Element id of each permutation row (the last axis runs over the
-        points); -1 for non-members."""
+        points); -1 for non-members.  A row is looked up by its leading
+        images and the hit is confirmed against the whole row."""
         rows = np.asarray(rows, dtype=self.mat.dtype)
-        keys = _row_keys(rows.reshape(-1, self.degree)).tolist()
-        ids = [self._ids.get(k, -1) for k in keys]
-        return np.array(ids, dtype=ELEMENT).reshape(rows.shape[:-1])
+        flat = rows.reshape(-1, self.degree)
+        b, keyed = self._ids
+        ids = np.array([keyed.get(k, -1) for k in _row_keys(flat[:, :b]).tolist()], dtype=ELEMENT)
+        ids[(self.mat[ids] != flat).any(axis=1)] = -1
+        return ids.reshape(rows.shape[:-1])
 
 
 def _regular_table(degree: int, gens: np.ndarray) -> np.ndarray | None:
@@ -756,9 +747,10 @@ def _regular_table(degree: int, gens: np.ndarray) -> np.ndarray | None:
     generators s: U then holds 1, is closed under the generators and is made
     of their products, so it is the whole group.
 
-    Every group acts regularly on its own elements, so this also tabulates a
-    group from right multiplication by its generators (``s[i]`` the id of
-    ``x_i * g``, the identity at 0)."""
+    Every group acts regularly on its own elements, and a quotient on its
+    own cosets, so this also tabulates a group from right multiplication by
+    its generators (``s[i]`` the id of ``x_i * g``, the identity at 0): any
+    other permutation group, every subgroup, quotient and central product."""
     if degree > TABLE_LIMIT:
         return None
     gens = np.asarray(gens, dtype=ELEMENT)  # the dtype of u: wider rows slow the check
@@ -813,16 +805,17 @@ def build_perm_group(degree: int, gen_perms: list[perms.Perm]) -> TableGroup:
     table = _regular_table(degree, gens)
     if table is not None:
         return right_regular(table, gens[:, 0].tolist())
-    mat = _perm_closure(degree, gens)  # at most SUBGROUP_LIMIT == TABLE_LIMIT rows
-    right = PermElements(mat, []).index_of(gens[:, mat])  # right[k, i] is the id of x_i * g_k
+    elems = PermElements(_perm_closure(degree, gens), [])  # at most SUBGROUP_LIMIT rows
+    right = elems.index_of(gens[:, elems.mat])  # right[k, i] is the id of x_i * g_k
     if (right < 0).any():
         raise EngineError("a product of permutations fell outside their closure")
-    elems = PermElements(mat, right[:, 0].tolist())
-    return TableGroup(_regular_table(len(mat), right), None, perm_elems=elems)
+    elems.gen_ids = right[:, 0].tolist()
+    return TableGroup(_regular_table(len(elems.mat), right), None, perm_elems=elems)
 
 
 def build_symmetric(n: int) -> TableGroup:
-    if factorial(n) > TABLE_LIMIT:
+    # past the limit n! > n > TABLE_LIMIT, so no larger factorial is formed
+    if factorial(min(n, TABLE_LIMIT + 1)) > TABLE_LIMIT:
         raise OrderLimitExceeded(f"S({n}) exceeds table limit")
     if n == 1:
         return build_perm_group(1, [(0,)])
@@ -835,7 +828,7 @@ def build_alternating(n: int) -> TableGroup:
     if n <= 2:
         d = max(n, 1)
         return build_perm_group(d, [perms.identity_perm(d)])
-    if factorial(n) // 2 > TABLE_LIMIT:
+    if factorial(min(n, TABLE_LIMIT + 1)) // 2 > TABLE_LIMIT:
         raise OrderLimitExceeded(f"A({n}) exceeds table limit")
     three = tuple([1, 2, 0] + list(range(3, n)))
     if n == 3:
@@ -850,16 +843,9 @@ def build_alternating(n: int) -> TableGroup:
 def _renamed_bindings(groups: list[TableGroup]) -> list[dict[str, str]]:
     """Deduplicate generator names across factors: a name used by several
     factors gets a 1-based position suffix in each of them."""
-    counts: dict[str, int] = {}
-    for g in groups:
-        for name in g.gens:
-            counts[name] = counts.get(name, 0) + 1
-    out = []
-    for pos, g in enumerate(groups, start=1):
-        out.append(
-            {name: (f"{name}_{pos}" if counts[name] > 1 else name) for name in g.gens}
-        )
-    return out
+    counts = Counter(name for g in groups for name in g.gens)
+    return [{name: (f"{name}_{pos}" if counts[name] > 1 else name) for name in g.gens}
+            for pos, g in enumerate(groups, start=1)]
 
 
 def build_product(factors: list[TableGroup]) -> TableGroup:
@@ -974,10 +960,13 @@ def _require_automorphism(g: TableGroup, amap: np.ndarray, what: str) -> None:
 def build_central_product(
     left: TableGroup, right: TableGroup, left_word: str, right_word: str
 ) -> TableGroup:
-    """Quotient of left x right identifying the two central words u and v:
-    the pair (l, r) has the flat id ``l*nr + r``, N is generated by
-    (u, v^-1), and _coset_table multiplies flat ids pairwise on the factor
-    tables, so only the quotient, never the full product table, is built."""
+    """Quotient of left x right by N = <(u, v^-1)>, u and v the two central
+    words.  The coset of (l, r) is {(l u^i, r v^-i)}, and its least pair in
+    the order of ``l*nr + r`` has the least left part l u^i, so it is found
+    in the left factor alone.  The cosets are numbered in the order of their
+    least pairs: (l, r) with l least in l<u> is the coset rank(l)*nr + r.
+    Both factors' generators act on the cosets by right multiplication, so
+    the full product is never tabulated."""
     u = left.evaluate_word(left_word)
     v = right.evaluate_word(right_word)
     if u not in set(left.center_elements):
@@ -993,17 +982,21 @@ def build_central_product(
     m = nl * nr // d
     if m > TABLE_LIMIT:
         raise OrderLimitExceeded(f"central product of order {m} exceeds table limit")
-    ltab, rtab = left.table, right.table
-    normal = np.array([left.power(u, i) * nr + right.power(v, -i) for i in range(d)])
+    lu = left.table[:, [left.power(u, i) for i in range(d)]]  # l * u^i
+    vpow = np.array([right.power(v, -i) for i in range(d)])
+    shift = lu.argmin(axis=1)  # the i that makes l * u^i least
+    heads, rank = np.unique(lu.min(axis=1), return_inverse=True)  # the least left parts
 
-    def mul(a, b):  # flat ids reach nl * nr, past ELEMENT, so they are np.intp
-        return np.multiply(ltab[a // nr][:, b // nr], nr, dtype=np.intp) + rtab[a % nr][:, b % nr]
+    def coset(l, r):  # the id of the coset of each pair (l, r)
+        return rank[l] * nr + right.table[r, vpow[shift[l]]]
 
-    tab, coset = _coset_table(nl * nr, mul, normal)
+    lc, rc = heads[np.arange(m) // nr], np.arange(m) % nr  # each coset's least pair
+    acts = [coset(left.table[lc, e], rc) for e in left.gens.values()]
+    acts += [coset(lc, right.table[rc, e]) for e in right.gens.values()]
     renames = _renamed_bindings([left, right])
-    gens = {renames[0][s]: int(coset[int(e) * nr]) for s, e in left.gens.items()}
-    gens.update({renames[1][s]: int(coset[int(e)]) for s, e in right.gens.items()})
-    return TableGroup(tab, gens)
+    gens = {renames[0][s]: int(coset(e, 0)) for s, e in left.gens.items()}
+    gens.update({renames[1][s]: int(coset(0, e)) for s, e in right.gens.items()})
+    return _acting_group(np.array(acts, dtype=np.intp).reshape(-1, m), gens)
 
 
 # --- twisted products --------------------------------------------------------------
@@ -1194,17 +1187,10 @@ class TwistedGroup:
 
 
 def _dedupe_names(names: list[str]) -> list[str]:
-    counts: dict[str, int] = {}
+    counts, seen, out = Counter(names), Counter(), []
     for s in names:
-        counts[s] = counts.get(s, 0) + 1
-    seen: dict[str, int] = {}
-    out = []
-    for s in names:
-        if counts[s] == 1:
-            out.append(s)
-        else:
-            seen[s] = seen.get(s, 0) + 1
-            out.append(f"{s}_{seen[s]}")
+        seen[s] += 1
+        out.append(s if counts[s] == 1 else f"{s}_{seen[s]}")
     return out
 
 

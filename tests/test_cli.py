@@ -142,6 +142,16 @@ def test_bounds_refuses_a_bound_too_long_to_print(capsys, argv):
     assert "more than 4000 digits" in err
 
 
+@pytest.mark.parametrize("argv", [("--pbound", "1000000000000000003", "1"),
+                                  ("--collection", "100000000000031")])
+def test_bounds_refuses_an_argument_too_large_to_factor(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "the most `mge bounds` factors" in err
+
+
 def test_verify_certificate_file(capsys, tmp_path):
     cert = Certificate("S(4)", "ambient for spot checks",
                        [Claim("C(4)", ("(1234)",))])

@@ -4,6 +4,7 @@ evaluation for every constructor, checked against hand-computed values."""
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,16 @@ def test_table_limit_guard():
         construct("C(5001)")
 
 
+def test_symmetric_and_alternating_past_the_limit_are_refused_at_once():
+    for text in ("S(1000000)", "A(1000000)", "S(7)"):
+        start = time.perf_counter()
+        with pytest.raises(OrderLimitExceeded):
+            construct(text)
+        assert time.perf_counter() - start < 1.0, text
+    assert construct("S(6)").order == 720
+    assert construct("A(7)").order == 2520
+
+
 @pytest.mark.parametrize(
     "text, order",
     [("perm(4; (1234), (12)) x C(2)", 48), ("quo(S(4), (12)(34), (13)(24)) x C(2)", 12)],
@@ -164,6 +175,15 @@ def test_subgroup_from_elements():
     assert h.order == 12
     assert set(h.group.gens) == {"g1", "g2"}
     assert not h.group.is_abelian
+
+
+def test_dense_subgroup_needs_generating_elements():
+    s4 = construct("S(4)")
+    a4 = s4.derived_elements
+    with pytest.raises(EngineError):
+        Subgroup.from_elements(s4, a4, [s4.evaluate_word("(123)")])  # generates C(3)
+    with pytest.raises(EngineError):
+        Subgroup.from_elements(s4, a4, [s4.evaluate_word("(12)")])  # leaves A(4)
 
 
 def test_quotient_groups():
@@ -275,6 +295,38 @@ def test_regular_permutation_group_is_built_in_one_table():
     assert g.table.dtype == ELEMENT
     assert np.shares_memory(g.perm_elems.mat, g.table)
     assert peak < 1.5 * g.table.nbytes
+
+
+def test_central_product_of_large_factors_is_quick():
+    # the least element of each coset is found in the left factor: C(2000)
+    # x C(2000) has 4,000,000 pairs, which are never multiplied
+    start = time.perf_counter()
+    g = construct("cp(C(2000), C(2000), a=a)")
+    assert time.perf_counter() - start < 2.0
+    assert g.order == 2000 and g.abelian_invariants == (2000,)
+
+
+def test_resolving_a_cycle_keeps_no_second_table():
+    cycle = "(" + " ".join(str(i) for i in range(1, 1201)) + ")"
+    g = construct(f"perm(1200; {cycle})")
+    tracemalloc.start()
+    try:
+        assert g.evaluate_word(cycle) == 1
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.table.nbytes / 10 and kept < g.table.nbytes / 10
+
+
+def test_a_cycle_sharing_leading_images_is_no_element():
+    g = construct("perm(4; (1234))")  # regular: an element is known by its image of 1
+    assert g.evaluate_word("(1234)") == 1
+    assert g._resolve_cycles("(12)") is None  # (12) also sends 1 to 2
+    with pytest.raises(UnknownGenerator):
+        g.evaluate_word("(12)")
+    s4 = construct("S(4)")
+    assert s4.perm_elems.index_of([[1, 0, 2, 3], [1, 0, 3, 3]]).tolist() == [
+        s4.evaluate_word("(12)"), -1]
 
 
 def test_central_product_flat_ids_past_the_element_dtype():
@@ -419,7 +471,7 @@ def test_twisted_products_follow_the_componentwise_formula():
 
 @pytest.mark.parametrize("cert", ["big12_sol", "bigprod_upto15"])
 def test_twisted_subgroup_tables_match_brute_force(cert):
-    # the certificate subgroups of a twisted ambient, tabulated from left
+    # the certificate subgroups of a twisted ambient, tabulated from right
     # multiplication by their generators, against one product per cell
     data = json.loads((verify._CERT_DIR / f"{cert}.json").read_text())
     tw = construct(data["ambient"])

@@ -15,13 +15,13 @@ row, located each product by its images of a base, and named its
 generators up front.  The semidirect product, now one broadcast, is
 compared with the build that filled one block per pair of actor elements,
 on every registry group that has one and on invalid actions.  The quotient
-and the central product, which now share one coset routine, are compared
-with the builds that checked normality one element at a time and filled
+and the central product, which are now tabulated from the right action of
+their generators on the cosets, are compared with the builds that checked normality one element at a time and filled
 the central product's table one row at a time.
 
 The routines cold enumeration runs on each candidate are compared the same
 way: the bucket key built from per-element ``power`` calls, the derived
-series through one ``Subgroup`` table per term, the extension table
+series through one table per term, sliced from the term before, the extension table
 filled one block at a time, the generating set of Aut(N) grown by one
 ``bfs_closure`` over byte-keyed maps per generator added, the classes
 of extension automorphisms marked one map at a time, and the maps of an
@@ -59,7 +59,6 @@ from mge.expressions import PermGroupExpr, _Scanner, parse_expr
 from mge.groups import (
     SUBGROUP_LIMIT,
     TABLE_LIMIT,
-    Subgroup,
     _perm_closure,
     _row_blocks,
     bfs_closure,
@@ -400,8 +399,10 @@ def ref_derived_series_orders(g):
     elems = cur.derived_elements
     while len(elems) not in (1, out[-1]):
         out.append(len(elems))
-        sg = Subgroup.from_elements(cur, elems, elems[:3])
-        cur = sg.group
+        arr = np.asarray(elems)  # the derived subgroup's table, sliced from cur's
+        back = np.zeros(cur.n, dtype=np.int64)
+        back[arr] = np.arange(len(arr))
+        cur = TableGroup(back[cur.table[np.ix_(arr, arr)]], {})
         elems = cur.derived_elements
     if len(elems) == 1 and out[-1] != 1:
         out.append(1)
