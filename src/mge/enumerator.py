@@ -60,7 +60,7 @@ from .morphisms import (
     rich_invariant_key,
 )
 from .numtheory import factorization
-from .perms import compose, format_cycles
+from .perms import compose
 from .registry import perfect_seed_exprs
 
 HARD_ORDER_LIMIT = 256
@@ -202,10 +202,8 @@ def _canonical_entry(g: TableGroup) -> CatalogEntry:
     if g.n == 1:
         text, h = "C(1)", build_cyclic(1)
     else:
-        gens = list(g.greedy_gens)
-        cycles = tuple(format_cycles(g.table[:, x].tolist()) for x in gens)
-        text = PermGroupExpr(g.n, cycles).text()
-        h = right_regular(g.table, gens)
+        h = right_regular(g.table, list(g.greedy_gens))
+        text = PermGroupExpr(g.n, tuple(h.gens)).text()
     entry = CatalogEntry(text, g.n, h.table_hash, Fingerprint.of(g).canonical_bytes().decode())
     entry.__dict__["group"] = h
     return entry

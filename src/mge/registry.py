@@ -14,7 +14,7 @@ defining involution with any subset of the family's free twists.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cache
 from math import prod
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .numtheory import factorization, is_prime
 _DATA_PATH = Path(__file__).parent / "data" / "registry.json"
 
 
-@lru_cache(maxsize=1)
+@cache
 def _data() -> dict:
     with open(_DATA_PATH, encoding="utf-8") as fh:
         return json.load(fh)

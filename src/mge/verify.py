@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +99,7 @@ class Certificate:
             return Certificate.from_json(json.load(fh))
 
 
-@lru_cache(maxsize=1)
+@cache
 def bundled_certificates() -> dict[str, "Certificate"]:
     """Shipped certificates keyed by their ambient expression text; an
     ambient has at most one."""
@@ -191,9 +191,16 @@ def generated_subgroup(g, words) -> Subgroup:
     return g.subgroup(list(words))
 
 
-@lru_cache(maxsize=512)
+@cache
+def _registry_targets() -> dict[str, TableGroup]:
+    """The registry's groups of orders 1-15 by expression text, in table 1's
+    order: the one memo of claim targets, as it holds only shipped data."""
+    return {e.text(): construct(e) for n in range(1, 16) for e in registry.groups_of_order(n)}
+
+
 def _target_group(text: str) -> TableGroup:
-    g = construct(text)
+    """The registry's group for text, else a fresh build that no memo keeps."""
+    g = _registry_targets().get(text) or construct(text)
     if not isinstance(g, TableGroup):
         raise EngineError(f"claim target {text!r} is not a dense group")
     return g
@@ -201,8 +208,8 @@ def _target_group(text: str) -> TableGroup:
 
 def verify_claim(g, claim: Claim, *, ambient_text: str | None = None) -> ReportItem:
     """Replay one claim: evaluate, close, compare orders, test isomorphism."""
-    target = _target_group(claim.target)
     try:
+        target = _target_group(claim.target)
         sub = generated_subgroup(g, claim.generators)
     except EngineError as e:
         return ReportItem(claim.target, "fail", f"{type(e).__name__}: {e}")
@@ -232,14 +239,11 @@ def verify_certificate(cert: Certificate | str | Path) -> Report:
 # --- coverage checks --------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _targets_of_order(n: int) -> tuple[tuple[str, TableGroup], ...]:
-    """(expression text, group) for every isomorphism class of order n.  Cached
-    by n alone: the tier gates what a catalog costs, not what it holds."""
+def _targets_of_order(n: int) -> list[tuple[str, TableGroup]]:
+    """(text, group) per class of order n: table 1's row n to order 15, else the catalog."""
     if 1 <= n <= 15:
-        return tuple((e.text(), _target_group(e.text())) for e in registry.groups_of_order(n))
-    cat = enumerator.enumerate_groups(n)
-    return tuple((e.recipe_text, e.group) for e in cat.entries)
+        return [(t, g) for t, g in _registry_targets().items() if g.order == n]
+    return [(e.recipe_text, e.group) for e in enumerator.enumerate_groups(n).entries]
 
 
 def _check_target(g, text: str, target: TableGroup, certificate, ambient_text):
@@ -410,11 +414,7 @@ def replay_witness(w: dict) -> bool:
 def _replay(w: dict) -> bool:
     kind = w.get("kind")
     if kind == "embedding":
-        g = construct(w["ambient"])
-        item = verify_claim(
-            g, Claim(w["target"], tuple(w["generators"]), w.get("source", "derived"))
-        )
-        return item.status == "pass"
+        return verify_claim(construct(w["ambient"]), Claim.from_json(w)).status == "pass"
     if kind == "absence":
         g = construct(w["ambient"])
         if not isinstance(g, TableGroup):
@@ -439,7 +439,9 @@ def _replay(w: dict) -> bool:
 
 
 def replay_report(report: Report) -> bool:
-    """Every pass item's witness re-verifies."""
+    """Every pass item's witness re-verifies from empty catalog and target memos."""
+    enumerator.clear_memory_cache()
+    _registry_targets.cache_clear()
     return all(
         replay_witness(it.witness)
         for it in report.items

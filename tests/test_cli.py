@@ -171,6 +171,18 @@ def test_verify_certificate_file(capsys, tmp_path):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("target", ["C(", "C(2) x C(5000)"], ids=["parse error", "twisted"])
+def test_verify_fails_alone_a_claim_whose_target_does_not_build(capsys, tmp_path, target):
+    cert = Certificate("S(4)", "", [Claim(target, ("(12)",)), Claim("C(4)", ("(1234)",))])
+    path = tmp_path / "cert.json"
+    path.write_text(cert.dumps())
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith(f"[FAIL] claim 1: {target}  (")
+    assert lines[1] == "[PASS] claim 2: C(4)  (order 4, source paper)"
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2

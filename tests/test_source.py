@@ -132,6 +132,14 @@ def test_only_along_generators_and_the_search_levels_read_derivations():
     assert readers == _DERIVATION_READERS
 
 
+def test_package_has_no_size_bounded_memo():
+    # a memo holds shipped data only, so it needs no bound; a bounded one
+    # would hold whatever its callers name
+    bounded = [path.name for path in sorted(SRC.glob("*.py"))
+               if _referenced_names(ast.parse(path.read_text()))["lru_cache"]]
+    assert bounded == []
+
+
 def test_only_order_allowed_takes_a_tier():
     # the active tier is read from MGE_TIER where a gate needs it, never passed down
     takers = [

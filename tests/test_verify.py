@@ -555,6 +555,47 @@ def test_replay_report_fails_on_one_tampered_witness():
     assert replay_report(verify.Report(rep.scenario, items)) is False
 
 
+def test_replay_reads_an_embedding_witness_as_a_claim():
+    w = {"kind": "embedding", "ambient": "S(4)", "target": "C(2)", "source": "derived"}
+    assert replay_witness({**w, "generators": ["(12)"]}) is True
+    # element ids are not words: each would pick an element by position
+    for bad in ([-1], [True], [10**6]):
+        assert replay_witness({**w, "generators": bad}) is False, bad
+
+
+def test_replay_report_reads_no_catalog_the_prover_left(monkeypatch):
+    rep = reproduce("thm-order144")
+    w = rep.items[0].witness
+    cat = enumerate_groups(144)
+    host = next(e for e in cat.entries if e.recipe_text in w["groups"])
+    other = next(e for e in cat.entries if e is not host)
+    # a memo that files the real host under another class's recipe
+    fake = enumerator.CatalogEntry(other.recipe_text, 144, host.table_hash, host.fingerprint_text)
+    fake.__dict__["group"] = host.group
+    monkeypatch.setitem(enumerator._MEMO, 144, enumerator.Catalog(144, [fake], cat.provenance))
+    bad = {**w, "groups": [other.recipe_text]}
+    poisoned = verify.Report(rep.scenario, [verify.ReportItem("x", "pass", "", bad)])
+    assert replay_report(poisoned) is False
+    assert replay_report(rep)
+
+
+def test_replay_keeps_no_target_a_witness_names():
+    # targets of about 8 MB each, none of them a registry group
+    witnesses = [{"kind": "embedding", "ambient": "C(2)", "target": f"C({n})",
+                  "generators": ["a"]} for n in range(1981, 1991)]
+    witnesses += [{"kind": "absence", "ambient": "C(2)", "target": f"C({n})"}
+                  for n in range(1991, 2001)]
+    replay_witness({"kind": "absence", "ambient": "C(2)", "target": "C(3)"})
+    tracemalloc.start()
+    try:
+        for w in witnesses:
+            replay_witness(w)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
+
+
 def test_lemma_p3_skips_below_tier3(monkeypatch):
     monkeypatch.setenv("MGE_TIER", "2")
     rep = reproduce("lemma-p3")
@@ -569,7 +610,7 @@ def registry_copy(monkeypatch):
     data = copy.deepcopy(registry._data())
     monkeypatch.setattr(registry, "_data", lambda: data)
     yield data
-    verify._targets_of_order.cache_clear()
+    verify._registry_targets.cache_clear()
 
 
 # (changes to the registry data as {path of keys: new value}, scenario, tier,
