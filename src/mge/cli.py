@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inner")
     p.add_argument("outer")
     p.add_argument("--support", help="comma-separated component names or indices "
-                                     "restricting the image (non-dense hosts)")
+                                     "restricting the image (twisted hosts only)")
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("enumerate", help="list all groups of an order up to isomorphism")

@@ -154,7 +154,7 @@ class Catalog:
     def find_isomorphic(self, g: TableGroup) -> CatalogEntry | None:
         text = Fingerprint.of(g).canonical_bytes().decode()
         for e in self.entries:  # stored fingerprints: only a match is built
-            if e.fingerprint_text == text and is_isomorphic(g, e.group) is not None:
+            if e.fingerprint_text == text and is_isomorphic(e.group, g) is not None:
                 return e
         return None
 
@@ -634,7 +634,9 @@ def _perm_closure_capped(gens: list[tuple], cap: int):
     return elems
 
 
-def _regular_table(elems: set[tuple], n: int) -> np.ndarray:
+def _oracle_table(elems: set[tuple], n: int) -> np.ndarray:
+    """The table of the regular group ``elems``, read off their images: the
+    oracle's own tabulation, kept apart from ``groups._regular_table``."""
     by_image = sorted(elems, key=lambda p: p[0])
     tab = np.empty((n, n), dtype=np.int64)
     for j, rho in enumerate(by_image):
@@ -666,7 +668,7 @@ def regular_oracle(n: int) -> Catalog:
 
     def extend(gens: list[tuple], elems: set[tuple]):
         if len(elems) == n:
-            found.append(_regular_table(elems, n))
+            found.append(_oracle_table(elems, n))
             return
         if len(gens) >= 3:
             return

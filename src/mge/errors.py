@@ -25,7 +25,8 @@ class UnknownLabel(EngineError):
 
 
 class OutOfRange(EngineError):
-    """A parameter is outside its domain: a registry argument, an order, or MGE_TIER."""
+    """A parameter is outside its domain: a registry argument, an order,
+    MGE_TIER, or a support restriction on a dense search target."""
 
 
 class InvalidAction(EngineError):

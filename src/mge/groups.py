@@ -124,6 +124,8 @@ def bfs_closure(identity, gens, mul, limit=SUBGROUP_LIMIT):
     Returns (elements in discovery order, derivations) where the derivation
     of a non-identity element is (parent, generator position) with
     element == mul(parent, gens[pos]).  Deterministic for fixed inputs.
+    ``mul`` runs once per element, in discovery order, times each generator
+    in turn: call ``i * len(gens) + pos`` forms ``elems[i] * gens[pos]``.
     """
     elems = [identity]
     seen = {identity}
@@ -232,9 +234,19 @@ def _factor_words(g, digits) -> list[str]:
 
 
 def _subgroup(g, generators) -> "Subgroup":
+    """The subgroup the words generate, tabulated from its closure's products."""
     gen_elems = [g.evaluate_word(w) if isinstance(w, str) else w for w in generators]
-    elems, _ = bfs_closure(g.identity, gen_elems, g.mul)
-    return Subgroup.from_elements(g, sorted(elems), gen_elems)
+    products = []
+
+    def mul(x, y):
+        products.append(g.mul(x, y))
+        return products[-1]
+
+    elems, _ = bfs_closure(g.identity, gen_elems, mul)
+    index = {e: i for i, e in enumerate(elems)}
+    right = np.array([index[p] for p in products], dtype=np.intp).reshape(len(elems), -1).T
+    grp = _acting_group(right, {f"g{k + 1}": int(e) for k, e in enumerate(right[:, 0])})
+    return Subgroup(g, elems, gen_elems, grp)
 
 
 # --- dense groups --------------------------------------------------------------
@@ -573,24 +585,12 @@ def _remap_word(word: str, rename: dict[str, str]) -> str:
 
 @dataclass
 class Subgroup:
-    """A subgroup captured as sorted ambient elements plus its own table."""
+    """A subgroup: its ambient elements in discovery order, and its own table."""
 
     ambient: object
     elements: list
     gen_elems: list
     group: TableGroup
-
-    @staticmethod
-    def from_elements(ambient, elements: list, gen_elems: list) -> "Subgroup":
-        """The subgroup on the sorted ``elements`` (identity first), which
-        ``gen_elems`` must generate: the table comes from _regular_table and
-        right multiplication by them."""
-        index = {e: i for i, e in enumerate(elements)}
-        s = len(elements)
-        right = np.array([[index.get(ambient.mul(x, g), -1) for x in elements]
-                          for g in gen_elems], dtype=np.int64).reshape(-1, s)
-        grp = _acting_group(right, {f"g{k + 1}": int(e) for k, e in enumerate(right[:, 0])})
-        return Subgroup(ambient, elements, gen_elems, grp)
 
     @property
     def order(self) -> int:
@@ -603,9 +603,8 @@ class Subgroup:
 def _acting_group(right: np.ndarray, gens: dict[str, int]) -> TableGroup:
     """The group tabulated by _regular_table from a right action: ``right[k, i]``
     is the id of ``x_i * g_k`` for elements or cosets ``x_i`` (the identity
-    at 0) and a generating sequence ``g_k``, -1 where a product leaves them;
-    ``gens`` names generator ids."""
-    table = _regular_table(right.shape[1], right) if (right >= 0).all() else None
+    at 0) and a generating sequence ``g_k``; ``gens`` names generator ids."""
+    table = _regular_table(right.shape[1], right)
     if table is None:
         raise EngineError("the generators do not generate the elements they act on")
     return TableGroup(table, gens)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AutBudgetExceeded, OrderLimitExceeded, SearchBudgetExceeded
+from .errors import AutBudgetExceeded, OrderLimitExceeded, OutOfRange, SearchBudgetExceeded
 from .groups import TableGroup, TwistedGroup, _close_products, _row_blocks, bfs_closure
 from .numtheory import factorization, is_prime
 
@@ -359,6 +359,8 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
     dense = isinstance(dst, TableGroup)
     if not dense:
         support = dst.resolve_support(support)
+    elif support is not None:
+        raise OutOfRange("support names components of a twisted target; a dense target has none")
     if require_iso and (not dense or src.order != dst.order):
         return
     if dense and dst.order % src.order != 0:
@@ -404,7 +406,8 @@ def search_monomorphisms(
     Deterministic: candidates are tried in ascending element order.  Raises
     SearchBudgetExceeded when the work cap is hit, in which case nothing may
     be concluded from an absence of yields.  Against a TwistedGroup,
-    ``support`` names the components (by name or index) images may use.
+    ``support`` names the components (by name or index) images may use; a
+    dense target has no components, and a support for it raises OutOfRange.
     """
     return _search(src, dst, require_iso, budget, support, False)
 

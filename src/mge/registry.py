@@ -106,8 +106,11 @@ def _theta_action(theta: dict, comp: TableGroup) -> np.ndarray:
     return gen_image_map(comp, theta["images"])
 
 
-def _component_group(name: str) -> TableGroup:
-    return construct(_data()["kfactors"][name])
+@cache
+def _kfactor(text: str) -> TableGroup:
+    """A twisted product's component, built once per expression text, so a
+    patched registry never reads a group built for other data."""
+    return construct(text)
 
 
 def _twisted_group(desc: dict, twists: dict[str, list[str]]) -> TwistedGroup:
@@ -115,7 +118,7 @@ def _twisted_group(desc: dict, twists: dict[str, list[str]]) -> TwistedGroup:
     ``twists``; a generator composes the actions of the thetas it lists."""
     thetas = _data()["thetas"]
     names = list(desc["components"])
-    comps = [_component_group(nm) for nm in names]
+    comps = [_kfactor(_data()["kfactors"][nm]) for nm in names]
     dgens = []
     for dname, tnames in twists.items():
         actions: list[np.ndarray | None] = [None] * len(comps)

@@ -215,7 +215,7 @@ def verify_claim(g, claim: Claim, *, ambient_text: str | None = None) -> ReportI
         return ReportItem(claim.target, "fail", f"{type(e).__name__}: {e}")
     if sub.order != target.order:
         return ReportItem(claim.target, "fail", f"order mismatch {sub.order} != {target.order}")
-    if is_isomorphic(sub.group, target) is None:
+    if is_isomorphic(target, sub.group) is None:
         why = f"generated subgroup is not isomorphic to {claim.target}"
         return ReportItem(claim.target, "fail", why)
     witness = {"kind": "embedding", **claim.to_json()}
@@ -246,12 +246,11 @@ def _targets_of_order(n: int) -> list[tuple[str, TableGroup]]:
     return [(e.recipe_text, e.group) for e in enumerator.enumerate_groups(n).entries]
 
 
-def _check_target(g, text: str, target: TableGroup, certificate, ambient_text):
-    """Pass on the first certificate claim for the target's class that
-    verifies, else on an embedding search of the dense ambient."""
+def _check_target(g, text: str, target: TableGroup, claims, ambient_text):
+    """Pass on the first (claim, claim target) of ``claims`` for the target's
+    class that verifies, else on an embedding search of the dense ambient."""
     notes = []
-    for c in certificate.claims if certificate is not None else ():
-        t = _target_group(c.target)
+    for c, t in claims:
         if t.order != target.order or is_isomorphic(t, target) is None:
             continue
         item = verify_claim(g, c, ambient_text=ambient_text)
@@ -280,11 +279,17 @@ def _check_target(g, text: str, target: TableGroup, certificate, ambient_text):
 
 
 def _contains_all(g, orders, scenario, certificate, ambient_text, stop_on_fail) -> Report:
-    """One item per isomorphism class of each order, in order."""
-    items = []
+    """One item per isomorphism class of each order, in order.  Each claim's
+    target is built once; a claim whose target does not build names no class."""
+    items, claims = [], []
+    for c in certificate.claims if certificate is not None else ():
+        try:
+            claims.append((c, _target_group(c.target)))
+        except EngineError:
+            pass
     for n in orders:
         for text, target in _targets_of_order(n):
-            items.append(_check_target(g, text, target, certificate, ambient_text))
+            items.append(_check_target(g, text, target, claims, ambient_text))
             if stop_on_fail and items[-1].status == "fail":
                 return Report(scenario, items)
     return Report(scenario, items)
@@ -439,9 +444,11 @@ def _replay(w: dict) -> bool:
 
 
 def replay_report(report: Report) -> bool:
-    """Every pass item's witness re-verifies from empty catalog and target memos."""
+    """Every pass item's witness re-verifies from empty catalog, target and
+    component memos."""
     enumerator.clear_memory_cache()
     _registry_targets.cache_clear()
+    registry._kfactor.cache_clear()
     return all(
         replay_witness(it.witness)
         for it in report.items
@@ -490,7 +497,7 @@ def _bijection(cat, labels: list[str]) -> tuple[list[list[str]], str | None]:
     pairs = []
     seen = set()
     for lb in labels:
-        entry = cat.find_isomorphic(construct(registry.named_group(lb)))
+        entry = cat.find_isomorphic(_target_group(registry.named_group(lb).text()))
         if entry is None:
             return pairs, f"{lb} matches no enumerated class"
         if entry.recipe_text in seen:

@@ -63,6 +63,12 @@ def test_iso_and_embed_refuse_a_group_over_the_table_limit(capsys):
         assert err.startswith("error: ") and "table limit" in err, argv
 
 
+def test_embed_refuses_a_support_on_a_dense_host(capsys):
+    code, out, err = run(capsys, "embed", "C(3)", "S(4)", "--support", "nonsense")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "support" in err
+
+
 def test_embed_twisted_is_inconclusive(capsys):
     code, out, _ = run(
         capsys, "embed", "C(4)", "named(C5xC7xC9xD3xH1)", "--support", "C(5)"

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mge import (
-    Subgroup,
     TableGroup,
     TwistedGroup,
     check_table,
@@ -25,7 +24,6 @@ from mge import (
 )
 from mge.errors import (
     CentralIdentificationError,
-    EngineError,
     InvalidAction,
     NotNormal,
     OrderLimitExceeded,
@@ -166,24 +164,24 @@ def test_subgroup_and_sylow():
     assert h.group.is_abelian and h.group.exponent == 2
 
 
-def test_subgroup_from_elements():
+def test_subgroup_of_generating_elements():
     s4 = construct("S(4)")
-    a4_elems = s4.derived_elements
-    h = Subgroup.from_elements(
-        s4, a4_elems, [s4.evaluate_word("(123)"), s4.evaluate_word("(12)(34)")]
-    )
+    h = s4.subgroup([s4.evaluate_word("(123)"), s4.evaluate_word("(12)(34)")])
     assert h.order == 12
+    assert set(h.elements) == set(s4.derived_elements)
     assert set(h.group.gens) == {"g1", "g2"}
     assert not h.group.is_abelian
 
 
-def test_dense_subgroup_needs_generating_elements():
+def test_subgroup_elements_are_in_discovery_order():
     s4 = construct("S(4)")
-    a4 = s4.derived_elements
-    with pytest.raises(EngineError):
-        Subgroup.from_elements(s4, a4, [s4.evaluate_word("(123)")])  # generates C(3)
-    with pytest.raises(EngineError):
-        Subgroup.from_elements(s4, a4, [s4.evaluate_word("(12)")])  # leaves A(4)
+    gens = [s4.evaluate_word("(123)"), s4.evaluate_word("(12)(34)")]
+    h = s4.subgroup(gens)
+    assert h.elements == bfs_closure(0, gens, s4.mul)[0]
+    assert [h.elements[int(x)] for x in h.group.gens.values()] == gens
+    index = {e: i for i, e in enumerate(h.elements)}
+    assert h.group.table.tolist() == [[index[s4.mul(a, b)] for b in h.elements]
+                                      for a in h.elements]
 
 
 def test_quotient_groups():
@@ -217,6 +215,16 @@ def test_central_product_rejects_bad_identification():
         construct("cp(D(4), gens(D(4), c, d), a=c)")  # a is not central
     with pytest.raises(CentralIdentificationError):
         construct("cp(C(4), gens(C(8), c), a=c)")  # order 4 vs 8
+
+
+def test_bfs_closure_calls_mul_per_element_then_generator():
+    # the order its docstring states: call i * k + pos forms elems[i] * gens[pos]
+    s4 = construct("S(4)")
+    gens = [s4.evaluate_word("(1234)"), s4.evaluate_word("(12)")]
+    calls = []
+    elems, deriv = bfs_closure(0, gens, lambda x, y: calls.append((x, y)) or s4.mul(x, y))
+    assert calls == [(x, g) for x in elems for g in gens]
+    assert all(s4.mul(deriv[e][0], gens[deriv[e][1]]) == e for e in elems[1:])
 
 
 def test_bfs_closure_generic():
@@ -483,14 +491,17 @@ def test_twisted_subgroup_tables_match_brute_force(cert):
         assert h.group.table.tolist() == want, claim
 
 
-def test_twisted_subgroup_needs_generating_elements():
+def test_twisted_subgroup_forms_each_product_once(monkeypatch):
+    # the closure's (element, generator) products are the subgroup's table:
+    # the ambient multiplies k * |H| times, and no second pass is made
     tw = construct("named(BIGPROD)")
-    h = tw.subgroup(["c^3", "theta3"])
-    assert h.order > len(tw.subgroup(["c^3"]).elements)
-    with pytest.raises(EngineError):
-        Subgroup.from_elements(tw, h.elements, h.gen_elems[:1])  # generates less
-    with pytest.raises(EngineError):
-        Subgroup.from_elements(tw, h.elements[:-1], h.gen_elems)  # not closed
+    words = ["c^3", "theta3", "a2"]
+    mul, calls = TwistedGroup.mul, []
+    monkeypatch.setattr(TwistedGroup, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    gens = [tw.evaluate_word(w) for w in words]
+    calls.clear()
+    h = tw.subgroup(gens)
+    assert h.order > 1 and len(calls) == len(gens) * h.order
 
 
 def test_table_products_are_plain_ints():

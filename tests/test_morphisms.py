@@ -13,7 +13,7 @@ import pytest
 
 from mge import construct, find_embedding, is_isomorphic, morphisms, registry
 from mge.enumerator import Catalog, _BUNDLED_DIR
-from mge.errors import AutBudgetExceeded, SearchBudgetExceeded
+from mge.errors import AutBudgetExceeded, OutOfRange, SearchBudgetExceeded
 from mge.numtheory import factorization
 from mge.groups import TableGroup, bfs_closure
 from mge.morphisms import (
@@ -122,6 +122,16 @@ def test_twisted_embedding_with_support():
         assert m(m.source.evaluate_word(src_word)) == tw.evaluate_word(dst_word)
     # absence against a twisted ambient returns None without claiming proof
     assert find_embedding(construct("C(4)"), tw, support=["C(5)"]) is None
+
+
+def test_a_support_on_a_dense_target_is_refused():
+    # a dense target has no components, so a support restriction names nothing
+    h, g = construct("C(3)"), construct("S(4)")
+    with pytest.raises(OutOfRange):
+        find_embedding(h, g, support=["nonsense"])
+    with pytest.raises(OutOfRange):
+        next(search_monomorphisms(h, g, support=["0"]))
+    assert find_embedding(h, g) is not None
 
 
 def _ref_twisted_order(g, x):

@@ -261,6 +261,17 @@ def test_a_wrong_declared_order_raises(label, monkeypatch):
     )
 
 
+def test_each_kfactor_is_built_once_per_process(monkeypatch):
+    registry._kfactor.cache_clear()
+    built = []
+    monkeypatch.setattr(registry, "construct", lambda text: built.append(text) or construct(text))
+    a, b = construct("named(BIGPROD)"), construct("named(BIGPROD)")
+    data = registry._data()
+    texts = [data["kfactors"][c] for c in data["named"]["BIGPROD"]["product"]["components"]]
+    assert sorted(built) == sorted(set(texts)) and len(built) == len(a.components)
+    assert all(x is y for x, y in zip(a.components, b.components))
+
+
 def test_family_members_all_build():
     for label in ("BIG12_SOL", "BIG12_NONSOL"):
         _, optional = registry.family_thetas(label)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mge import construct, enumerator, groups, registry, verify
+from mge import construct, enumerator, groups, morphisms, registry, verify
 from mge.enumerator import _BUNDLED_DIR, default_tier, enumerate_groups
 from mge.errors import IncompleteCertificates, TierLimitExceeded, UnknownLabel
 from mge.verify import (
@@ -187,6 +187,45 @@ def test_bundled_lemma_certificate_verifies():
     rep = verify_certificate(bundled_certificate("named(S3xS4)"))
     assert rep.passed
     assert rep.counts()["pass"] == len(bundled_certificate("named(S3xS4)").claims)
+
+
+def test_verify_certificate_searches_from_its_claim_targets(monkeypatch):
+    # the memo's target is the search source, so each distinct target builds
+    # its search levels once and no generated subgroup builds any
+    cert = bundled_certificate("named(S3xS4)")
+    verify._registry_targets.cache_clear()
+    levels, built = morphisms._search_levels, []
+
+    def counted(src):
+        if "_search_levels" not in src.__dict__:
+            built.append(src)
+        return levels(src)
+
+    monkeypatch.setattr(morphisms, "_search_levels", counted)
+    assert verify_certificate(cert).passed
+    targets = {c.target for c in cert.claims if verify._target_group(c.target).order > 1}
+    assert sorted(map(id, built)) == sorted(id(verify._target_group(t)) for t in targets)
+
+
+@pytest.mark.parametrize("text", ["C(", "C(2) x C(5000)"])
+def test_a_claim_whose_target_does_not_build_names_no_class(text):
+    # a parse error, and a target past the table limit, skip only that claim
+    s4 = construct("S(4)")
+    cert = Certificate("S(4)", "", [Claim(text, ("(12)",)), Claim("C(4)", ("(1234)",))])
+    rep = contains_all_of_order(s4, 4, cert, ambient_text="S(4)")
+    assert rep.passed
+    (item,) = [it for it in rep.items if it.item_id == "C(4)"]
+    assert item.detail == "order 4, source paper"
+
+
+def test_a_foreign_claim_target_is_built_once_per_check(monkeypatch):
+    built = []
+    monkeypatch.setattr(verify, "construct",
+                        lambda text: built.append(text) or construct(text))
+    cert = Certificate("S(4)", "", [Claim("C(2) x C(8)", ("(12)",))])
+    rep = contains_all_upto(construct("S(4)"), 4, cert, ambient_text="S(4)")
+    assert rep.passed and len(rep.items) == 5
+    assert built.count("C(2) x C(8)") == 1
 
 
 def test_containment_pass_dense():
@@ -577,6 +616,13 @@ def test_replay_report_reads_no_catalog_the_prover_left(monkeypatch):
     poisoned = verify.Report(rep.scenario, [verify.ReportItem("x", "pass", "", bad)])
     assert replay_report(poisoned) is False
     assert replay_report(rep)
+
+
+def test_replay_report_empties_the_kfactor_memo():
+    construct("named(BIGPROD)")
+    assert registry._kfactor.cache_info().currsize > 0
+    assert replay_report(verify.Report("empty", []))
+    assert registry._kfactor.cache_info().currsize == 0
 
 
 def test_replay_keeps_no_target_a_witness_names():
