@@ -20,6 +20,7 @@ no clause for some acting generator are fixed by it.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 from collections import Counter
@@ -396,7 +397,8 @@ class TableGroup:
         Elements are scanned in ascending order and each one not yet in a
         class opens the next class with its conjugates ``g * x * g^-1``, so
         ``class_reps[i]`` is the minimum of class i.  The level-0 cut of the
-        search in ``morphisms`` relies on that invariant."""
+        search in ``morphisms`` relies on that invariant.  ``build_product``
+        fills the same triple from its factors instead."""
         n = self.n
         cells = self.table.ravel()
         inv_rows = self.inv.astype(np.intp) * n  # g^-1 * y is cells[inv_rows[g] + y]
@@ -874,7 +876,22 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
         for name, e in f.gens.items():
             gens[ren[name]] = int(e) * rest
         comps.append(_Component(f, rest, ren))
-    return TableGroup(table, gens, components=comps)
+    g = TableGroup(table, gens, components=comps)
+    g.__dict__["_conjugacy"] = _product_conjugacy(factors)
+    return g
+
+
+def _product_conjugacy(factors: list[TableGroup]) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """``TableGroup._conjugacy`` of a direct product, read off its factors:
+    the class of x is the product of its digits' classes, so its least
+    element has the least element of each digit's class as its digits."""
+    least = np.zeros(1, dtype=np.int64)
+    for f in factors:
+        class_id, reps, _ = f._conjugacy
+        least = (least[:, None] * f.n + np.asarray(reps)[class_id]).ravel()
+    is_rep = least == np.arange(len(least))
+    class_id = (np.cumsum(is_rep) - 1)[least]
+    return class_id, np.flatnonzero(is_rep).tolist(), np.bincount(class_id)
 
 
 def gen_image_map(g: TableGroup, images: dict[str, str]) -> np.ndarray:
@@ -1285,18 +1302,18 @@ def _apply_renames(g, names: tuple[str, ...]):
     if len(names) != len(old):
         raise ParseError(f"gens() got {len(names)} names for {len(old)} generators: {old}")
     mapping = dict(zip(old, names))
-    g.gens = {mapping[o]: g.gens[o] for o in old}
     if isinstance(g, TableGroup):
         g.__dict__.pop("labels", None)
         if g.components:
             for comp in g.components:
                 comp.rename = {k: mapping.get(v, v) for k, v in comp.rename.items()}
-    else:
-        for dg in g.dgens:
-            dg.name = mapping.get(dg.name, dg.name)
+    else:  # a named ambient is shared, so its renamed form is a copy
+        g = copy.copy(g)
+        g.dgens = [_DGen(mapping.get(dg.name, dg.name), dg.actions) for dg in g.dgens]
         g.renames = [
             {k: mapping.get(v, v) for k, v in ren.items()} for ren in g.renames
         ]
+    g.gens = {mapping[o]: g.gens[o] for o in old}
     return g
 
 

@@ -46,8 +46,18 @@ def available_labels() -> tuple[str, ...]:
     return tuple(sorted(_data()["named"]))
 
 
+# twisted ambients by the registry text they are built from (an expression,
+# else the entry with every component and twist text), so a patched entry,
+# component or twist never reads a group built for other data; the entries an
+# expression names through named() are not in its key.  Replay empties it.
+_AMBIENTS: dict[str, TwistedGroup] = {}
+
+
 class Resolved:
-    """Handle for one registry label; build() gives a fresh realization."""
+    """Handle for one registry label.  build() gives the group: a twisted
+    ambient is built once per process and shared (it holds no table beyond
+    its components, which ``_kfactor`` shares already), and a dense group is
+    built fresh on each call, so no host table outlives its check."""
 
     def __init__(self, label: str, entry: dict):
         self.label = label
@@ -55,18 +65,23 @@ class Resolved:
 
     def build(self):
         entry = self._entry
-        if "expr" in entry:
-            g = construct(entry["expr"])
-        elif "family" in entry:
-            g = family_member(self.label)
-        else:
-            desc = entry["product"]
-            g = _twisted_group(desc, {t: [t] for t in desc["dgens"]})
+        key = entry.get("expr") or json.dumps([entry, _data()["kfactors"], _data()["thetas"]])
+        g = _AMBIENTS.get(key)
+        if g is None:
+            if "expr" in entry:
+                g = construct(entry["expr"])
+            elif "family" in entry:
+                g = family_member(self.label)
+            else:
+                desc = entry["product"]
+                g = _twisted_group(desc, {t: [t] for t in desc["dgens"]})
         if g.order != entry["order"]:
             raise RuntimeError(
                 f"registry entry {self.label!r} built order {g.order}, "
                 f"expected {entry['order']}"
             )
+        if isinstance(g, TwistedGroup):
+            _AMBIENTS[key] = g
         return g
 
 

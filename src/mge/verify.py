@@ -210,6 +210,14 @@ def verify_claim(g, claim: Claim, *, ambient_text: str | None = None) -> ReportI
     """Replay one claim: evaluate, close, compare orders, test isomorphism."""
     try:
         target = _target_group(claim.target)
+    except EngineError as e:
+        return ReportItem(claim.target, "fail", f"{type(e).__name__}: {e}")
+    return _check_claim(g, claim, target, ambient_text)
+
+
+def _check_claim(g, claim: Claim, target: TableGroup, ambient_text: str | None) -> ReportItem:
+    """``verify_claim`` against the claim's target, built already."""
+    try:
         sub = generated_subgroup(g, claim.generators)
     except EngineError as e:
         return ReportItem(claim.target, "fail", f"{type(e).__name__}: {e}")
@@ -251,9 +259,9 @@ def _check_target(g, text: str, target: TableGroup, claims, ambient_text):
     class that verifies, else on an embedding search of the dense ambient."""
     notes = []
     for c, t in claims:
-        if t.order != target.order or is_isomorphic(t, target) is None:
+        if t is not target and (t.order != target.order or is_isomorphic(t, target) is None):
             continue
-        item = verify_claim(g, c, ambient_text=ambient_text)
+        item = _check_claim(g, c, t, ambient_text)
         if item.status == "pass":
             item.item_id = text
             return item
@@ -444,11 +452,12 @@ def _replay(w: dict) -> bool:
 
 
 def replay_report(report: Report) -> bool:
-    """Every pass item's witness re-verifies from empty catalog, target and
-    component memos."""
+    """Every pass item's witness re-verifies from empty catalog, target,
+    component and ambient memos."""
     enumerator.clear_memory_cache()
     _registry_targets.cache_clear()
     registry._kfactor.cache_clear()
+    registry._AMBIENTS.clear()
     return all(
         replay_witness(it.witness)
         for it in report.items

@@ -563,6 +563,26 @@ def test_gens_renames_a_twisted_group():
         big.evaluate_word("sigma")
 
 
+def test_gens_renames_a_copy_of_a_named_ambient():
+    names = ", ".join(["p1", "p2", "q1", "q2", "q3", "c", "d", "e", "f", "s"])
+    renamed = construct(f"gens(named(BIG12_SOL), {names})")
+    plain = construct("named(BIG12_SOL)")
+    assert renamed is not plain and list(renamed.gens)[-1] == "s"
+    assert plain.dgens[0].name == "sigma" and "a1" in plain.gens and "p1" not in plain.gens
+    assert plain.label_of(plain.evaluate_word("a1*sigma")) == "a1*sigma"
+
+
+def test_a_direct_product_reads_its_classes_off_its_factors():
+    assert "_conjugacy" in construct("named(C5xC7xD3xH1)").__dict__
+    assert "_conjugacy" not in construct("named(H1)").__dict__  # a semidirect product
+    for text in ["S(3) x A(4) x C(2)", "Q(2) x D(4)", "C(1) x S(3)", "D(5) x C(1) x C(3)"]:
+        g = construct(text)
+        got, want = g._conjugacy, TableGroup(g.table, g.gens)._conjugacy
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype, text
+        assert got[1] == want[1] and all(type(r) is int for r in got[1]), text
+        assert np.array_equal(got[2], want[2]) and got[2].dtype == want[2].dtype, text
+
+
 def test_dense_registry_groups_stay_dense():
     for label, order in [("W3", 243), ("W5", 3125), ("GP6_3", 729), ("S3xS4", 144)]:
         g = construct(f"named({label})")

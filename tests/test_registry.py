@@ -8,7 +8,7 @@ import pytest
 from mge import construct, is_isomorphic, registry
 from mge.enumerator import enumerate_groups
 from mge.errors import OutOfRange, UnknownLabel
-from mge.groups import ELEMENT, TableGroup
+from mge.groups import ELEMENT, TableGroup, TwistedGroup
 
 TABLE1_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1)
 
@@ -263,6 +263,7 @@ def test_a_wrong_declared_order_raises(label, monkeypatch):
 
 def test_each_kfactor_is_built_once_per_process(monkeypatch):
     registry._kfactor.cache_clear()
+    registry._AMBIENTS.clear()
     built = []
     monkeypatch.setattr(registry, "construct", lambda text: built.append(text) or construct(text))
     a, b = construct("named(BIGPROD)"), construct("named(BIGPROD)")
@@ -270,6 +271,27 @@ def test_each_kfactor_is_built_once_per_process(monkeypatch):
     texts = [data["kfactors"][c] for c in data["named"]["BIGPROD"]["product"]["components"]]
     assert sorted(built) == sorted(set(texts)) and len(built) == len(a.components)
     assert all(x is y for x, y in zip(a.components, b.components))
+
+
+@pytest.mark.parametrize("label", ["BIG12_SOL", "BIGPROD", "C5xC7xC9xD3xH1"])
+def test_a_named_twisted_ambient_is_built_once_per_process(label):
+    # a family, a product and an expression past the table limit
+    g = construct(f"named({label})")
+    assert isinstance(g, TwistedGroup) and construct(f"named({label})") is g
+
+
+def test_a_named_dense_host_is_built_on_each_call():
+    g = construct("named(C7xD15xH1)")
+    assert isinstance(g, TableGroup) and construct("named(C7xD15xH1)") is not g
+
+
+def test_a_patched_registry_reads_no_ambient_built_for_other_data(monkeypatch):
+    g = construct("named(BIG12_SOL)")
+    data = copy.deepcopy(registry._data())
+    data["kfactors"]["K6"] = "gens(C(11), ff)"
+    monkeypatch.setattr(registry, "_data", lambda: data)
+    patched = construct("named(BIG12_SOL)")
+    assert "ff" in patched.gens and "f" in g.gens and "f" not in patched.gens
 
 
 def test_family_members_all_build():

@@ -228,6 +228,27 @@ def test_a_foreign_claim_target_is_built_once_per_check(monkeypatch):
     assert built.count("C(2) x C(8)") == 1
 
 
+def test_a_matching_claim_target_is_built_once_per_check(monkeypatch):
+    built = []
+    monkeypatch.setattr(verify, "construct",
+                        lambda text: built.append(text) or construct(text))
+    cert = Certificate("S(4)", "", [Claim("EA(2,2)", ("(12)", "(34)"))])
+    rep = contains_all_upto(construct("S(4)"), 4, cert, ambient_text="S(4)")
+    assert rep.passed and built.count("EA(2,2)") == 1
+    (item,) = [it for it in rep.items if it.item_id == "C(2) x C(2)"]
+    assert item.detail == "order 4, source paper"
+
+
+def test_a_claim_on_the_checked_target_is_matched_without_a_search(monkeypatch):
+    tested = []
+    monkeypatch.setattr(verify, "is_isomorphic",
+                        lambda a, b: tested.append(a is b) or morphisms.is_isomorphic(a, b))
+    cert = Certificate("S(4)", "", [Claim("C(4)", ("(1234)",))])
+    rep = contains_all_of_order(construct("S(4)"), 4, cert, ambient_text="S(4)")
+    assert rep.passed and rep.items[0].detail == "order 4, source paper"
+    assert True not in tested
+
+
 def test_containment_pass_dense():
     rep = contains_all_of_order(construct("named(C2xH1)"), 8, ambient_text="named(C2xH1)")
     assert rep.passed
@@ -625,6 +646,13 @@ def test_replay_report_empties_the_kfactor_memo():
     assert registry._kfactor.cache_info().currsize == 0
 
 
+def test_replay_report_empties_the_ambient_memo():
+    construct("named(BIG12_SOL)")
+    assert registry._AMBIENTS
+    assert replay_report(verify.Report("empty", []))
+    assert not registry._AMBIENTS
+
+
 def test_replay_keeps_no_target_a_witness_names():
     # targets of about 8 MB each, none of them a registry group
     witnesses = [{"kind": "embedding", "ambient": "C(2)", "target": f"C({n})",
@@ -657,6 +685,7 @@ def registry_copy(monkeypatch):
     monkeypatch.setattr(registry, "_data", lambda: data)
     yield data
     verify._registry_targets.cache_clear()
+    registry._AMBIENTS.clear()
 
 
 # (changes to the registry data as {path of keys: new value}, scenario, tier,
