@@ -102,8 +102,11 @@ class CatalogEntry:
     hash and fingerprint text (``Fingerprint.canonical_bytes``), so
     ``to_json`` gives back the stored bytes.  The group is built from the
     recipe text on first use, raising ValueError when the recipe does not
-    build or the group has the wrong order or fails either stored value;
-    ``order_counts`` reads the stored element orders without building it."""
+    build or the group has the wrong order or fails either stored value.
+    ``fingerprint`` parses the stored text once without building the group,
+    so a sweep refutes a candidate host from its stored element-order counts
+    and derived order (``morphisms.may_embed``) before reading ``group``; the
+    stored text is trusted as far as the catalog's load checked it."""
 
     def __init__(self, recipe_text: str, order: int, table_hash: str, fingerprint_text: str):
         self.recipe_text = recipe_text
@@ -112,9 +115,14 @@ class CatalogEntry:
         self.fingerprint_text = fingerprint_text
 
     @cached_property
+    def fingerprint(self) -> Fingerprint:
+        """The stored fingerprint text, parsed."""
+        return Fingerprint.from_text(self.fingerprint_text)
+
+    @property
     def order_counts(self) -> tuple[tuple[int, int], ...]:
         """The stored element orders, shaped as ``morphisms.order_counts``."""
-        return tuple(map(tuple, json.loads(self.fingerprint_text)["element_orders"]))
+        return self.fingerprint.element_orders
 
     @cached_property
     def group(self) -> TableGroup:
@@ -465,7 +473,7 @@ def _extension_candidates(base: TableGroup, p: int):
             y = amap[y]
             norms = table[norms, y]
         a = np.asarray(valid_a, dtype=np.intp)
-        for x in a[table[a[:, None], np.unique(norms)].min(axis=1) == a]:
+        for x in a[table[a[:, None], np.flatnonzero(np.bincount(norms))].min(axis=1) == a]:
             yield TableGroup(_extension_table(base, amap, int(x), p), {})
 
 

@@ -386,7 +386,7 @@ class TableGroup:
 
     @cached_property
     def exponent(self) -> int:
-        return lcm(*(int(d) for d in np.unique(self.element_orders)))
+        return lcm(*(int(d) for d in np.flatnonzero(np.bincount(self.element_orders))))
 
     # -- conjugacy --
 
@@ -619,9 +619,9 @@ def quotient_group(g: TableGroup, normal_elems: list[int]) -> TableGroup:
     the cosets are numbered in the order of their representatives, and G's
     generators act on them by right multiplication.  Each generator maps to
     its coset."""
-    arr = np.unique(np.asarray(normal_elems, dtype=np.int64))
     inside = np.zeros(g.n, dtype=bool)
-    inside[arr] = True
+    inside[np.asarray(normal_elems, dtype=np.intp)] = True
+    arr = np.flatnonzero(inside)
     conj = g.table[g.table[:, arr], g.inv[:, None]]  # conj[x, j] = x a_j x^-1
     escapes = ~inside[conj].all(axis=0)
     if escapes.any():
@@ -967,7 +967,7 @@ def build_semidirect(
 
 
 def _require_automorphism(g: TableGroup, amap: np.ndarray, what: str) -> None:
-    if len(np.unique(amap)) != g.n or int(amap[0]) != 0:
+    if not np.array_equal(np.sort(amap), np.arange(g.n)) or int(amap[0]) != 0:
         raise InvalidAction(f"{what} is not a bijection fixing the identity")
     if not (amap[g.table] == g.table[amap[:, None], amap[None, :]]).all():
         raise InvalidAction(f"{what} is not an automorphism of the base")
@@ -1226,12 +1226,9 @@ def check_table(table) -> bool:
         return False
     if not (table[0] == np.arange(n)).all() or not (table[:, 0] == np.arange(n)).all():
         return False
-    for row in table:
-        if len(np.unique(row)) != n:
-            return False
-    for col in table.T:
-        if len(np.unique(col)) != n:
-            return False
+    ids = np.arange(n)  # entries are in range, so a row or column is a permutation
+    if (np.sort(table, axis=1) != ids).any() or (np.sort(table, axis=0) != ids[:, None]).any():
+        return False
     for i in range(n):
         if not (table[table[i], :] == table[i][table]).all():
             return False

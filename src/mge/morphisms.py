@@ -30,6 +30,8 @@ budget on the number of maps.  An elementary abelian group of rank k whose
 
 An embedding into a dense target is refuted before any search when the source
 has more elements of some order than the target: a monomorphism keeps orders.
+A catalog sweep refutes a candidate host before building it, from its stored
+fingerprint (``may_embed``): by those counts and by derived-order divisibility.
 
 Absence results are proofs only when the target is a dense TableGroup, since
 then candidate pools cover the whole group.  Against a TwistedGroup the pool
@@ -91,6 +93,15 @@ class Fingerprint:
         text a catalog entry stores."""
         return json.dumps(vars(self), sort_keys=True, separators=(",", ":")).encode()
 
+    @staticmethod
+    def from_text(text: str) -> "Fingerprint":
+        """The fingerprint whose ``canonical_bytes`` are ``text``, arrays read
+        back as tuples; nothing is built or checked."""
+        def tuples(v):
+            return tuple(map(tuples, v)) if isinstance(v, list) else v
+
+        return Fingerprint(**{k: tuples(v) for k, v in json.loads(text).items()})
+
 
 def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     counts = np.bincount(values)  # (value, multiplicity) for each value present
@@ -111,6 +122,15 @@ def order_counts_fit(src, dst) -> bool:
     a monomorphism maps the elements of each order injectively."""
     have = dict(dst)
     return all(k <= have.get(o, 0) for o, k in src)
+
+
+def may_embed(src: Fingerprint, dst: Fingerprint) -> bool:
+    """Whether a group with fingerprint ``src`` may embed in one with ``dst``,
+    read off the two fingerprints alone.  A monomorphism maps the elements of
+    each order injectively (``order_counts_fit``), and it maps the derived
+    subgroup H' into G', so |H'| divides |G'| by Lagrange."""
+    return (order_counts_fit(src.element_orders, dst.element_orders)
+            and dst.derived_order % src.derived_order == 0)
 
 
 def derived_series_orders(g: TableGroup) -> list[int]:

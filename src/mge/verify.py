@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabel,
 )
 from .groups import Subgroup, TableGroup, along_generators, construct
-from .morphisms import find_embedding, is_isomorphic, order_counts, order_counts_fit
+from .morphisms import Fingerprint, find_embedding, is_isomorphic, may_embed
 
 _CERT_DIR = Path(__file__).resolve().parent / "data" / "certs"
 
@@ -344,6 +344,7 @@ class SearchOutcome:
     found_order: int | None
     groups: list[str]
     eliminated: dict[int, int] = field(default_factory=dict)
+    built: dict[int, int] = field(default_factory=dict)  # entries left to search, per order
 
     @property
     def found(self) -> bool:
@@ -359,6 +360,7 @@ class SearchOutcome:
             "found_order": self.found_order,
             "groups": self.groups,
             "eliminated": {str(k): v for k, v in self.eliminated.items()},
+            "built": {str(k): v for k, v in self.built.items()},
         }
 
 
@@ -370,7 +372,9 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     of the matching lower bound; the first order with a passing group stops
     the search, but every group of that order is still examined so the full
     set of minimal groups gets reported.  A candidate is built and searched
-    only when its stored element-order counts refute no target.
+    only when its stored fingerprint refutes no target (``may_embed``: the
+    element-order counts and derived-order divisibility); ``built`` counts
+    those candidates at each order reached.
 
     The bound is multiplied out only until it passes max_order: every host
     order is a multiple of each partial product, so none is a candidate then,
@@ -392,23 +396,25 @@ def minimal_embedding_search(kind: str, n: int, max_order: int) -> SearchOutcome
     candidates = list(orders)
     name = f"all-{'of-order' if kind == 'order' else 'upto'} {n}"
     eliminated: dict[int, int] = {}
+    built: dict[int, int] = {}
     found, passing = None, []
     targets = [t for k in ([n] if kind == "order" else range(1, n + 1))
                for _, t in _targets_of_order(k)] if candidates else []
-    needs = [order_counts(t) for t in targets]
+    prints = [Fingerprint.of(t) for t in targets]
     for m in candidates:
         cat = enumerator.enumerate_groups(m)
+        left = [e for e in cat.entries if all(may_embed(fp, e.fingerprint) for fp in prints)]
+        built[m] = len(left)
         # a catalog group is dense, so each verdict is what contains_all_* decides
         passing = [
-            e.recipe_text for e in cat.entries
-            if all(order_counts_fit(need, e.order_counts) for need in needs)
-            and all(find_embedding(t, e.group) is not None for t in targets)
+            e.recipe_text for e in left
+            if all(find_embedding(t, e.group) is not None for t in targets)
         ]
         if passing:
             found = m
             break
         eliminated[m] = len(cat.entries)
-    return SearchOutcome(name, n, bound, max_order, candidates, found, passing, eliminated)
+    return SearchOutcome(name, n, bound, max_order, candidates, found, passing, eliminated, built)
 
 
 # --- witness replay ---------------------------------------------------------------
@@ -710,16 +716,19 @@ def _run_habex4() -> list[ReportItem]:
 
 @_scenario("lemma-order96")
 def _run_order96() -> list[ReportItem]:
+    """Every order-96 group that hosts A4 misses some group of order 8.  An
+    entry whose stored fingerprint refutes A4 (``may_embed``) is never built."""
     tier = enumerator.default_tier()
     if not enumerator.order_allowed(96, tier):
         return [ReportItem("order 96 sweep", "skip",
                            f"needs tier 2 enumeration of order 96 (active tier {tier})")]
     cat = enumerator.enumerate_groups(96)
     a4 = _target_group("A(4)")
+    a4_print = Fingerprint.of(a4)
     items = [
         _absence_item(e, 8, False, "hosts A4; ", "hosts A4 and every group of order 8")
         for e in cat.entries
-        if find_embedding(a4, e.group) is not None
+        if may_embed(a4_print, e.fingerprint) and find_embedding(a4, e.group) is not None
     ]
     items.append(
         ReportItem(

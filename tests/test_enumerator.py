@@ -365,6 +365,17 @@ def test_bundled_catalog_loads(n, monkeypatch):
         assert np.array_equal(lazy.group.table, eager.group.table)
 
 
+def test_a_stored_fingerprint_parses_to_the_fingerprint_of_its_group():
+    # a sweep reads the parse without building; here every entry is built
+    for n in range(1, 33):
+        doc = json.loads((_BUNDLED_DIR / f"order{n}.json").read_text())
+        for e in Catalog.from_json(doc).entries:
+            assert "group" not in e.__dict__
+            fp = e.fingerprint
+            assert fp.canonical_bytes().decode() == e.fingerprint_text
+            assert fp == Fingerprint.of(e.group), e.recipe_text
+
+
 def test_pins_match_every_bundled_file():
     files = {int(path.stem[5:]): path for path in _BUNDLED_DIR.glob("order*.json")}
     assert sorted(PINS) == sorted(files) == BUNDLED_ORDERS

@@ -596,6 +596,12 @@ def test_check_table_rejects_non_group():
     assert check_table(construct("C(7)").table)
 
 
+@pytest.mark.parametrize("amap", [[0, 2, 2], [0, 1, 5], [0, -1, 1], [0, 1], [1, 0, 2]])
+def test_an_action_that_is_no_bijection_fixing_the_identity_is_refused(amap):
+    with pytest.raises(InvalidAction, match="is not a bijection fixing the identity"):
+        groups._require_automorphism(construct("C(3)"), np.array(amap), "action")
+
+
 def _brute_force_perm_table(degree, cycles):
     """Reference table: closure by perms.compose, elements in lexicographic
     order (the identity is the least tuple), one compose call per cell."""

@@ -443,6 +443,28 @@ def test_embedding_verdicts_match_reference_into_order_24():
     assert found and refuted  # both verdicts occur among pairs the divisibility passes
 
 
+def test_a_stored_derived_order_refutes_only_pairs_with_no_embedding():
+    # H embeds in G only if |H'| divides |G'|; wherever a bundled entry's
+    # stored derived order refutes a small registry group, the reference
+    # search finds no embedding, and some such pair passes the order counts
+    refuted = beyond_counts = 0
+    for label in SMALL_REGISTRY:
+        h = construct(f"named({label})")
+        src = Fingerprint.of(h)
+        for m in (24, 48):
+            doc = json.loads((_BUNDLED_DIR / f"order{m}.json").read_text())
+            for e in Catalog.from_json(doc).entries:
+                dst = e.fingerprint
+                if dst.derived_order % len(h.derived_elements) == 0:
+                    continue
+                refuted += 1
+                beyond_counts += morphisms.order_counts_fit(src.element_orders,
+                                                            dst.element_orders)
+                assert not morphisms.may_embed(src, dst)
+                assert _reference_first(h, e.group)[0] is None, (label, e.recipe_text)
+    assert refuted > beyond_counts > 0
+
+
 def test_twisted_first_witness_matches_reference():
     tw = construct("named(C5xC7xC9xD3xH1)")
     for text, names in (("C(45)", ["C(5)", "C(9)"]), ("C(4)", ["C(5)"])):

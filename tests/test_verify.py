@@ -357,15 +357,20 @@ def test_minimal_search_builds_no_witness_labels(monkeypatch):
 
 
 def test_thm_order144_builds_only_candidates_its_stored_counts_leave(monkeypatch):
-    # a candidate with fewer elements of some order than an order-12 target
-    # hosts no such target, and it is refuted from its stored fingerprint
+    # a candidate with fewer elements of some order than an order-12 target,
+    # or a derived subgroup whose order the target's does not divide, hosts no
+    # such target, and it is refuted from its stored fingerprint
     monkeypatch.setenv("MGE_TIER", "2")
-    needs = [np.bincount(t.element_orders) for _, t in verify._targets_of_order(12)]
+    targets = [t for _, t in verify._targets_of_order(12)]
+    needs = [np.bincount(t.element_orders) for t in targets]
+    derived = [len(t.derived_elements) for t in targets]
     left = 0
     for m in (24, 48, 72, 96, 120, 144):
         for e in json.loads((_BUNDLED_DIR / f"order{m}.json").read_text())["entries"]:
-            have = dict(json.loads(e["fingerprint"])["element_orders"])
-            left += all(k <= have.get(o, 0) for need in needs for o, k in enumerate(need))
+            stored = json.loads(e["fingerprint"])
+            have = dict(stored["element_orders"])
+            left += (all(k <= have.get(o, 0) for need in needs for o, k in enumerate(need))
+                     and all(stored["derived_order"] % d == 0 for d in derived))
     built = []
     real = enumerator.construct
     monkeypatch.setattr(enumerator, "construct", lambda expr: built.append(expr) or real(expr))
@@ -375,7 +380,51 @@ def test_thm_order144_builds_only_candidates_its_stored_counts_leave(monkeypatch
     finally:
         enumerator.clear_memory_cache()
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["thm-order144"]
-    assert left == 95 and len(built) == left
+    assert left == 25 and len(built) == left
+
+
+def test_lemma_order96_builds_only_entries_whose_stored_fingerprint_admits_a4(monkeypatch):
+    # A4 has 8 elements of order 3 and a derived subgroup of order 4, so an
+    # entry with fewer such elements or a derived order not divisible by 4 is
+    # refuted before it is built
+    monkeypatch.setenv("MGE_TIER", "2")
+    built = []
+    real = enumerator.construct
+    monkeypatch.setattr(enumerator, "construct", lambda expr: built.append(expr) or real(expr))
+    enumerator.clear_memory_cache()
+    try:
+        text = reproduce("lemma-order96").dumps()
+        total = len(enumerate_groups(96))
+    finally:
+        enumerator.clear_memory_cache()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS["lemma-order96"]
+    assert total == 231 and len(built) == 36
+
+
+def test_a_minimal_search_says_how_many_entries_it_built(monkeypatch):
+    monkeypatch.setenv("MGE_TIER", "2")
+    out = minimal_embedding_search("order", 12, 144)
+    assert out.found_order == 144
+    assert out.built == {24: 0, 48: 0, 72: 1, 96: 8, 120: 0, 144: 16}
+    assert out.eliminated == {24: 15, 48: 52, 72: 50, 96: 231, 120: 47}
+    assert out.to_json()["built"] == {"24": 0, "48": 0, "72": 1, "96": 8, "120": 0, "144": 16}
+
+
+def test_scenarios_leave_numpy_ma_unimported(tmp_path):
+    # numpy's plain unique() imports numpy.ma on first use; the engine's
+    # counts and checks use bincount and sort instead
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "MGE_TIER": "2", "MGE_CACHE_DIR": str(tmp_path)}
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    script = ("import sys\nfrom mge.verify import reproduce\n"
+              "assert reproduce('thm-order144').passed and reproduce('table4').passed\n"
+              "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_passing_classes_are_matched_to_labels_through_the_catalog():
