@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of small group orders, with an independent oracle.
+"""Exhaustive enumeration of small group orders.
 
 Every group whose derived subgroup is proper has a normal subgroup of prime
 index (pull back an index-p subgroup of the abelianization), so recursing on
@@ -14,11 +14,6 @@ taken up to norms of Z(N): one a per coset of the norm subgroup.  Candidates
 are over-generated from such pairs, deduped by invariant buckets plus explicit
 isomorphism tests, and pinned to canonical regular-representation recipes so
 repeated runs emit byte-identical catalogs.
-
-The oracle reads Cayley's theorem backwards: isomorphism classes of order n
-are exactly the conjugacy classes of regular subgroups of the symmetric group
-of degree n, so for n <= 10 it searches for regular subgroups directly.  Its
-only shared machinery with the enumerator is the final dedupe.
 """
 
 from __future__ import annotations
@@ -60,11 +55,9 @@ from .morphisms import (
     rich_invariant_key,
 )
 from .numtheory import factorization
-from .perms import compose
 from .registry import perfect_seed_exprs
 
 HARD_ORDER_LIMIT = 256
-ORACLE_LIMIT = 10
 TIER_EXTRA = {1: frozenset(), 2: frozenset({72, 96, 120, 144}),
               3: frozenset({72, 96, 120, 144, 81, 243})}
 
@@ -118,11 +111,6 @@ class CatalogEntry:
     def fingerprint(self) -> Fingerprint:
         """The stored fingerprint text, parsed."""
         return Fingerprint.from_text(self.fingerprint_text)
-
-    @property
-    def order_counts(self) -> tuple[tuple[int, int], ...]:
-        """The stored element orders, shaped as ``morphisms.order_counts``."""
-        return self.fingerprint.element_orders
 
     @cached_property
     def group(self) -> TableGroup:
@@ -357,10 +345,14 @@ def _ea_alpha_pairs(base: TableGroup, q: int, p: int):
 
 
 def _aut_listing(base: TableGroup) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Aut(base) as the rows of one array, in stream order and of the narrowest
-    unsigned dtype that holds ``n - 1``, plus a greedy generating subset widened
-    to int64.  Every prime extends the same base, so the listing is cached on
-    ``base`` like the search levels."""
+    """Aut(base) as the rows of one array, of the narrowest unsigned dtype that
+    holds ``n - 1``, plus a greedy generating subset widened to int64.  The rows
+    are sorted by their images of ``base.greedy_gens``, first generator first.
+    An automorphism is determined by those images, so the order is total: any
+    order in which ``automorphisms`` streams the same set gives the same
+    listing, and the search's candidate order reaches no catalog.  Every prime
+    extends the same base, so the listing is cached on ``base`` like the
+    search levels."""
     cached = base.__dict__.get("_aut_listing")
     if cached is not None:
         return cached
@@ -368,8 +360,10 @@ def _aut_listing(base: TableGroup) -> tuple[np.ndarray, list[np.ndarray]]:
     auts = np.fromiter(
         itertools.chain.from_iterable(mo.images for mo in automorphisms(base)), dtype=dtype
     ).reshape(-1, base.n)
+    if base.n > 1:  # the trivial base has no generators, and lexsort needs a key
+        auts = auts[np.lexsort(auts[:, list(base.greedy_gens)[::-1]].T)]
 
-    # greedy in stream order; <H, g> is H plus what right multiplication by the
+    # greedy in listing order; <H, g> is H plus what right multiplication by the
     # generators reaches from H*g, and x * g is g[x]
     elems = [np.arange(base.n, dtype=dtype)[None]]
     have = {elems[0].tobytes()}
@@ -562,136 +556,3 @@ def _save_cache(cat: Catalog, target: Path) -> None:
         os.replace(tmp, target)
     except OSError:
         pass  # caching is best-effort; results are still returned
-
-
-# --- the regular-representation oracle --------------------------------------------
-
-
-def _cycle_lengths(p: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(p)
-    out = []
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        out.append(length)
-    return out
-
-
-def _is_uniform_fpf(p: tuple[int, ...]) -> bool:
-    lens = _cycle_lengths(p)
-    return lens[0] > 1 and all(c == lens[0] for c in lens)
-
-
-def _uniform_with_image(n: int, u: int) -> list[tuple[int, ...]]:
-    """All permutations of degree n whose cycles share one length > 1 and
-    which map point 0 to point u."""
-    out = []
-    for d in range(2, n + 1):
-        if n % d:
-            continue
-        perm = [-1] * n
-
-        def close_cycle(points: list[int]):
-            for x, y in zip(points, points[1:]):
-                perm[x] = y
-            perm[points[-1]] = points[0]
-
-        def rec(remaining: frozenset):
-            if not remaining:
-                out.append(tuple(perm))
-                return
-            r = min(remaining)
-            rest = sorted(remaining - {r})
-            if r == 0:
-                tails = (
-                    (u,) + t
-                    for t in itertools.permutations([x for x in rest if x != u], d - 2)
-                )
-            else:
-                tails = itertools.permutations(rest, d - 1)
-            for tail in tails:
-                pts = [r, *tail]
-                close_cycle(pts)
-                rec(remaining - set(pts))
-
-        rec(frozenset(range(n)))
-    return out
-
-
-def _perm_closure_capped(gens: list[tuple], cap: int):
-    ident = tuple(range(len(gens[0])))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                c = compose(e, g)
-                if c not in elems:
-                    if len(elems) >= cap:
-                        return None
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return elems
-
-
-def _oracle_table(elems: set[tuple], n: int) -> np.ndarray:
-    """The table of the regular group ``elems``, read off their images: the
-    oracle's own tabulation, kept apart from ``groups._regular_table``."""
-    by_image = sorted(elems, key=lambda p: p[0])
-    tab = np.empty((n, n), dtype=np.int64)
-    for j, rho in enumerate(by_image):
-        tab[:, j] = rho  # (rho_i rho_j)(0) = rho_j(i)
-    return tab
-
-
-def regular_oracle(n: int) -> Catalog:
-    """Isomorphism classes of order n via regular subgroups of the symmetric
-    group of degree n; independent of the extension recursion."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise OutOfRange(f"order must be a positive integer, not {n!r}")
-    if n > ORACLE_LIMIT:
-        raise OutOfRange(f"the oracle is exhaustive only up to order {ORACLE_LIMIT}")
-    if n == 1:
-        return Catalog(1, [_canonical_entry(construct("C(1)"))], "oracle")
-
-    p = min(factorization(n))
-    # canonical element of order p: every class has a regular copy through it
-    c0 = tuple(i + 1 if i % p < p - 1 else i - (p - 1) for i in range(n))
-    buckets: dict[int, list[tuple]] = {}
-
-    def bucket(u: int) -> list[tuple]:
-        if u not in buckets:
-            buckets[u] = _uniform_with_image(n, u)
-        return buckets[u]
-
-    found: list[np.ndarray] = []
-
-    def extend(gens: list[tuple], elems: set[tuple]):
-        if len(elems) == n:
-            found.append(_oracle_table(elems, n))
-            return
-        if len(gens) >= 3:
-            return
-        covered = {e[0] for e in elems}
-        u = min(set(range(n)) - covered)
-        for cand in bucket(u):
-            if cand in elems:
-                continue
-            closure = _perm_closure_capped(gens + [cand], n)
-            if closure is None or n % len(closure):
-                continue
-            if all(e == tuple(range(n)) or _is_uniform_fpf(e) for e in closure):
-                extend(gens + [cand], closure)
-
-    start = _perm_closure_capped([c0], n)
-    extend([c0], start)
-    groups = (TableGroup(t, {"g1": 1}) for t in found)
-    return Catalog(n, _dedupe(groups), "oracle")

@@ -329,9 +329,13 @@ class _Scanner:
 
 
 def parse_expr(text: str) -> GroupExpr:
-    """Parse the expression grammar; raises ParseError on any malformed input."""
+    """Parse the expression grammar; raises ParseError on any malformed input,
+    and on input nested deeper than the interpreter's recursion allows."""
     sc = _Scanner(text)
-    expr = _parse_product(sc)
+    try:
+        expr = _parse_product(sc)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError(f"trailing input at position {sc.pos}: {text[sc.pos:]!r}")

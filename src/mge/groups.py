@@ -247,7 +247,7 @@ def _subgroup(g, generators) -> "Subgroup":
     index = {e: i for i, e in enumerate(elems)}
     right = np.array([index[p] for p in products], dtype=np.intp).reshape(len(elems), -1).T
     grp = _acting_group(right, {f"g{k + 1}": int(e) for k, e in enumerate(right[:, 0])})
-    return Subgroup(g, elems, gen_elems, grp)
+    return Subgroup(elems, grp)
 
 
 # --- dense groups --------------------------------------------------------------
@@ -589,9 +589,7 @@ def _remap_word(word: str, rename: dict[str, str]) -> str:
 class Subgroup:
     """A subgroup: its ambient elements in discovery order, and its own table."""
 
-    ambient: object
     elements: list
-    gen_elems: list
     group: TableGroup
 
     @property

@@ -40,6 +40,12 @@ def test_construct_parse_error(capsys):
     assert "error" in err.lower() or err
 
 
+def test_construct_nested_too_deeply_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "construct", "(" * 5000 + "C(2)" + ")" * 5000)
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 def test_iso_exit_codes(capsys):
     code, out, _ = run(capsys, "iso", "C(6)", "C(2) x C(3)")
     assert code == 0 and "isomorphic" in out

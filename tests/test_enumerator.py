@@ -32,7 +32,6 @@ from mge.enumerator import (
     default_tier,
     enumerate_groups,
     order_allowed,
-    regular_oracle,
 )
 from mge.errors import EngineError, IncompleteSeedSet, OutOfRange, TierLimitExceeded
 from mge.groups import TableGroup
@@ -45,6 +44,7 @@ from mge.morphisms import (
     rich_invariant_key,
 )
 from mge.numtheory import is_prime
+from regular_oracle import regular_oracle
 
 # isomorphism class counts, orders 1..32
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14,
@@ -134,8 +134,21 @@ def test_recompute_matches_bundled_bytes():
     assert fresh.dumps() == (_BUNDLED_DIR / "order24.json").read_text().strip()
 
 
-def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch):
-    # orders 1-32 re-derived with no bundled file and no cache to load from
+def _reverse_stream(monkeypatch):
+    """The enumerator sees every automorphism stream in reverse: the same set
+    in another order, as a kernel trying its candidates otherwise would give."""
+    def reversed_automorphisms(g):
+        yield from reversed(list(automorphisms(g)))
+
+    monkeypatch.setattr("mge.enumerator.automorphisms", reversed_automorphisms)
+
+
+@pytest.mark.parametrize("stream", ["search", "reversed"])
+def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch, stream):
+    # orders 1-32 re-derived with no bundled file and no cache to load from;
+    # the bytes do not depend on the order automorphisms are streamed in
+    if stream == "reversed":
+        _reverse_stream(monkeypatch)
     (tmp_path / "cache").mkdir()
     (tmp_path / "bundled").mkdir()
     monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
@@ -149,10 +162,13 @@ def test_cold_catalogs_match_bundled_bytes(tmp_path, monkeypatch):
         clear_memory_cache()
 
 
-def test_cold_catalogs_above_32_match_bundled_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("stream", ["search", "reversed"])
+def test_cold_catalogs_above_32_match_bundled_bytes(tmp_path, monkeypatch, stream):
     # opt-in, like the order-243 sweep: several minutes of search
     if default_tier() < 3:
         pytest.skip("cold re-derivation of orders 33-243 runs only at MGE_TIER=3")
+    if stream == "reversed":
+        _reverse_stream(monkeypatch)
     (tmp_path / "cache").mkdir()
     (tmp_path / "bundled").mkdir()
     monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
@@ -359,7 +375,8 @@ def test_bundled_catalog_loads(n, monkeypatch):
     for lazy, eager in zip(cat.entries, full.entries):
         assert (lazy.fingerprint_text == eager.fingerprint_text
                 == Fingerprint.of(lazy.group).canonical_bytes().decode())
-        assert lazy.order_counts == eager.order_counts == order_counts(lazy.group)
+        assert (lazy.fingerprint.element_orders == eager.fingerprint.element_orders
+                == order_counts(lazy.group))
         assert lazy.table_hash == eager.table_hash == lazy.group.table_hash
         assert lazy.to_json() == eager.to_json()
         assert np.array_equal(lazy.group.table, eager.group.table)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mge import construct
 from mge.errors import ParseError
 from mge.expressions import (
     ActionClause,
@@ -147,6 +148,17 @@ def test_tokenize_word_rejects(bad):
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_expr(bad)
+
+
+def test_parse_rejects_nesting_deeper_than_recursion_allows():
+    deep = "(" * 5000 + "C(2)" + ")" * 5000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr(deep)
+    # a depth that parses also builds
+    text = "C(2)"
+    for _ in range(400):
+        text = f"gens({text}, g1)"
+    assert construct(text).order == 2
 
 
 @pytest.mark.parametrize("head", [head for _, head in ONE_INT_CLASSES])

@@ -444,7 +444,7 @@ def ref_extension_table(base, amap, a, p):
 
 
 def ref_aut_generators(auts, n):
-    """A greedy generating subset of the int64 maps ``auts``, in stream order."""
+    """A greedy generating subset of the int64 maps ``auts``, in their given order."""
 
     def compose(x, g):  # x * g == g[x]
         return np.frombuffer(g, np.int64)[np.frombuffer(x, np.int64)].tobytes()
@@ -869,14 +869,21 @@ def test_extension_table_matches_reference(bundled_catalogs):
     assert pairs > 500
 
 
-def test_aut_listing_matches_reference(bundled_catalogs):
+def test_aut_listing_matches_reference(bundled_catalogs, monkeypatch):
+    # the listing is the stream sorted by its images of the greedy generators,
+    # so a reversed stream lists the same rows with the same generators
+    def reversed_automorphisms(g):
+        yield from reversed(list(automorphisms(g)))
+
     bases = 0
     for n in (1, 8, 12, 16, 18, 24):
         for base in bundled_catalogs[n]:
             if n > 1 and elem_abelian_prime(base) is not None:
                 continue  # elementary abelian bases take the matrix path
-            stream = [np.asarray(mo.images, dtype=np.int64)
-                      for mo in automorphisms(base)]
+            cols = list(base.greedy_gens)
+            stream = sorted((np.asarray(mo.images, dtype=np.int64)
+                             for mo in automorphisms(base)),
+                            key=lambda row: row[cols].tolist())
             auts, gens = _aut_listing(base)
             assert auts.dtype == np.uint8 and np.array_equal(auts, stream), n
             want = ref_aut_generators(stream, n)
@@ -884,6 +891,13 @@ def test_aut_listing_matches_reference(bundled_catalogs):
             assert all(np.array_equal(g, w) and g.dtype == np.int64
                        for g, w in zip(gens, want)), n
             assert _aut_listing(base)[0] is auts  # listed once per base
+            del base.__dict__["_aut_listing"]
+            with monkeypatch.context() as m:
+                m.setattr("mge.enumerator.automorphisms", reversed_automorphisms)
+                again, again_gens = _aut_listing(base)
+            assert np.array_equal(again, auts), n
+            assert len(again_gens) == len(gens), n
+            assert all(np.array_equal(g, w) for g, w in zip(again_gens, gens)), n
             bases += 1
     assert bases == 43
 

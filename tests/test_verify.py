@@ -639,6 +639,11 @@ def test_replay_fails_a_malformed_witness_instead_of_raising():
         assert replay_witness(bad) is False, bad
 
 
+def test_replay_fails_a_witness_nested_too_deeply():
+    deep = "(" * 5000 + "C(4)" + ")" * 5000
+    assert replay_witness({"kind": "absence", "ambient": deep, "target": "C(2)"}) is False
+
+
 def test_replay_fails_a_witness_that_is_not_a_dict():
     for bad in ([], "x", 5, None):
         assert replay_witness(bad) is False, bad
