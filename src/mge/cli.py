@@ -20,6 +20,7 @@ from ._version import ENGINE_VERSION
 from .errors import EngineError, OutOfRange
 from .groups import TableGroup, construct
 from .morphisms import find_embedding, is_isomorphic
+from .numtheory import FACTOR_LIMIT
 
 
 def _cmd_construct(args) -> int:
@@ -29,7 +30,7 @@ def _cmd_construct(args) -> int:
         print(f"exponent {g.exponent}")
         print(f"abelian {g.is_abelian}")
         print(f"center {len(g.center_elements)}")
-        print(f"conjugacy classes {len(g.conjugacy_classes())}")
+        print(f"conjugacy classes {len(g.class_reps)}")
     else:
         print(f"components {', '.join(g.comp_names)}")
         print(f"twist rank {g.rank}")
@@ -94,7 +95,6 @@ def _cmd_minimal(args) -> int:
 
 
 BOUND_DIGITS = 4000  # below the 4300 digits Python prints an int with by default
-BOUND_ARGUMENT = 10**12  # trial division factors a number up to this in well under a second
 
 
 def _require_printable(digits: float) -> None:
@@ -108,8 +108,8 @@ def _require_printable(digits: float) -> None:
 def _cmd_bounds(args) -> int:
     arg = args.pbound[0] if args.pbound is not None else (
         args.nbound if args.nbound is not None else args.collection)
-    if arg > BOUND_ARGUMENT:
-        raise OutOfRange(f"{arg} is over {BOUND_ARGUMENT}, the most `mge bounds` factors")
+    if arg > FACTOR_LIMIT:
+        raise OutOfRange(f"{arg} is over {FACTOR_LIMIT}, the most `mge bounds` factors")
     if args.pbound is not None:
         p, k = args.pbound
         if p > 1:

@@ -39,8 +39,8 @@ from .errors import (
 )
 from .expressions import PermGroupExpr
 from .groups import (
-    ELEMENT,
     TableGroup,
+    _extension_table,
     _row_closure,
     along_generators,
     build_cyclic,
@@ -432,22 +432,8 @@ def _generic_alpha_pairs(base: TableGroup, p: int):
         yield alpha, valid_a
 
 
-def _extension_table(base: TableGroup, amap: np.ndarray, a: int, p: int) -> np.ndarray:
-    """Index ``i*m + x`` stands for ``x * t^i`` and ``t^p = a`` commutes with t, so
-    block (i, j) is ``x * alpha^i(y)``, times ``a`` when ``i + j >= p``, coset (i+j) % p."""
-    m, t = base.n, base.table
-    pows = [np.arange(m)]
-    for _ in range(1, p):
-        pows.append(amap[pows[-1]])
-    blk = t[:, np.stack(pows)].transpose(1, 0, 2)[:, :, None, :]  # [i, x, ., y]
-    i = np.arange(p, dtype=ELEMENT)  # every cell stays ELEMENT, like the table
-    s = i[:, None, None, None] + i[:, None]  # i + j, as [i, ., j, .]
-    out = np.where(s >= p, t[:, a][blk], blk) + (s % p) * m
-    return out.reshape(m * p, m * p)
-
-
 def _extension_candidates(base: TableGroup, p: int):
-    q = elem_abelian_prime(base) if base.n > 1 else None
+    q = elem_abelian_prime(base)
     pairs = (
         _ea_alpha_pairs(base, q, p) if q is not None else _generic_alpha_pairs(base, p)
     )

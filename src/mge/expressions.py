@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .numtheory import is_prime
+from .numtheory import FACTOR_LIMIT, is_prime
 
 
 class GroupExpr:
@@ -89,6 +89,8 @@ class ElemAbelian(GroupExpr):
     k: int
 
     def __post_init__(self) -> None:
+        if self.p > FACTOR_LIMIT:  # past it, the primality test is refused
+            raise ValueError(f"EA(p,k) needs p <= {FACTOR_LIMIT}, got {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"EA(p,k) needs prime p, got {self.p}")
         if self.k < 1:

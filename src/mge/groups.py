@@ -13,6 +13,10 @@ Element handles are plain ints for TableGroup (0 is always the identity) and
 ``along_generators`` is the one routine that extends a map from generator
 images to every element, along the derivations of ``bfs_closure``.
 
+Three routines fill a table: ``_product_table`` (direct products, EA(p,k)),
+``_extension_table`` (cyclic extensions: the enumerator's candidates, D(n),
+Q(n)) and ``_regular_table`` (groups given by an action).
+
 Semidirect action convention: a clause ``t.g=w`` pins conjugation of ``g`` by
 ``t``, i.e. ``t^-1 * g * t = w`` holds in the product.  Base generators with
 no clause for some acting generator are fixed by it.
@@ -423,13 +427,6 @@ class TableGroup:
     def class_sizes(self) -> np.ndarray:
         return self._conjugacy[2]
 
-    def conjugacy_classes(self) -> list[list[int]]:
-        cid = self.class_ids
-        out: list[list[int]] = [[] for _ in self.class_reps]
-        for x in range(self.n):
-            out[int(cid[x])].append(x)
-        return out
-
     def centralizer_size(self, x: int) -> int:
         return self.n // int(self.class_sizes[self.class_ids[x]])
 
@@ -644,43 +641,43 @@ def build_cyclic(n: int) -> TableGroup:
     return TableGroup((idx[:, None] + idx[None, :]) % n, {"a": 1 % n})
 
 
+def _extension_table(base: TableGroup, amap: np.ndarray, a: int, p: int) -> np.ndarray:
+    """Index ``i*m + x`` stands for ``x * t^i`` and ``t^p = a`` commutes with t, so
+    block (i, j) is ``x * alpha^i(y)``, times ``a`` when ``i + j >= p``, coset (i+j) % p."""
+    m, t = base.n, base.table
+    pows = [np.arange(m)]
+    for _ in range(1, p):
+        pows.append(amap[pows[-1]])
+    blk = t[:, np.stack(pows)].transpose(1, 0, 2)[:, :, None, :]  # [i, x, ., y]
+    i = np.arange(p, dtype=ELEMENT)  # every cell stays ELEMENT, like the table
+    s = i[:, None, None, None] + i[:, None]  # i + j, as [i, ., j, .]
+    out = np.where(s >= p, t[:, a][blk], blk) + (s % p) * m
+    return out.reshape(m * p, m * p)
+
+
 def build_elem_abelian(p: int, k: int) -> TableGroup:
-    n = p**k
-    if n > TABLE_LIMIT:
+    """The product of k copies of C(p).  The table, a digitwise sum mod p,
+    is the same whichever digit leads, so ``a{i+1}`` is ``p^i``."""
+    # 2^k > TABLE_LIMIT once k reaches its bit length, so no larger power is formed
+    if k >= TABLE_LIMIT.bit_length() or p**k > TABLE_LIMIT:
         raise OrderLimitExceeded(f"EA({p},{k}) exceeds table limit")
-    idx = np.arange(n, dtype=ELEMENT)
-    table = np.zeros((n, n), dtype=ELEMENT)
-    for i in range(k):
-        d = (idx // p**i) % p
-        table += ((d[:, None] + d[None, :]) % p) * p**i
-    gens = {f"a{i + 1}": p**i for i in range(k)}
-    return TableGroup(table, gens)
+    return TableGroup(_product_table([build_cyclic(p)] * k), {f"a{i + 1}": p**i for i in range(k)})
 
 
 def build_dihedral(n: int) -> TableGroup:
-    m = 2 * n
-    if m > TABLE_LIMIT:
+    """C(n) extended by b of order 2 acting by inversion."""
+    if 2 * n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"D({n}) exceeds table limit")
-    i = np.arange(m, dtype=ELEMENT)
-    rot, flip = i % n, i // n
-    ri, rj = rot[:, None], rot[None, :]
-    fi, fj = flip[:, None], flip[None, :]
-    table = (fi ^ fj) * n + np.where(fi == 0, ri + rj, ri - rj) % n
-    return TableGroup(table, {"a": 1 % n, "b": n})
+    c = build_cyclic(n)
+    return TableGroup(_extension_table(c, c.inv, 0, 2), {"a": 1 % n, "b": n})
 
 
 def build_dicyclic(n: int) -> TableGroup:
-    m = 4 * n
-    if m > TABLE_LIMIT:
+    """C(2n) extended by b acting by inversion, with b^2 = a^n."""
+    if 4 * n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"Q({n}) exceeds table limit")
-    tn = 2 * n
-    i = np.arange(m, dtype=ELEMENT)
-    rot, flip = i % tn, i // tn
-    ri, rj = rot[:, None], rot[None, :]
-    fi, fj = flip[:, None], flip[None, :]
-    newrot = (np.where(fi == 0, ri + rj, ri - rj) + (fi & fj) * n) % tn
-    table = (fi ^ fj) * tn + newrot
-    return TableGroup(table, {"a": 1, "b": tn})
+    c = build_cyclic(2 * n)
+    return TableGroup(_extension_table(c, c.inv, n, 2), {"a": 1, "b": 2 * n})
 
 
 def _perm_closure(degree: int, gens: np.ndarray) -> np.ndarray:
@@ -826,7 +823,7 @@ def build_symmetric(n: int) -> TableGroup:
 def build_alternating(n: int) -> TableGroup:
     if n <= 2:
         d = max(n, 1)
-        return build_perm_group(d, [perms.identity_perm(d)])
+        return build_perm_group(d, [tuple(range(d))])
     if factorial(min(n, TABLE_LIMIT + 1)) // 2 > TABLE_LIMIT:
         raise OrderLimitExceeded(f"A({n}) exceeds table limit")
     three = tuple([1, 2, 0] + list(range(3, n)))
@@ -841,17 +838,33 @@ def build_alternating(n: int) -> TableGroup:
 
 def _renamed_bindings(groups: list[TableGroup]) -> list[dict[str, str]]:
     """Deduplicate generator names across factors: a name used by several
-    factors gets a 1-based position suffix in each of them."""
+    factors gets a 1-based position suffix in each of them.  A suffixed name
+    that is also another generator's name is refused."""
     counts = Counter(name for g in groups for name in g.gens)
-    return [{name: (f"{name}_{pos}" if counts[name] > 1 else name) for name in g.gens}
-            for pos, g in enumerate(groups, start=1)]
+    renames = [{name: (f"{name}_{pos}" if counts[name] > 1 else name) for name in g.gens}
+               for pos, g in enumerate(groups, start=1)]
+    names = [new for ren in renames for new in ren.values()]
+    if len(set(names)) != len(names):
+        raise InvalidAction(f"renamed generator names collide in {names}; rename with gens()")
+    return renames
+
+
+def _product_table(factors: list[TableGroup]) -> np.ndarray:
+    """The table of the direct product in mixed radix, the first factor's
+    digit the most significant.  It grows one factor at a time by
+    broadcasting, ``t[(x1, y1), (x2, y2)] = t[x1, x2] * b + f[y1, y2]`` for a
+    factor of order ``b``; the caller keeps the order within TABLE_LIMIT."""
+    table = np.zeros((1, 1), dtype=ELEMENT)
+    for f in factors:  # every cell is below the order, so each fold stays ELEMENT
+        a, b = len(table), f.n
+        grid = table[:, None, :, None] * b + f.table[None, :, None, :]
+        table = grid.reshape(a * b, a * b)
+    return table
 
 
 def build_product(factors: list[TableGroup]) -> TableGroup:
-    """Direct product in mixed radix: the first factor's digit is the most
-    significant.  The table grows one factor at a time by broadcasting,
-    ``t[(x1, y1), (x2, y2)] = t[x1, x2] * b + f[y1, y2]`` for a factor of
-    order ``b``."""
+    """Direct product in mixed radix (``_product_table``), with each factor's
+    generators renamed apart and its components and classes kept."""
     for f in factors:
         if not isinstance(f, TableGroup):
             raise OrderLimitExceeded("direct-product factors must fit the dense-table limit")
@@ -860,11 +873,7 @@ def build_product(factors: list[TableGroup]) -> TableGroup:
         n *= f.n
     if n > TABLE_LIMIT:
         raise OrderLimitExceeded(f"direct product of order {n} exceeds table limit")
-    table = np.zeros((1, 1), dtype=ELEMENT)
-    for f in factors:  # every cell is below n, so each fold stays ELEMENT
-        a, b = len(table), f.n
-        grid = table[:, None, :, None] * b + f.table[None, :, None, :]
-        table = grid.reshape(a * b, a * b)
+    table = _product_table(factors)
     renames = _renamed_bindings(factors)
     gens: dict[str, int] = {}
     comps: list[_Component] = []
@@ -1261,6 +1270,8 @@ def _construct(expr: GroupExpr):
     if isinstance(expr, ElemAbelian):
         return build_elem_abelian(expr.p, expr.k)
     if isinstance(expr, PermGroupExpr):
+        if expr.degree > TABLE_LIMIT:  # refused before a cycle is read into that many points
+            raise OrderLimitExceeded(f"perm() degree {expr.degree} exceeds table limit")
         gen_perms = [perms.parse_cycles(s, degree=expr.degree) for s in expr.gens]
         return build_perm_group(expr.degree, gen_perms)
     if isinstance(expr, DirectProduct):

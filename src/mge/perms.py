@@ -1,4 +1,4 @@
-"""Permutation helpers: cycle-string parsing, formatting, composition.
+"""Permutation helpers: cycle-string parsing and formatting.
 
 Permutations are tuples of 0-based images: ``p[i]`` is where point ``i`` goes.
 Products compose left to right, so ``(p * q)[i] == q[p[i]]``; this makes the
@@ -24,15 +24,6 @@ _EMPTY_LIST_RE = re.compile(r"\([\s,]*,[\s,]*\)")
 _OPEN_AND_COMMA = str.maketrans("(,", "  ")
 
 Perm = tuple[int, ...]
-
-
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right product: apply p, then q."""
-    return tuple(q[i] for i in p)
 
 
 def looks_like_cycles(text: str) -> bool:

@@ -15,9 +15,13 @@ from mge.enumerator import Catalog, _canonical_entry, _dedupe
 from mge.errors import OutOfRange
 from mge.groups import TableGroup, construct
 from mge.numtheory import factorization
-from mge.perms import compose
 
 ORACLE_LIMIT = 10
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Left-to-right product of permutation tuples: apply p, then q."""
+    return tuple(q[i] for i in p)
 
 
 def _cycle_lengths(p: tuple[int, ...]) -> list[int]:

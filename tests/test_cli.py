@@ -304,3 +304,66 @@ def test_trace_hooks_bind_every_target():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["21", "21"]
+
+
+_TIMED_CALL = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a runaway allocation fails fast
+from mge.cli import main
+from mge.verify import replay_witness
+start = time.perf_counter()
+result = {call}
+print(result, time.perf_counter() - start)
+"""
+
+
+def _timed_call(call: str, timeout: float) -> tuple[str, float]:
+    """The result of ``call`` and the seconds it took, run in a fresh
+    interpreter with 1 GB of address space; a run still going after
+    ``timeout`` seconds fails the test rather than holding up the suite."""
+    root = Path(__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMED_CALL.replace("{call}", call)],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src"),
+                           "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{call} still ran after {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    result, seconds = proc.stdout.split()
+    return result, float(seconds)
+
+
+_BIG_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize("call, expected", [
+    (f"replay_witness({{'kind': 'minimal-search', 'search_kind': 'order', 'n': {_BIG_PRIME}, "
+     f"'max_order': {_BIG_PRIME}, 'order': 1, 'groups': []}})", "False"),
+    (f"main(['minimal', '--order', '{_BIG_PRIME}', '--max', '{_BIG_PRIME}'])", "2"),
+    (f"main(['construct', 'EA({_BIG_PRIME}, 1)'])", "2"),
+], ids=["replay-minimal-search", "cli-minimal", "cli-construct-EA"])
+def test_a_number_too_large_to_factor_is_refused_at_once(call, expected):
+    result, seconds = _timed_call(call, timeout=5)
+    assert result == expected
+    assert seconds < 1.0
+
+
+_HUGE = ["EA(2,1000000000)", "perm(200000000; (1 2))"]
+
+
+@pytest.mark.parametrize("text", _HUGE)
+def test_a_huge_group_is_refused_before_it_is_allocated(text):
+    result, seconds = _timed_call(f"main(['construct', {text!r}])", timeout=2)
+    assert result == "2"
+    assert seconds < 0.1
+
+
+@pytest.mark.parametrize("text", _HUGE)
+def test_an_embedding_witness_in_a_huge_ambient_reads_false(text):
+    witness = {"kind": "embedding", "ambient": text, "target": "C(2)",
+               "source": "derived", "generators": ["(1 2)"]}
+    result, _ = _timed_call(f"replay_witness({witness!r})", timeout=2)
+    assert result == "False"

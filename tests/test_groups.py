@@ -32,6 +32,7 @@ from mge.errors import (
 )
 from mge.enumerator import _BUNDLED_DIR
 from mge.groups import ELEMENT, _remap_word, bfs_closure, build_product
+from regular_oracle import compose
 
 # constructor text, order, abelian, exponent, centre size
 BASIC_FACTS = [
@@ -77,9 +78,9 @@ def test_element_order_census():
 
 def test_conjugacy_classes_of_s4():
     s4 = construct("S(4)")
-    sizes = sorted(len(c) for c in s4.conjugacy_classes())
+    sizes = sorted(int(s) for s in s4.class_sizes)
     assert sizes == [1, 3, 6, 6, 8]
-    assert sorted(int(s) for s in s4.class_sizes) == sizes
+    assert np.bincount(s4.class_ids).tolist() == s4.class_sizes.tolist()
     assert int(s4.class_sizes.sum()) == 24
 
 
@@ -130,6 +131,76 @@ def test_product_needs_distinct_names():
 def test_table_limit_guard():
     with pytest.raises(OrderLimitExceeded):
         construct("C(5001)")
+
+
+def _reference_dihedral(n):
+    """D(n) by its own broadcast formula: index ``flip * n + rot`` is
+    ``a^rot * b^flip``, and b inverts a."""
+    i = np.arange(2 * n, dtype=ELEMENT)
+    rot, flip = i % n, i // n
+    ri, rj = rot[:, None], rot[None, :]
+    fi, fj = flip[:, None], flip[None, :]
+    return (fi ^ fj) * n + np.where(fi == 0, ri + rj, ri - rj) % n, {"a": 1 % n, "b": n}
+
+
+def _reference_dicyclic(n):
+    """Q(n) by its own broadcast formula: as D(2n), but b^2 = a^n."""
+    tn = 2 * n
+    i = np.arange(2 * tn, dtype=ELEMENT)
+    rot, flip = i % tn, i // tn
+    ri, rj = rot[:, None], rot[None, :]
+    fi, fj = flip[:, None], flip[None, :]
+    newrot = (np.where(fi == 0, ri + rj, ri - rj) + (fi & fj) * n) % tn
+    return (fi ^ fj) * tn + newrot, {"a": 1, "b": tn}
+
+
+def _reference_elem_abelian(p, k):
+    """EA(p,k) by its own broadcast formula: the digitwise sum mod p, digit
+    i of weight p^i."""
+    idx = np.arange(p**k, dtype=ELEMENT)
+    table = np.zeros((p**k, p**k), dtype=ELEMENT)
+    for i in range(k):
+        d = (idx // p**i) % p
+        table += ((d[:, None] + d[None, :]) % p) * p**i
+    return table, {f"a{i + 1}": p**i for i in range(k)}
+
+
+def _reference_tables():
+    """(text, table, gens) of D(1..200), D(2500), Q(1..100), Q(1250) and
+    EA(p,k) for p <= 13 and every k, one at a time."""
+    for n in [*range(1, 201), 2500]:
+        yield f"D({n})", *_reference_dihedral(n)
+    for n in [*range(1, 101), 1250]:
+        yield f"Q({n})", *_reference_dicyclic(n)
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 13):
+            if p**k <= groups.TABLE_LIMIT:
+                yield f"EA({p},{k})", *_reference_elem_abelian(p, k)
+
+
+def test_named_builders_match_their_own_broadcast_formulas():
+    # D(n) and Q(n) are cyclic extensions and EA(p,k) the product fold of
+    # C(p); each still gives the table, generators and digest of its formula
+    for text, table, gens in _reference_tables():
+        g = construct(text)
+        assert g.table.dtype == ELEMENT and np.array_equal(g.table, table), text
+        assert g.gens == gens, text
+        want = hashlib.sha256()
+        for rows in range(0, len(table), 256):
+            want.update(table[rows:rows + 256].astype(np.int32))
+        assert g.table_hash == want.hexdigest(), text
+
+
+def test_a_perm_degree_past_the_limit_is_refused():
+    # the group has order 2, but each cycle would be read into 5001 points
+    with pytest.raises(OrderLimitExceeded, match="degree 5001"):
+        construct("perm(5001; (1 2))")
+
+
+def test_product_names_that_collide_after_renaming_are_refused():
+    # C(3)'s a would become a_2, the name C(2)'s generator already has
+    with pytest.raises(InvalidAction, match="rename with gens"):
+        construct("gens(C(2), a_2) x C(3) x C(4)")
 
 
 def test_symmetric_and_alternating_past_the_limit_are_refused_at_once():
@@ -603,13 +674,13 @@ def test_an_action_that_is_no_bijection_fixing_the_identity_is_refused(amap):
 
 
 def _brute_force_perm_table(degree, cycles):
-    """Reference table: closure by perms.compose, elements in lexicographic
+    """Reference table: closure by compose, elements in lexicographic
     order (the identity is the least tuple), one compose call per cell."""
     gens = [perms.parse_cycles(c, degree=degree) for c in cycles]
-    closure, _ = bfs_closure(perms.identity_perm(degree), gens, perms.compose)
+    closure, _ = bfs_closure(tuple(range(degree)), gens, compose)
     elems = sorted(closure)
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[perms.compose(a, b)] for b in elems] for a in elems]
+    table = [[index[compose(a, b)] for b in elems] for a in elems]
     names = {perms.format_cycles(p): index[p] for p in gens}
     return elems, table, names
 
