@@ -234,20 +234,18 @@ def _dedupe(candidates) -> list[CatalogEntry]:
 # when no smaller factor divides it.
 
 
-def _poly_divmod(f: tuple, g: tuple, q: int) -> tuple[tuple, tuple]:
+def _poly_mod(f: tuple, g: tuple, q: int) -> tuple:
+    """f mod g over GF(q), for a monic g."""
     f = list(f)
     dg = len(g) - 1
-    lead_inv = pow(g[-1], -1, q)
-    quo = [0] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * lead_inv % q
-        quo[i - dg] = c
+        c = f[i]
         if c:
             for j in range(dg + 1):
                 f[i - dg + j] = (f[i - dg + j] - c * g[j]) % q
     while len(f) > 1 and f[-1] == 0:
         f.pop()
-    return tuple(quo), tuple(f)
+    return tuple(f)
 
 
 def _monic_polys(degree: int, q: int):
@@ -262,8 +260,8 @@ def _factors_of_xp_minus_1(q: int, p: int, k: int) -> list[tuple]:
     factors: list[tuple] = []
     for d in range(1, k + 1):
         for f in _monic_polys(d, q):
-            if _poly_divmod(xp1, f, q)[1] == (0,) and not any(
-                _poly_divmod(f, g, q)[1] == (0,) for g in factors
+            if _poly_mod(xp1, f, q) == (0,) and not any(
+                _poly_mod(f, g, q) == (0,) for g in factors
             ):
                 factors.append(f)
     return factors
@@ -296,34 +294,24 @@ def _block_diag(blocks: list[np.ndarray], k: int) -> np.ndarray:
     return m
 
 
-def _partitions(k: int, maxpart: int):
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, maxpart), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
-
-
 def _ea_alpha_matrices(q: int, k: int, p: int) -> list[np.ndarray]:
+    """One block-diagonal matrix per class: the Jordan blocks of sizes
+    min(p, k) down to 1 when p equals q, else the companion blocks of the
+    usable factors of x^p - 1, each block's count tried from the most down."""
     if p == q:
-        return [
-            _block_diag([_jordan(s) for s in part], k)
-            for part in _partitions(k, min(p, k))
-        ]
-    factors = _factors_of_xp_minus_1(q, p, k)
-    degrees = [len(f) - 1 for f in factors]
+        blocks = [_jordan(s) for s in range(min(p, k), 0, -1)]
+    else:
+        blocks = [_companion(f) % q for f in _factors_of_xp_minus_1(q, p, k)]
     reps = []
 
-    def rec(i: int, remaining: int, blocks: list[np.ndarray]):
-        if i == len(factors):
+    def rec(i: int, remaining: int, chosen: list[np.ndarray]):
+        if i == len(blocks):
             if remaining == 0:
-                reps.append(_block_diag(blocks, k))
+                reps.append(_block_diag(chosen, k))
             return
-        d = degrees[i]
-        comp = _companion(factors[i]) % q
+        d = len(blocks[i])
         for count in range(remaining // d, -1, -1):
-            rec(i + 1, remaining - count * d, blocks + [comp] * count)
+            rec(i + 1, remaining - count * d, chosen + [blocks[i]] * count)
 
     rec(0, k, [])
     return reps
@@ -512,7 +500,7 @@ def _catalog(n: int) -> Catalog:
         cat = Catalog.from_json(json.loads(path.read_text()))
     except (OSError, ValueError):
         cat = None  # missing, stale or foreign; recompute
-    if cat is None:
+    if cat is None or cat.order != n:  # a file of another order is stale too
         cat = _compute(n)
         if not bundled:
             _save_cache(cat, path)

@@ -28,9 +28,10 @@ An automorphism stream is this same search from a group to itself, with a
 budget on the number of maps.  An elementary abelian group of rank k whose
 |GL(k, p)| is over that budget is refused before the search starts.
 
-An embedding into a dense target is refuted before any search when the source
-has more elements of some order than the target: a monomorphism keeps orders.
-A catalog sweep refutes a candidate host before building it, from its stored
+A search into a dense target, an isomorphism test too, ends before its kernel
+runs when the source has more elements of some order than the target: a
+monomorphism keeps orders.  A fingerprint only spares a build or a pairing:
+a catalog sweep refutes a candidate host before building it, from its stored
 fingerprint (``may_embed``): by those counts and by derived-order divisibility.
 
 Absence results are proofs only when the target is a dense TableGroup, since
@@ -385,7 +386,7 @@ def _search(src: TableGroup, dst, require_iso: bool, budget: int | None, support
         return
     if dense and dst.order % src.order != 0:
         return
-    if dense and not require_iso and not order_counts_fit(order_counts(src), order_counts(dst)):
+    if dense and not order_counts_fit(order_counts(src), order_counts(dst)):
         return
     if src.order == 1:
         yield Morphism(src, dst, [], [dst.identity])
@@ -435,16 +436,13 @@ def search_monomorphisms(
 def is_isomorphic(a: TableGroup, b: TableGroup, *, budget: int | None = None) -> Morphism | None:
     """A verified isomorphism, or None (which is a proof of non-isomorphism).
 
-    The isomorphism returned is the first one search_monomorphisms would
-    yield, found with the first generator's images cut to class
+    Unequal element-order counts refute it before the kernel; no fingerprint
+    is read.  The isomorphism returned is the first one search_monomorphisms
+    would yield, found with the first generator's images cut to class
     representatives; see the module docstring for why that loses nothing.
     """
     if not isinstance(a, TableGroup) or not isinstance(b, TableGroup):
         raise OrderLimitExceeded("isomorphism testing needs both groups within the table limit")
-    if a.order != b.order:
-        return None
-    if Fingerprint.of(a) != Fingerprint.of(b):
-        return None
     for m in _search(a, b, True, budget, None, True):
         return m
     return None

@@ -17,7 +17,9 @@ from mge._pins import PINS
 from mge._version import ENGINE_VERSION
 from mge.enumerator import (
     _BUNDLED_DIR,
+    _block_diag,
     _canonical_entry,
+    _companion,
     _compute,
     _dedupe,
     _ea_alpha_matrices,
@@ -26,6 +28,7 @@ from mge.enumerator import (
     _extension_table,
     _factors_of_xp_minus_1,
     _generic_alpha_pairs,
+    _jordan,
     _seed_entries,
     Catalog,
     clear_memory_cache,
@@ -540,6 +543,28 @@ def test_a_broken_bundled_file_is_recomputed_but_not_cached(tmp_path, monkeypatc
         clear_memory_cache()
 
 
+
+@pytest.mark.parametrize("where", ["bundled", "cache"])
+def test_a_catalog_file_of_another_order_is_stale(tmp_path, monkeypatch, where):
+    # order 8's pinned bytes under order 7's name load as order 8; they are
+    # recomputed, and a cache file is rewritten with order 7's bytes
+    (tmp_path / "bundled").mkdir()
+    (tmp_path / "cache").mkdir()
+    wrong = tmp_path / where / "order7.json"
+    wrong.write_text((_BUNDLED_DIR / "order8.json").read_text())
+    monkeypatch.setenv("MGE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr("mge.enumerator._BUNDLED_DIR", tmp_path / "bundled")
+    clear_memory_cache()
+    try:
+        cat = enumerate_groups(7)
+        assert cat.order == 7 and [g.order for g in cat.groups()] == [7]
+        want = (_BUNDLED_DIR / "order7.json").read_text().strip()
+        assert cat.dumps() == want
+        assert wrong.read_text() == (want if where == "cache" else
+                                     (_BUNDLED_DIR / "order8.json").read_text())
+    finally:
+        clear_memory_cache()
+
 def test_tier_gates(monkeypatch):
     assert order_allowed(64, 1) and not order_allowed(72, 1)
     assert order_allowed(72, 2) and not order_allowed(81, 2)
@@ -671,6 +696,54 @@ def test_ea_alpha_matrices_are_one_per_class_of_order_dividing_p(q, k):
         hit = sorted(class_of[np.ascontiguousarray(r % q).tobytes()] for r in reps)
         assert hit == list(range(classes)), (q, k, p)
 
+
+
+def _reference_partitions(k, maxpart):
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, maxpart), 0, -1):
+        for rest in _reference_partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _reference_alpha_matrices(q, k, p):
+    """The two enumerations one block recursion replaced: Jordan types as
+    partitions of k in descending lexicographic order when p equals q, else
+    a count per factor of x^p - 1, the most first."""
+    if p == q:
+        return [_block_diag([_jordan(s) for s in part], k)
+                for part in _reference_partitions(k, min(p, k))]
+    factors = _factors_of_xp_minus_1(q, p, k)
+    reps = []
+
+    def rec(i, remaining, blocks):
+        if i == len(factors):
+            if remaining == 0:
+                reps.append(_block_diag(blocks, k))
+            return
+        d = len(factors[i]) - 1
+        for count in range(remaining // d, -1, -1):
+            rec(i + 1, remaining - count * d, blocks + [_companion(factors[i]) % q] * count)
+
+    rec(0, k, [])
+    return reps
+
+
+PRIMES_TO_47 = [n for n in range(48) if is_prime(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_ea_alpha_matrices_match_the_two_enumerations_they_replaced(q):
+    # every rank with q^k <= 5000 for the Jordan types; the companion blocks
+    # up to q^k <= 256, as trial division for the factors of x^p - 1 costs
+    # seconds past that
+    for k in itertools.takewhile(lambda k: q**k <= 5000, itertools.count(1)):
+        for p in PRIMES_TO_47 if q**k <= 256 else [q]:
+            got, want = _ea_alpha_matrices(q, k, p), _reference_alpha_matrices(q, k, p)
+            assert len(got) == len(want), (q, k, p)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (q, k, p)
 
 def test_perfect_seeds_are_injected(monkeypatch):
     monkeypatch.setenv("MGE_TIER", "2")

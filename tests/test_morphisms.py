@@ -409,6 +409,19 @@ def test_is_isomorphic_matches_reference_on_shared_buckets():
                            lambda k: is_isomorphic(a, b, budget=k))
 
 
+
+def test_isomorphism_verdicts_over_table1_and_bundled_catalogs():
+    # the registry's 28 groups of orders 1-15 are pairwise non-isomorphic, as
+    # are the entries of a catalog; most of these refutations are made by the
+    # search's element-order counts or its kernel, not by any fingerprint
+    classes = [[construct(e) for e in registry.groups_of_order(n)] for n in range(1, 16)]
+    classes += [_bundled(n) for n in (16, 24, 32, 48)]
+    assert sum(map(len, classes[:15])) == 28
+    for groups in classes:
+        for i, a in enumerate(groups):
+            for j in range(i, len(groups)):
+                assert (is_isomorphic(a, groups[j]) is not None) == (i == j)
+
 SMALL_REGISTRY = [
     label for label in registry.available_labels()
     if registry._named_entry(label)["order"] <= 12

@@ -150,3 +150,31 @@ def test_only_order_allowed_takes_a_tier():
         and "tier" in {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
     ]
     assert [t.split(" ")[1] for t in takers] == ["order_allowed"], takers
+
+
+# a fingerprint spares a build (stored texts) or a pairing (dedupe buckets);
+# it decides nothing the search decides
+_FINGERPRINT_READERS = {"rich_invariant_key", "CatalogEntry.group", "Catalog.find_isomorphic",
+                        "_canonical_entry", "minimal_embedding_search", "_run_order96"}
+
+
+def _fingerprint_readers(tree: ast.Module, scope: str = "") -> set[str]:
+    """Qualified names of the functions under ``tree`` that call ``Fingerprint.of``."""
+    readers = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = scope + node.name
+            readers |= _fingerprint_readers(node, name + ".")
+            if not isinstance(node, ast.ClassDef) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "of"
+                and getattr(sub.value, "id", None) == "Fingerprint"
+                for sub in ast.walk(node)
+            ):
+                readers.add(name)
+    return readers
+
+
+def test_only_stored_texts_and_dedupe_buckets_read_fingerprints():
+    readers = set().union(*(_fingerprint_readers(ast.parse(path.read_text()))
+                            for path in sorted(SRC.glob("*.py"))))
+    assert readers == _FINGERPRINT_READERS

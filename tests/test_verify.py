@@ -207,6 +207,19 @@ def test_verify_certificate_searches_from_its_claim_targets(monkeypatch):
     assert sorted(map(id, built)) == sorted(id(verify._target_group(t)) for t in targets)
 
 
+def test_verifying_the_bundled_certificates_computes_no_fingerprint(monkeypatch):
+    # a claim's subgroup is proved isomorphic to its target by the search
+    # alone; no fingerprint of either is read
+    certs = verify.bundled_certificates()
+    assert len(certs) == 11
+    verify._registry_targets()
+    of, calls = morphisms.Fingerprint.of, []
+    monkeypatch.setattr(morphisms.Fingerprint, "of",
+                        staticmethod(lambda g: calls.append(g) or of(g)))
+    assert all(verify_certificate(cert).passed for cert in certs.values())
+    assert len(calls) == 0
+
+
 @pytest.mark.parametrize("text", ["C(", "C(2) x C(5000)"])
 def test_a_claim_whose_target_does_not_build_names_no_class(text):
     # a parse error, and a target past the table limit, skip only that claim
